@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.amulet.restricted import OpCounter, RestrictedMath
-from repro.core import SIFTDetector, build_portrait
+from repro.core import SIFTDetector, build_portrait_batch
 from repro.core.training import build_training_set
 from repro.core.versions import DetectorVersion, make_extractor
 from repro.ml.svm import SVC
@@ -54,13 +54,13 @@ def test_bench_signal_generation(benchmark, data):
 
 
 def test_bench_portrait_construction(benchmark, data):
-    portrait = run_once(
+    batch = run_once(
         benchmark,
-        lambda: build_portrait(data["window"]),
+        lambda: build_portrait_batch([data["window"]]),
         study="micro",
         unit="portrait",
     )
-    assert portrait.n_points == 1080
+    assert batch.x.shape == (1, 1080)
 
 
 @pytest.mark.parametrize("version", list(DetectorVersion), ids=lambda v: v.value)
@@ -68,7 +68,7 @@ def test_bench_reference_extraction(benchmark, data, version):
     extractor = make_extractor(version)
     features = run_once(
         benchmark,
-        lambda: extractor.extract_window(data["window"]),
+        lambda: extractor.extract_stream([data["window"]])[0],
         study="micro",
         unit=f"reference-extract-{version.value}",
     )
@@ -130,7 +130,7 @@ def test_bench_fixed_point_classification(benchmark, data):
     detector = SIFTDetector(version="simplified")
     detector.fit(data["train"], data["donors"])
     model = detector.deploy()
-    features_q = model.quantize(detector.extract_features(data["window"]))
+    features_q = model.quantize(detector.extractor.extract_stream([data["window"]])[0])
     result = run_once(
         benchmark,
         lambda: model.predict_bool_fixed(features_q),

@@ -2,7 +2,7 @@
 
 The experiment pipeline's whole value is reproducibility -- Table II/III
 cells and the fault-matrix are regression-tested bit-for-bit, and the
-batch/scalar/chunked scoring paths are proven identical.  One unseeded
+one-window/batch/chunked scoring paths are proven identical.  One unseeded
 ``np.random.default_rng()`` (or a call into the legacy global NumPy RNG,
 or a time-derived seed) silently breaks all of that.  DET001 flags:
 

@@ -27,7 +27,7 @@ from repro.core.features import (
     ReducedFeatureExtractor,
     SimplifiedFeatureExtractor,
 )
-from repro.core.portrait import Portrait, build_portrait
+from repro.core.portrait import PortraitBatch, build_portrait_batch
 from repro.core.serialization import (
     detector_from_json,
     detector_to_json,
@@ -47,13 +47,13 @@ __all__ = [
     "FeatureExtractor",
     "OriginalFeatureExtractor",
     "PLATFORMS",
-    "Portrait",
+    "PortraitBatch",
     "ReducedFeatureExtractor",
     "SIFTDetector",
     "SimplifiedFeatureExtractor",
     "StreamingDetector",
     "TrainingSet",
-    "build_portrait",
+    "build_portrait_batch",
     "build_training_set",
     "detector_from_json",
     "detector_to_json",

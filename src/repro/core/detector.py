@@ -2,8 +2,10 @@
 
 One :class:`SIFTDetector` instance is one *version* of the detector trained
 for one wearer.  ``fit`` runs the paper's offline training step;
-``classify_window`` is the reference ("MATLAB") detection path; ``deploy``
-exports the fixed-point model that the simulated Amulet app executes.
+``decision_values`` / ``classify_stream`` are the reference ("MATLAB")
+detection path, and ``classify_window`` scores one window as a batch of
+one; ``deploy`` exports the fixed-point model that the simulated Amulet
+app executes.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from repro.attacks.scenario import LabeledStream
 from repro.core.alerts import Alert, AlertLog
 from repro.core.features.base import FeatureExtractor
 from repro.core.features.batched import iter_window_chunks
+from repro.core.portrait import stream_positions
 from repro.core.training import TrainingSet, build_training_set
 from repro.core.versions import DetectorVersion, make_extractor
 from repro.ml.kernels import make_kernel
@@ -218,15 +221,13 @@ class SIFTDetector:
         if not self._fitted:
             raise RuntimeError("SIFTDetector is not fitted; call fit() first")
 
-    def extract_features(self, window: SignalWindow) -> np.ndarray:
-        """Raw (unstandardized) feature vector of one window."""
-        return self.extractor.extract_window(window)
-
     def decision_value(self, window: SignalWindow) -> float:
-        """Signed score; non-negative means "altered"."""
-        self._require_fitted()
-        features = self.scaler.transform(self.extract_features(window))
-        return float(self.svc.decision_function(features)[0])
+        """Signed score of one window; non-negative means "altered".
+
+        A batch of one through :meth:`decision_values`, so it honours the
+        scoring platform and equals the window's score in any stream.
+        """
+        return float(self.decision_values([window])[0])
 
     def classify_window(self, window: SignalWindow) -> bool:
         """``True`` when the window is classified as altered."""
@@ -239,8 +240,8 @@ class SIFTDetector:
         Features are extracted via the extractor's batch path, then the
         whole matrix is standardized and scored at once.  Because both the
         extractors and :meth:`SVC.decision_function` are batch-size
-        invariant, each score equals the per-window
-        :meth:`decision_value` bit-for-bit.
+        invariant, each score equals the window's score alone
+        (:meth:`decision_value`) bit-for-bit.
 
         Peak memory is O(stream); long or unbounded streams should use
         :meth:`iter_decision_values` instead.
@@ -286,11 +287,15 @@ class SIFTDetector:
         if chunk_size is None:
             chunk_size = DEFAULT_CHUNK_SIZE
         scorer = self._native()
+        offset = 0
         for chunk in iter_window_chunks(stream, chunk_size):
-            if scorer is not None:
-                yield scorer.decision_values(chunk)
-            else:
-                yield self._numpy_decision_values(chunk)
+            with stream_positions(range(offset, offset + len(chunk))):
+                if scorer is not None:
+                    values = scorer.decision_values(chunk)
+                else:
+                    values = self._numpy_decision_values(chunk)
+            yield values
+            offset += len(chunk)
 
     def classify_stream(self, stream, chunk_size: int | None = None) -> np.ndarray:
         """Boolean predictions for every window (``True`` = altered).

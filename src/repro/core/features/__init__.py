@@ -12,45 +12,31 @@ Simplified SFI, *variance* of column        slopes (y/x) and          8
 Reduced    (none)                           simplified geometric      5
 ========== ================================ ======================= =====
 
+The matrix features are statistics of the portrait's ``n x n`` occupancy
+grid.  The five geometric features "describe the absolute and relative
+location of certain characteristic points (like R peaks in ECG and
+Systolic peaks in ABP) of the signals in the portrait": per peak family,
+the mean angle (or slope) and distance to the origin, plus the mean
+distance between each R peak and its matched systolic peak.
+
 The Simplified and Reduced variants avoid every libm call (``sqrt``,
 ``atan``); that property is machine-checked by the Amulet simulator's
 restricted execution environment.
+
+Every variant is one batched computation over a
+:class:`~repro.core.portrait.PortraitBatch`
+(:mod:`repro.core.features.batched`); the per-window reference formulas
+live in the test suite as an oracle.
 """
 
 from repro.core.features.base import FeatureExtractor
-from repro.core.features.geometric import (
-    average_peak_angle,
-    average_peak_distance,
-    average_paired_distance,
-)
-from repro.core.features.matrix import (
-    auc_composite,
-    auc_trapezoid,
-    column_averages,
-    spatial_filling_index,
-)
 from repro.core.features.original import OriginalFeatureExtractor
 from repro.core.features.reduced import ReducedFeatureExtractor
-from repro.core.features.simplified import (
-    SimplifiedFeatureExtractor,
-    average_peak_slope,
-    average_squared_paired_distance,
-    average_squared_peak_distance,
-)
+from repro.core.features.simplified import SimplifiedFeatureExtractor
 
 __all__ = [
     "FeatureExtractor",
     "OriginalFeatureExtractor",
     "ReducedFeatureExtractor",
     "SimplifiedFeatureExtractor",
-    "auc_composite",
-    "auc_trapezoid",
-    "average_paired_distance",
-    "average_peak_angle",
-    "average_peak_distance",
-    "average_peak_slope",
-    "average_squared_paired_distance",
-    "average_squared_peak_distance",
-    "column_averages",
-    "spatial_filling_index",
 ]

@@ -6,14 +6,14 @@ import abc
 
 import numpy as np
 
-from repro.core.portrait import Portrait, build_portrait
-from repro.signals.dataset import SignalWindow
+from repro.core.features.batched import group_by_length
+from repro.core.portrait import PortraitBatch, build_portrait_batch, stream_positions
 
 __all__ = ["FeatureExtractor"]
 
 
 class FeatureExtractor(abc.ABC):
-    """Maps a portrait to a fixed-length feature vector.
+    """Maps windows to fixed-length feature vectors, one row per window.
 
     Parameters
     ----------
@@ -41,32 +41,29 @@ class FeatureExtractor(abc.ABC):
     def n_features(self) -> int:
         return len(self.feature_names)
 
-    @abc.abstractmethod
-    def extract(self, portrait: Portrait) -> np.ndarray:
-        """Extract the feature vector from one portrait."""
-
-    def extract_window(self, window: SignalWindow) -> np.ndarray:
-        """Convenience: build the portrait and extract in one call."""
-        return self.extract(build_portrait(window))
-
     def extract_stream(self, stream) -> np.ndarray:
-        """Feature matrix for a whole stream: ``(n_windows, n_features)``.
+        """Feature matrix for a stream: ``(n_windows, n_features)``.
 
         ``stream`` is anything with a ``windows`` attribute (e.g. a
         :class:`~repro.attacks.scenario.LabeledStream`) or a plain
-        sequence of :class:`SignalWindow`.  Subclasses override
-        :meth:`_extract_batch` to vectorize across windows; results are
-        bit-identical to calling :meth:`extract_window` per window.
+        sequence of :class:`~repro.signals.dataset.SignalWindow`.  Windows
+        are extracted one equal-length group at a time and the rows come
+        back in input order.  A row depends only on its window, so one
+        window's features are the same alone as inside any stream.
+
+        The matrix tiers raise
+        :class:`~repro.core.portrait.NonFiniteWindowError` (a
+        ``ValueError``) naming the first window with a NaN or infinite
+        sample; the Reduced tier propagates NaN into that window's row.
         """
         windows = list(getattr(stream, "windows", stream))
-        if not windows:
-            return np.empty((0, self.n_features))
-        return self._extract_batch(windows)
+        out = np.empty((len(windows), self.n_features))
+        for indices in group_by_length(windows).values():
+            batch = build_portrait_batch([windows[i] for i in indices])
+            with stream_positions(indices):
+                out[indices] = self._extract_batch(batch)
+        return out
 
-    def _extract_batch(self, windows: list[SignalWindow]) -> np.ndarray:
-        """Batch extraction hook; default is the per-window loop."""
-        return np.vstack([self.extract_window(w) for w in windows])
-
-    def extract_many(self, windows: list[SignalWindow]) -> np.ndarray:
-        """Feature matrix, one row per window."""
-        return self.extract_stream(windows)
+    @abc.abstractmethod
+    def _extract_batch(self, batch: PortraitBatch) -> np.ndarray:
+        """The ``(len(batch), n_features)`` feature matrix of one batch."""

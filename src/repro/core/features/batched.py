@@ -1,20 +1,20 @@
-"""Vectorized portrait construction for whole window streams.
+"""Vectorized feature primitives over whole batches of portraits.
 
-The scalar detection path builds one :class:`~repro.core.portrait.Portrait`
-per window and extracts features window by window -- dozens of small NumPy
-calls per 3-second window.  This module amortizes the heavy per-window
-stages across a whole stream at once:
+Feature extraction runs on :class:`~repro.core.portrait.PortraitBatch`
+rows, amortizing the heavy per-window stages across a whole stream:
 
-* min-max normalization of every ECG/ABP window in two rowwise passes;
 * all occupancy matrices in a single ``np.bincount`` scatter;
 * the matrix-feature reductions (SFI, column-average statistics) as one
-  axis-reduction over the stacked matrices.
+  axis-reduction over the stacked matrices;
+* the peak geometry as elementwise arithmetic on padded matrices.
 
-Every batched operation is **bit-identical** to its scalar counterpart:
-the elementwise arithmetic is the same float64 expression, and the axis
-reductions reduce the same contiguous runs NumPy's scalar calls do.  The
-equivalence is locked down by ``tests/core/test_batch_detection.py`` and
-``tests/core/test_peak_geometry_batch.py``.
+Every row depends only on its own window: the elementwise arithmetic is
+the same float64 expression per window, and the axis reductions reduce
+the same contiguous runs whatever the batch size.  That makes extraction
+batch-size invariant -- a window's features are the same alone, in any
+chunk, or in the whole stream -- which ``tests/core/test_batch_detection.py``
+and ``tests/core/test_peak_geometry_batch.py`` check against the
+per-window reference formulas kept in ``tests/core/oracle.py``.
 
 Peak geometry is ragged -- each window has its own R-peak and
 systolic-peak count -- so it cannot stack into rectangular matrices
@@ -22,36 +22,32 @@ directly.  :class:`PeakGeometryBatch` pads instead: peak indices land in
 ``(n_windows, max_count)`` index matrices (padded positions point at
 sample 0) with boolean validity masks, the geometric quantities are
 computed elementwise on the padded matrices, and the per-window means
-accumulate the masked values column by column -- the same left-to-right
-order as :func:`~repro.core.features.geometric.sequential_mean`, which is
-what keeps the padded path bit-identical to the scalar helpers at every
-peak count (pairwise ``np.mean`` would re-associate at 8+ peaks).
-Padding contributes exact zeros to non-negative partial sums, so it
-never perturbs a mean.
+accumulate the masked values column by column.  That is the
+**sequential-mean contract**: values accumulate left to right, exactly
+like the device C loop, rather than via ``np.mean``'s pairwise summation,
+which re-associates once a row has 8+ values and would make a window's
+mean depend on the padding width of its batch.  Padding contributes exact
+zeros to non-negative partial sums, so it never perturbs a mean.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from repro.core.portrait import Portrait
+from repro.core.portrait import PortraitBatch
 from repro.signals.dataset import SignalWindow
-from repro.signals.peaks import match_peaks
 
 __all__ = [
     "PeakGeometryBatch",
-    "PortraitBatch",
     "build_peak_geometry",
-    "build_portrait_batch",
+    "group_by_length",
     "iter_window_chunks",
     "masked_sequential_row_means",
-    "normalize_rows",
     "spatial_filling_indices",
-    "stack_signals",
 ]
 
 
@@ -77,47 +73,26 @@ def iter_window_chunks(
         yield chunk
 
 
-def stack_signals(
-    windows: list[SignalWindow],
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """``(ecg, abp)`` as ``(n_windows, n_samples)`` matrices.
+def group_by_length(windows: Sequence[SignalWindow]) -> dict[int, list[int]]:
+    """Window positions grouped by sample count, in first-seen order.
 
-    Returns ``None`` when the windows have ragged lengths (the batch path
-    then falls back to the per-window loop).
+    Batched stages need rectangular inputs, so a ragged stream is scored
+    one equal-length group at a time and scattered back by these
+    positions, which keeps every result in input order.
     """
-    if not windows:
-        return None
-    length = windows[0].n_samples
-    if any(w.n_samples != length for w in windows):
-        return None
-    ecg = np.stack([w.ecg for w in windows])
-    abp = np.stack([w.abp for w in windows])
-    return ecg, abp
-
-
-def normalize_rows(signals: np.ndarray) -> np.ndarray:
-    """Rowwise min-max normalization to [0, 1].
-
-    Bit-identical to :func:`~repro.core.portrait.normalize_signal` applied
-    per row: the same ``(signal - low) / (high - low)`` float64 arithmetic,
-    with constant rows mapped to all 0.5.
-    """
-    signals = np.asarray(signals, dtype=np.float64)
-    low = signals.min(axis=1, keepdims=True)
-    high = signals.max(axis=1, keepdims=True)
-    span = high - low
-    flat = (high <= low).ravel()
-    out = (signals - low) / np.where(span > 0.0, span, 1.0)
-    if flat.any():
-        out[flat] = 0.5
-    return out
+    groups: dict[int, list[int]] = {}
+    for i, window in enumerate(windows):
+        groups.setdefault(window.n_samples, []).append(i)
+    return groups
 
 
 def spatial_filling_indices(matrices: np.ndarray) -> np.ndarray:
-    """Batched :func:`~repro.core.features.matrix.spatial_filling_index`.
+    """Per-matrix spatial filling index ``n^2 * sum((c_ij / N)^2)``.
 
-    ``matrices`` is the stacked float64 occupancy tensor ``(m, n, n)``;
-    empty matrices yield 0.0, matching the scalar function.
+    ``matrices`` is the stacked float64 occupancy tensor ``(m, n, n)``.
+    With cell probabilities ``p_ij = c_ij / N`` the index is 1 for a
+    perfectly space-filling portrait and ``n^2`` for one collapsed into a
+    single cell; empty matrices yield 0.0.
     """
     matrices = np.asarray(matrices, dtype=np.float64)
     n = matrices.shape[1]
@@ -130,72 +105,6 @@ def spatial_filling_indices(matrices: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class PortraitBatch:
-    """Normalized portrait coordinates for a whole stream of windows.
-
-    ``x``/``y`` hold every window's normalized ABP/ECG as rows;
-    ``portraits`` are per-window :class:`Portrait` views into those rows
-    (peak geometry is ragged, so it stays per window).
-    """
-
-    x: np.ndarray  # (n_windows, n_samples) normalized ABP
-    y: np.ndarray  # (n_windows, n_samples) normalized ECG
-    portraits: tuple[Portrait, ...]
-
-    def __len__(self) -> int:
-        return len(self.portraits)
-
-    def occupancy_matrices(self, n: int = 50) -> np.ndarray:
-        """All windows' ``n x n`` count matrices as one ``(m, n, n)`` tensor.
-
-        A single flat ``np.bincount`` replaces the per-window
-        ``np.add.at`` scatter; counts are integers, so equality with
-        :meth:`Portrait.occupancy_matrix` is exact.
-        """
-        if n < 1:
-            raise ValueError("grid size must be >= 1")
-        m = self.x.shape[0]
-        col = np.minimum((self.y * n).astype(np.intp), n - 1)
-        row = np.minimum((self.x * n).astype(np.intp), n - 1)
-        flat = (
-            np.arange(m, dtype=np.intp)[:, None] * (n * n) + row * n + col
-        ).ravel()
-        return np.bincount(flat, minlength=m * n * n).reshape(m, n, n)
-
-
-def build_portrait_batch(
-    windows: list[SignalWindow], max_lag_s: float = 0.6
-) -> PortraitBatch | None:
-    """Vectorized :func:`~repro.core.portrait.build_portrait` over a stream.
-
-    Returns ``None`` for ragged window lengths; callers fall back to the
-    scalar loop.  Peak pairing uses the same physiological rule (and the
-    same default lag) as the scalar builder.
-    """
-    stacked = stack_signals(windows)
-    if stacked is None:
-        return None
-    ecg, abp = stacked
-    x = normalize_rows(abp)
-    y = normalize_rows(ecg)
-    portraits = tuple(
-        Portrait(
-            x=x[i],
-            y=y[i],
-            r_peaks=np.asarray(w.r_peaks, dtype=np.intp),
-            systolic_peaks=np.asarray(w.systolic_peaks, dtype=np.intp),
-            peak_pairs=tuple(
-                match_peaks(
-                    w.r_peaks, w.systolic_peaks, w.sample_rate, max_lag_s
-                )
-            ),
-        )
-        for i, w in enumerate(windows)
-    )
-    return PortraitBatch(x=x, y=y, portraits=portraits)
-
-
 def masked_sequential_row_means(
     values: np.ndarray, mask: np.ndarray, counts: np.ndarray
 ) -> np.ndarray:
@@ -203,13 +112,13 @@ def masked_sequential_row_means(
 
     ``values`` and ``mask`` are ``(m, k)``; ``counts`` holds each row's
     number of valid entries (``mask.sum(axis=1)``, passed in because the
-    callers already know it).  Rows with no valid entries yield 0.0 --
-    the scalar helpers' empty-portrait convention.
+    callers already know it).  Rows with no valid entries yield 0.0: a
+    window with no peaks of a kind is implausibly empty, which is itself
+    anomalous, and the classifier learns it as such.
 
-    Accumulation walks the columns in order, so each row sums exactly
-    like :func:`~repro.core.features.geometric.sequential_mean` walks its
-    array: masked-out positions contribute ``+0.0``, which is exact, and
-    the closing division is the same single float64 divide.
+    Accumulation walks the columns in order -- ``((v0 + v1) + v2) + ...``,
+    the accumulation order of a C ``for`` loop -- then divides once in
+    float64.  Masked-out positions contribute ``+0.0``, which is exact.
     """
     values = np.where(mask, values, 0.0)
     total = np.zeros(values.shape[0])
@@ -247,10 +156,9 @@ class PeakGeometryBatch:
     matrices with a validity mask and per-window counts: the R peaks
     (``r_*``), the systolic peaks (``s_*``) and the matched R/systolic
     pairs (``pr_*``/``ps_*`` share ``pair_mask``/``pair_counts``).  The
-    mean-feature methods return one float64 value per window and are
-    bit-identical to the scalar helpers in
-    :mod:`~repro.core.features.geometric` and
-    :mod:`~repro.core.features.simplified` applied window by window.
+    mean-feature methods return one float64 value per window: the
+    sequential mean of a per-peak quantity, 0.0 for a window with no peaks
+    of that family.
     """
 
     r_x: np.ndarray
@@ -269,7 +177,7 @@ class PeakGeometryBatch:
     pair_counts: np.ndarray
 
     def angle_means(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-window ``average_peak_angle`` for R and systolic peaks."""
+        """Mean angle ``atan2(y, x)`` of the R and of the systolic peaks."""
         return (
             masked_sequential_row_means(
                 np.arctan2(self.r_y, self.r_x), self.r_mask, self.r_counts
@@ -280,7 +188,7 @@ class PeakGeometryBatch:
         )
 
     def distance_means(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-window ``average_peak_distance`` for R and systolic peaks."""
+        """Mean distance to the origin of the R and of the systolic peaks."""
         return (
             masked_sequential_row_means(
                 np.sqrt(self.r_x**2 + self.r_y**2), self.r_mask, self.r_counts
@@ -291,7 +199,7 @@ class PeakGeometryBatch:
         )
 
     def paired_distance_means(self) -> np.ndarray:
-        """Per-window ``average_paired_distance`` over the matched pairs."""
+        """Mean distance between each R peak and its matched systolic peak."""
         distances = np.sqrt(
             (self.pr_x - self.ps_x) ** 2 + (self.pr_y - self.ps_y) ** 2
         )
@@ -300,9 +208,12 @@ class PeakGeometryBatch:
         )
 
     def slope_means(self, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
-        """Per-window ``average_peak_slope`` at the given denominator clamp.
+        """Mean slope ``y / max(x, epsilon)`` of the R and systolic peaks.
 
-        ``epsilon`` is the Simplified build's ``SLOPE_EPSILON``; it is a
+        The slope is the angle's tangent, computed without ``atan``.
+        Portrait coordinates are in [0, 1], so ``x`` is non-negative and
+        only the near-zero case needs clamping.  ``epsilon`` is the
+        Simplified build's ``SLOPE_EPSILON``; it is a
         parameter (not an import) because :mod:`~repro.core.features.
         simplified` imports this module.
         """
@@ -320,7 +231,7 @@ class PeakGeometryBatch:
         )
 
     def squared_distance_means(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-window ``average_squared_peak_distance`` for both families."""
+        """Mean squared distance ``x^2 + y^2`` to the origin, both families."""
         return (
             masked_sequential_row_means(
                 self.r_x**2 + self.r_y**2, self.r_mask, self.r_counts
@@ -331,7 +242,7 @@ class PeakGeometryBatch:
         )
 
     def paired_squared_distance_means(self) -> np.ndarray:
-        """Per-window ``average_squared_paired_distance`` over the pairs."""
+        """Mean squared distance between matched R and systolic peaks."""
         squared = (self.pr_x - self.ps_x) ** 2 + (self.pr_y - self.ps_y) ** 2
         return masked_sequential_row_means(
             squared, self.pair_mask, self.pair_counts
@@ -341,19 +252,14 @@ class PeakGeometryBatch:
 def build_peak_geometry(batch: PortraitBatch) -> PeakGeometryBatch:
     """Gather a batch's ragged peak coordinates into padded matrices.
 
-    One ``take_along_axis`` gather per coordinate family replaces the
-    per-window ``r_peak_points()`` / ``systolic_peak_points()`` /
-    ``paired_peak_points()`` stacking of the scalar path.
+    One ``take_along_axis`` gather per coordinate family and coordinate.
     """
-    portraits = batch.portraits
-    r_idx, r_mask, r_counts = _pad_index_matrix([p.r_peaks for p in portraits])
-    s_idx, s_mask, s_counts = _pad_index_matrix(
-        [p.systolic_peaks for p in portraits]
-    )
+    r_idx, r_mask, r_counts = _pad_index_matrix(list(batch.r_peaks))
+    s_idx, s_mask, s_counts = _pad_index_matrix(list(batch.systolic_peaks))
     pair_r, pair_s = [], []
-    for p in portraits:
-        pair_r.append(np.fromiter((a for a, _ in p.peak_pairs), dtype=np.intp))
-        pair_s.append(np.fromiter((b for _, b in p.peak_pairs), dtype=np.intp))
+    for pairs in batch.peak_pairs:
+        pair_r.append(np.fromiter((a for a, _ in pairs), dtype=np.intp))
+        pair_s.append(np.fromiter((b for _, b in pairs), dtype=np.intp))
     pr_idx, pair_mask, pair_counts = _pad_index_matrix(pair_r)
     ps_idx, _, _ = _pad_index_matrix(pair_s)
     take = np.take_along_axis

@@ -5,23 +5,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.features.base import FeatureExtractor
-from repro.core.features.batched import (
-    build_peak_geometry,
-    build_portrait_batch,
-    spatial_filling_indices,
-)
-from repro.core.features.geometric import (
-    average_paired_distance,
-    average_peak_angle,
-    average_peak_distance,
-)
-from repro.core.features.matrix import (
-    auc_trapezoid,
-    column_averages,
-    spatial_filling_index,
-)
-from repro.core.portrait import Portrait
-from repro.signals.dataset import SignalWindow
+from repro.core.features.batched import build_peak_geometry, spatial_filling_indices
+from repro.core.portrait import PortraitBatch
 
 __all__ = ["OriginalFeatureExtractor"]
 
@@ -50,39 +35,20 @@ class OriginalFeatureExtractor(FeatureExtractor):
     def feature_names(self) -> tuple[str, ...]:
         return self._NAMES
 
-    def extract(self, portrait: Portrait) -> np.ndarray:
-        matrix = portrait.occupancy_matrix(self.grid_n)
-        col_avg = column_averages(matrix)
-        r_points = portrait.r_peak_points()
-        s_points = portrait.systolic_peak_points()
-        paired_r, paired_s = portrait.paired_peak_points()
-        return np.array(
+    def _extract_batch(self, batch: PortraitBatch) -> np.ndarray:
+        matrices = np.asarray(batch.occupancy_matrices(self.grid_n), dtype=np.float64)
+        # Column averages (mean over each matrix's rows) form the ECG
+        # occupancy profile; all three matrix features reduce the stacked
+        # tensor in one pass.
+        col_avg = matrices.mean(axis=1)
+        geometry = build_peak_geometry(batch)
+        return np.column_stack(
             [
-                spatial_filling_index(matrix),
-                float(np.std(col_avg)),
-                auc_trapezoid(col_avg),
-                average_peak_angle(r_points),
-                average_peak_angle(s_points),
-                average_peak_distance(r_points),
-                average_peak_distance(s_points),
-                average_paired_distance(paired_r, paired_s),
+                spatial_filling_indices(matrices),
+                col_avg.std(axis=1),
+                np.trapezoid(col_avg, axis=-1),
+                *geometry.angle_means(),
+                *geometry.distance_means(),
+                geometry.paired_distance_means(),
             ]
         )
-
-    def _extract_batch(self, windows: list[SignalWindow]) -> np.ndarray:
-        batch = build_portrait_batch(windows)
-        if batch is None:  # ragged window lengths: per-window fallback
-            return super()._extract_batch(windows)
-        matrices = np.asarray(batch.occupancy_matrices(self.grid_n), dtype=np.float64)
-        # mean over axis 1 (rows) is column_averages() applied per window;
-        # all three matrix features reduce the stacked tensor in one pass.
-        col_avg = matrices.mean(axis=1)
-        out = np.empty((len(windows), self.n_features))
-        out[:, 0] = spatial_filling_indices(matrices)
-        out[:, 1] = col_avg.std(axis=1)
-        out[:, 2] = np.trapezoid(col_avg, axis=-1)
-        geometry = build_peak_geometry(batch)
-        out[:, 3], out[:, 4] = geometry.angle_means()
-        out[:, 5], out[:, 6] = geometry.distance_means()
-        out[:, 7] = geometry.paired_distance_means()
-        return out

@@ -11,15 +11,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.features.base import FeatureExtractor
-from repro.core.features.batched import build_peak_geometry, build_portrait_batch
-from repro.core.features.simplified import (
-    SLOPE_EPSILON,
-    average_peak_slope,
-    average_squared_paired_distance,
-    average_squared_peak_distance,
-)
-from repro.core.portrait import Portrait
-from repro.signals.dataset import SignalWindow
+from repro.core.features.batched import build_peak_geometry
+from repro.core.features.simplified import SLOPE_EPSILON
+from repro.core.portrait import PortraitBatch
 
 __all__ = ["ReducedFeatureExtractor"]
 
@@ -41,29 +35,12 @@ class ReducedFeatureExtractor(FeatureExtractor):
     def feature_names(self) -> tuple[str, ...]:
         return self._NAMES
 
-    def extract(self, portrait: Portrait) -> np.ndarray:
-        r_points = portrait.r_peak_points()
-        s_points = portrait.systolic_peak_points()
-        paired_r, paired_s = portrait.paired_peak_points()
-        return np.array(
+    def _extract_batch(self, batch: PortraitBatch) -> np.ndarray:
+        geometry = build_peak_geometry(batch)
+        return np.column_stack(
             [
-                average_peak_slope(r_points),
-                average_peak_slope(s_points),
-                average_squared_peak_distance(r_points),
-                average_squared_peak_distance(s_points),
-                average_squared_paired_distance(paired_r, paired_s),
+                *geometry.slope_means(SLOPE_EPSILON),
+                *geometry.squared_distance_means(),
+                geometry.paired_squared_distance_means(),
             ]
         )
-
-    def _extract_batch(self, windows: list[SignalWindow]) -> np.ndarray:
-        # No matrix features, but the batch still vectorizes the min-max
-        # normalization (the bulk of portrait construction) across windows.
-        batch = build_portrait_batch(windows)
-        if batch is None:  # ragged window lengths: per-window fallback
-            return super()._extract_batch(windows)
-        out = np.empty((len(windows), self.n_features))
-        geometry = build_peak_geometry(batch)
-        out[:, 0], out[:, 1] = geometry.slope_means(SLOPE_EPSILON)
-        out[:, 2], out[:, 3] = geometry.squared_distance_means()
-        out[:, 4] = geometry.paired_squared_distance_means()
-        return out

@@ -19,70 +19,14 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.features.base import FeatureExtractor
-from repro.core.features.batched import (
-    build_peak_geometry,
-    build_portrait_batch,
-    spatial_filling_indices,
-)
-from repro.core.features.geometric import sequential_mean
-from repro.core.features.matrix import (
-    auc_composite,
-    column_averages,
-    spatial_filling_index,
-)
-from repro.core.portrait import Portrait
-from repro.signals.dataset import SignalWindow
+from repro.core.features.batched import build_peak_geometry, spatial_filling_indices
+from repro.core.portrait import PortraitBatch
 
-__all__ = [
-    "SLOPE_EPSILON",
-    "SimplifiedFeatureExtractor",
-    "average_peak_slope",
-    "average_squared_paired_distance",
-    "average_squared_peak_distance",
-]
+__all__ = ["SLOPE_EPSILON", "SimplifiedFeatureExtractor"]
 
 #: Minimum slope denominator; matches one LSB of the device's Q-format
 #: x coordinate at the default 14 fractional bits.
 SLOPE_EPSILON = 1.0 / (1 << 14)
-
-
-def average_peak_slope(points: np.ndarray) -> float:
-    """Mean ``y / max(x, SLOPE_EPSILON)`` over peak points, 0.0 if none.
-
-    Portrait coordinates are in [0, 1], so ``x`` is non-negative and only
-    the near-zero case needs clamping.
-    """
-    points = np.asarray(points, dtype=np.float64)
-    if points.size == 0:
-        return 0.0
-    if points.ndim != 2 or points.shape[1] != 2:
-        raise ValueError("points must have shape (m, 2)")
-    x = np.maximum(points[:, 0], SLOPE_EPSILON)
-    return sequential_mean(points[:, 1] / x)
-
-
-def average_squared_peak_distance(points: np.ndarray) -> float:
-    """Mean ``x^2 + y^2`` over peak points, 0.0 when there are none."""
-    points = np.asarray(points, dtype=np.float64)
-    if points.size == 0:
-        return 0.0
-    if points.ndim != 2 or points.shape[1] != 2:
-        raise ValueError("points must have shape (m, 2)")
-    return sequential_mean(points[:, 0] ** 2 + points[:, 1] ** 2)
-
-
-def average_squared_paired_distance(
-    r_points: np.ndarray, s_points: np.ndarray
-) -> float:
-    """Mean ``(xr - xs)^2 + (yr - ys)^2`` over corresponding peak pairs."""
-    r_points = np.asarray(r_points, dtype=np.float64)
-    s_points = np.asarray(s_points, dtype=np.float64)
-    if r_points.shape != s_points.shape:
-        raise ValueError("paired point arrays must have equal shape")
-    if r_points.size == 0:
-        return 0.0
-    deltas = r_points - s_points
-    return sequential_mean(deltas[:, 0] ** 2 + deltas[:, 1] ** 2)
 
 
 class SimplifiedFeatureExtractor(FeatureExtractor):
@@ -105,38 +49,20 @@ class SimplifiedFeatureExtractor(FeatureExtractor):
     def feature_names(self) -> tuple[str, ...]:
         return self._NAMES
 
-    def extract(self, portrait: Portrait) -> np.ndarray:
-        matrix = portrait.occupancy_matrix(self.grid_n)
-        col_avg = column_averages(matrix)
-        r_points = portrait.r_peak_points()
-        s_points = portrait.systolic_peak_points()
-        paired_r, paired_s = portrait.paired_peak_points()
-        return np.array(
-            [
-                spatial_filling_index(matrix),
-                float(np.var(col_avg)),
-                auc_composite(col_avg),
-                average_peak_slope(r_points),
-                average_peak_slope(s_points),
-                average_squared_peak_distance(r_points),
-                average_squared_peak_distance(s_points),
-                average_squared_paired_distance(paired_r, paired_s),
-            ]
-        )
-
-    def _extract_batch(self, windows: list[SignalWindow]) -> np.ndarray:
-        batch = build_portrait_batch(windows)
-        if batch is None:  # ragged window lengths: per-window fallback
-            return super()._extract_batch(windows)
+    def _extract_batch(self, batch: PortraitBatch) -> np.ndarray:
         matrices = np.asarray(batch.occupancy_matrices(self.grid_n), dtype=np.float64)
         col_avg = matrices.mean(axis=1)
-        out = np.empty((len(windows), self.n_features))
-        out[:, 0] = spatial_filling_indices(matrices)
-        out[:, 1] = col_avg.var(axis=1)
-        # auc_composite per row: 0.5 * sum(f_k + f_{k+1}) along the curve.
-        out[:, 2] = 0.5 * np.sum(col_avg[:, :-1] + col_avg[:, 1:], axis=1)
         geometry = build_peak_geometry(batch)
-        out[:, 3], out[:, 4] = geometry.slope_means(SLOPE_EPSILON)
-        out[:, 5], out[:, 6] = geometry.squared_distance_means()
-        out[:, 7] = geometry.paired_squared_distance_means()
-        return out
+        return np.column_stack(
+            [
+                spatial_filling_indices(matrices),
+                col_avg.var(axis=1),
+                # The paper's composite-sum integral with unit node spacing:
+                # (b - a) / (2 N) * sum(f_k + f_{k+1}), i.e. the trapezoid
+                # rule evaluated without libm.
+                0.5 * np.sum(col_avg[:, :-1] + col_avg[:, 1:], axis=1),
+                *geometry.slope_means(SLOPE_EPSILON),
+                *geometry.squared_distance_means(),
+                geometry.paired_squared_distance_means(),
+            ]
+        )

@@ -6,124 +6,158 @@ min-max normalized to [0, 1] and combined point-wise into the portrait
 the two signals track each other.  Characteristic points (R peaks, systolic
 peaks) map to specific portrait locations; the matrix features view the
 portrait as an occupancy grid.
+
+Portraits are only ever built in batches: a :class:`PortraitBatch` holds
+the portraits of equal-length windows as rows, so normalization and the
+occupancy scatter run once per batch instead of once per window.  Every
+row depends only on its own window, so a window's portrait is the same
+alone as inside any batch.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from repro.signals.dataset import SignalWindow
 from repro.signals.peaks import match_peaks
 
-__all__ = ["Portrait", "build_portrait", "normalize_signal"]
+__all__ = [
+    "NonFiniteWindowError",
+    "PortraitBatch",
+    "build_portrait_batch",
+    "normalize_rows",
+    "stream_positions",
+]
 
 
-def normalize_signal(signal: np.ndarray) -> np.ndarray:
-    """Min-max normalize a window to [0, 1].
+class NonFiniteWindowError(ValueError):
+    """A window with a NaN or infinite sample: its portrait has no grid cell.
 
-    A constant window (zero dynamic range -- e.g. a flat-lined hijacked
-    sensor) maps to all 0.5, keeping the portrait well-defined.
+    ``position`` is the window's position in the sequence being scored.
+    Layers that score a slice of a longer stream re-raise it at the
+    stream position through :func:`stream_positions`.
     """
-    signal = np.asarray(signal, dtype=np.float64)
-    low = float(np.min(signal))
-    high = float(np.max(signal))
-    if high <= low:
-        return np.full(signal.shape, 0.5)
-    return (signal - low) / (high - low)
+
+    def __init__(self, position: int) -> None:
+        self.position = int(position)
+        super().__init__(
+            f"window {self.position} of the stream has non-finite ECG/ABP "
+            "samples; its portrait has no occupancy grid"
+        )
+
+
+@contextmanager
+def stream_positions(positions: Sequence[int]) -> Iterator[None]:
+    """Re-raise a :class:`NonFiniteWindowError` from a slice of a stream.
+
+    ``positions[i]`` is the stream position of the slice's window ``i``.
+    """
+    try:
+        yield
+    except NonFiniteWindowError as exc:
+        raise NonFiniteWindowError(positions[exc.position]) from None
+
+
+def normalize_rows(signals: np.ndarray) -> np.ndarray:
+    """Rowwise min-max normalization to [0, 1].
+
+    ``(signal - low) / (high - low)`` in float64, row by row.  A constant
+    row (zero dynamic range -- e.g. a flat-lined hijacked sensor) maps to
+    all 0.5, keeping the portrait well-defined.
+    """
+    signals = np.asarray(signals, dtype=np.float64)
+    low = signals.min(axis=1, keepdims=True)
+    high = signals.max(axis=1, keepdims=True)
+    span = high - low
+    flat = (high <= low).ravel()
+    out = (signals - low) / np.where(span > 0.0, span, 1.0)
+    if flat.any():
+        out[flat] = 0.5
+    return out
 
 
 @dataclass(frozen=True)
-class Portrait:
-    """A normalized 2-D portrait with its characteristic points.
+class PortraitBatch:
+    """The portraits of equal-length windows, one row per window.
 
     Attributes
     ----------
     x / y:
-        Normalized ABP (x) and ECG (y) sample values; ``(x[t], y[t])`` is
-        the portrait point at sample ``t``.
+        ``(n_windows, n_samples)`` normalized ABP (x) and ECG (y); row
+        ``i`` is window ``i``'s portrait, point ``t`` is ``(x[i, t],
+        y[i, t])``.
     r_peaks / systolic_peaks:
-        Sample indices (into ``x``/``y``) of the window's R peaks and
-        systolic peaks.
+        Per window, the sample indexes of its R peaks and systolic peaks
+        (ragged, so they stay per window).
     peak_pairs:
-        ``(r_index, systolic_index)`` pairs matching each R peak with its
-        corresponding systolic peak (the one that follows it within a
-        physiological transit lag).
+        Per window, ``(r_index, systolic_index)`` pairs matching each R
+        peak with the systolic peak that follows it within a physiological
+        transit lag.
     """
 
     x: np.ndarray
     y: np.ndarray
-    r_peaks: np.ndarray
-    systolic_peaks: np.ndarray
-    peak_pairs: tuple[tuple[int, int], ...]
+    r_peaks: tuple[np.ndarray, ...]
+    systolic_peaks: tuple[np.ndarray, ...]
+    peak_pairs: tuple[tuple[tuple[int, int], ...], ...]
 
-    def __post_init__(self) -> None:
-        if self.x.shape != self.y.shape or self.x.ndim != 1:
-            raise ValueError("portrait coordinates must be equal-length 1-D arrays")
+    def __len__(self) -> int:
+        return self.x.shape[0]
 
-    @property
-    def n_points(self) -> int:
-        return int(self.x.size)
+    def occupancy_matrices(self, n: int = 50) -> np.ndarray:
+        """All windows' ``n x n`` count matrices as one ``(m, n, n)`` tensor.
 
-    def points(self) -> np.ndarray:
-        """The portrait as an (n, 2) array of (x, y) points."""
-        return np.column_stack([self.x, self.y])
+        Element ``[k, i, j]`` counts window ``k``'s portrait points whose
+        ECG value falls in column ``j`` and ABP value in row ``i`` of a
+        uniform grid over [0, 1]^2 (points at exactly 1.0 land in the last
+        cell).  Columns index the *ECG* axis so that the column averages --
+        the basis of two of the matrix features -- form the ECG occupancy
+        profile, the marginal that changes when the ECG stream is hijacked.
+        One flat ``np.bincount`` scatters every window at once.
 
-    def r_peak_points(self) -> np.ndarray:
-        """Portrait coordinates of the R peaks, shape (m, 2)."""
-        return np.column_stack([self.x[self.r_peaks], self.y[self.r_peaks]])
-
-    def systolic_peak_points(self) -> np.ndarray:
-        """Portrait coordinates of the systolic peaks, shape (k, 2)."""
-        return np.column_stack(
-            [self.x[self.systolic_peaks], self.y[self.systolic_peaks]]
-        )
-
-    def paired_peak_points(self) -> tuple[np.ndarray, np.ndarray]:
-        """(R points, matching systolic points), both shape (p, 2)."""
-        if not self.peak_pairs:
-            empty = np.empty((0, 2))
-            return empty, empty
-        r_idx = np.array([pair[0] for pair in self.peak_pairs], dtype=np.intp)
-        s_idx = np.array([pair[1] for pair in self.peak_pairs], dtype=np.intp)
-        r_points = np.column_stack([self.x[r_idx], self.y[r_idx]])
-        s_points = np.column_stack([self.x[s_idx], self.y[s_idx]])
-        return r_points, s_points
-
-    def occupancy_matrix(self, n: int = 50) -> np.ndarray:
-        """The n x n count matrix C over the portrait.
-
-        Element ``C[i, j]`` counts portrait points whose ECG value falls in
-        column ``j`` and ABP value in row ``i`` of a uniform grid over
-        [0, 1]^2 (points at exactly 1.0 land in the last cell).  Columns
-        index the *ECG* axis so that the column averages -- the basis of
-        two of the matrix features -- form the ECG occupancy profile, the
-        marginal that changes when the ECG stream is hijacked.
+        Raises :class:`NonFiniteWindowError` for the first window whose
+        portrait has a non-finite point (from a NaN or infinite sample).
         """
         if n < 1:
             raise ValueError("grid size must be >= 1")
+        finite = np.isfinite(self.x).all(axis=1) & np.isfinite(self.y).all(axis=1)
+        if not finite.all():
+            raise NonFiniteWindowError(int(np.argmin(finite)))
+        m = self.x.shape[0]
         col = np.minimum((self.y * n).astype(np.intp), n - 1)
         row = np.minimum((self.x * n).astype(np.intp), n - 1)
-        matrix = np.zeros((n, n), dtype=np.int64)
-        np.add.at(matrix, (row, col), 1)
-        return matrix
+        flat = (
+            np.arange(m, dtype=np.intp)[:, None] * (n * n) + row * n + col
+        ).ravel()
+        return np.bincount(flat, minlength=m * n * n).reshape(m, n, n)
 
 
-def build_portrait(window: SignalWindow, max_lag_s: float = 0.6) -> Portrait:
-    """Build the portrait of one signal window.
+def build_portrait_batch(
+    windows: Sequence[SignalWindow], max_lag_s: float = 0.6
+) -> PortraitBatch:
+    """The portraits of equal-length windows.
 
     Peak pairing uses the same physiological rule as the signal substrate:
     an R peak corresponds to the first systolic peak that follows it within
-    ``max_lag_s`` seconds.
+    ``max_lag_s`` seconds.  Windows of different lengths do not stack
+    (``ValueError``); group them first (see
+    :func:`~repro.core.features.batched.group_by_length`).
     """
-    pairs = match_peaks(
-        window.r_peaks, window.systolic_peaks, window.sample_rate, max_lag_s
-    )
-    return Portrait(
-        x=normalize_signal(window.abp),
-        y=normalize_signal(window.ecg),
-        r_peaks=np.asarray(window.r_peaks, dtype=np.intp),
-        systolic_peaks=np.asarray(window.systolic_peaks, dtype=np.intp),
-        peak_pairs=tuple(pairs),
+    return PortraitBatch(
+        x=normalize_rows(np.stack([w.abp for w in windows])),
+        y=normalize_rows(np.stack([w.ecg for w in windows])),
+        r_peaks=tuple(np.asarray(w.r_peaks, dtype=np.intp) for w in windows),
+        systolic_peaks=tuple(
+            np.asarray(w.systolic_peaks, dtype=np.intp) for w in windows
+        ),
+        peak_pairs=tuple(
+            tuple(
+                match_peaks(w.r_peaks, w.systolic_peaks, w.sample_rate, max_lag_s)
+            )
+            for w in windows
+        ),
     )

@@ -98,7 +98,7 @@ def build_training_set(
         for i, w in enumerate(negatives)
     ]
 
-    X = extractor.extract_many(negatives + positives)
+    X = extractor.extract_stream(negatives + positives)
     y = np.concatenate(
         [np.zeros(len(negatives), dtype=bool), np.ones(len(positives), dtype=bool)]
     )

@@ -30,12 +30,8 @@ from repro.attacks.replacement import ReplacementAttack
 from repro.attacks.replay import ReplayAttack
 from repro.attacks.scenario import AttackScenario
 from repro.core.features.base import FeatureExtractor
-from repro.core.features.matrix import (
-    auc_composite,
-    column_averages,
-    spatial_filling_index,
-)
-from repro.core.portrait import Portrait
+from repro.core.features.simplified import SimplifiedFeatureExtractor
+from repro.core.portrait import PortraitBatch
 from repro.core.training import build_training_set
 from repro.core.versions import DetectorVersion
 from repro.experiments.pipeline import (
@@ -124,26 +120,17 @@ def training_duration_ablation(
     return rows
 
 
-class _MatrixOnlyExtractor(FeatureExtractor):
-    """The three simplified matrix features alone (ablation-only build)."""
+class _MatrixOnlyExtractor(SimplifiedFeatureExtractor):
+    """The three simplified matrix features alone (ablation-only build).
 
-    requires_libm = False
-    _NAMES = ("sfi", "col_avg_var", "col_avg_auc")
+    The Simplified build's first three columns; each column is computed
+    independently of the others, so they equal the full build's exactly.
+    """
 
-    @property
-    def feature_names(self) -> tuple[str, ...]:
-        return self._NAMES
+    _NAMES = SimplifiedFeatureExtractor._NAMES[:3]
 
-    def extract(self, portrait: Portrait) -> np.ndarray:
-        matrix = portrait.occupancy_matrix(self.grid_n)
-        col_avg = column_averages(matrix)
-        return np.array(
-            [
-                spatial_filling_index(matrix),
-                float(np.var(col_avg)),
-                auc_composite(col_avg),
-            ]
-        )
+    def _extract_batch(self, batch: PortraitBatch) -> np.ndarray:
+        return super()._extract_batch(batch)[:, :3]
 
 
 def feature_class_ablation(
@@ -179,7 +166,7 @@ def feature_class_ablation(
                 kernel=make_kernel(config.kernel, gamma=config.svm_gamma),
             )
             svc.fit(X, training_set.y)
-            features = scaler.transform(extractor.extract_many(stream.windows))
+            features = scaler.transform(extractor.extract_stream(stream.windows))
             predictions = svc.predict_bool(features)
             reports.append(score_predictions(predictions, stream.labels))
         mean = mean_report(reports)
@@ -255,7 +242,7 @@ def classifier_ablation(config: ExperimentConfig) -> list[dict[str, Any]]:
             clf = factory()
             clf.fit(X, training_set.y)
             features = scaler.transform(
-                detector.extractor.extract_many(stream.windows)
+                detector.extractor.extract_stream(stream.windows)
             )
             predictions = clf.predict_bool(features)
             reports.append(score_predictions(predictions, stream.labels))
@@ -281,7 +268,7 @@ def fixed_point_ablation(
             model = export_fixed_point(
                 detector.svc, detector.scaler, frac_bits=int(frac_bits)
             )
-            features = detector.extractor.extract_many(stream.windows)
+            features = detector.extractor.extract_stream(stream.windows)
             fixed_pred = np.array(
                 [model.predict_bool_fixed(model.quantize(f)) for f in features]
             )

@@ -298,9 +298,7 @@ def debounce_study(
             attacks_caught.append(
                 any(e.end_index >= boundary for e in streaming.episodes)
             )
-            predictions = np.array(
-                [detector.classify_window(w) for w in genuine + altered]
-            )
+            predictions = detector.classify_stream(genuine + altered)
             labels = np.array([False] * len(genuine) + [True] * len(altered))
             window_reports.append(score_predictions(predictions, labels))
         mean = mean_report(window_reports)

@@ -110,7 +110,7 @@ def run_universal_study(
         svc.fit(scaler.fit_transform(X), y)
 
         stream = build_stream(dataset, held_out, config)
-        features = scaler.transform(extractor.extract_many(stream.windows))
+        features = scaler.transform(extractor.extract_stream(stream.windows))
         predictions = svc.predict_bool(features)
         universal_reports[held_out.subject_id] = score_predictions(
             predictions, stream.labels

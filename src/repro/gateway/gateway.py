@@ -2,14 +2,14 @@
 
 Thousands of concurrent wearers each produce one 3-second window every 3
 seconds -- individually trivial, collectively a throughput problem if
-every window pays the per-call overhead of the scalar scoring path.  The
+every window pays the per-call overhead of scoring it alone.  The
 gateway keeps per-wearer state in :class:`~repro.gateway.session
 .WearerSession` objects and pushes every *assembled* window into one
 shared micro-batch queue; a single batcher task drains the queue, groups
 windows by the fitted detector their session's tier selected, and scores
 each group in one :meth:`~repro.core.detector.SIFTDetector
-.decision_values` call.  Batched scores are bit-identical to the scalar
-path, and the queue is FIFO, so every session observes exactly the
+.decision_values` call.  Batched scores are bit-identical to scoring
+each window alone, and the queue is FIFO, so every session observes exactly the
 verdict sequence a per-wearer sequential run would have produced -- the
 micro-batching is invisible except in throughput.
 

@@ -181,7 +181,7 @@ class SVC:
         once (``np.einsum`` rather than BLAS, whose kernel choice -- and
         hence rounding -- depends on the matrix shape).  This is what lets
         ``SIFTDetector.decision_values`` score a whole stream in one pass
-        and still agree bit-for-bit with the per-window scalar path.
+        and still agree bit-for-bit with scoring one window at a time.
         """
         if self.support_vectors_ is None or self.dual_coef_ is None:
             raise RuntimeError("SVC is not fitted")

@@ -26,6 +26,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from repro.core.features.batched import group_by_length
+from repro.core.portrait import stream_positions
 from repro.core.versions import DetectorVersion, make_extractor
 from repro.native.build import (
     BuildError,
@@ -41,7 +43,7 @@ __all__ = ["NativeScorer", "NativeUnavailableError", "native_status"]
 
 _LONG = np.dtype(ctypes.c_long)
 
-#: Default physiological pairing lag, mirroring ``build_portrait``.
+#: Default physiological pairing lag, mirroring ``build_portrait_batch``.
 _MAX_LAG_S = 0.6
 
 
@@ -278,9 +280,9 @@ class NativeScorer:
                     f"{len(bad_pos)} window(s) are ineligible for the "
                     "native path and no fallback scorer is configured"
                 )
-            out[[indices[k] for k in bad_pos]] = self._fallback(
-                [windows[k] for k in bad_pos]
-            )
+            bad_indices = [indices[k] for k in bad_pos]
+            with stream_positions(bad_indices):
+                out[bad_indices] = self._fallback([windows[k] for k in bad_pos])
         if ok_pos:
             out[[indices[k] for k in ok_pos]] = self._score_uniform(
                 [windows[k] for k in ok_pos]
@@ -296,10 +298,7 @@ class NativeScorer:
         if not windows:
             return np.empty(0, dtype=np.float64)
         out = np.empty(len(windows), dtype=np.float64)
-        by_length: dict[int, list[int]] = {}
-        for i, window in enumerate(windows):
-            by_length.setdefault(window.n_samples, []).append(i)
-        for n_samples, indices in by_length.items():
+        for n_samples, indices in group_by_length(windows).items():
             group = [windows[i] for i in indices]
             if n_samples < 1:
                 if self._fallback is None:

@@ -39,7 +39,7 @@ _CODE_INVENTORY: dict[DetectorVersion, dict[str, int]] = {
         "histogram": 210,
         "spatial_filling_index": 180,
         "column_stats_std": 230,  # includes the sqrt call site
-        "auc_trapezoid": 130,
+        "trapezoid_auc": 130,
         "peak_angles_atan": 200,
         "peak_distances_sqrt": 220,
         "paired_distance_sqrt": 180,
@@ -52,7 +52,7 @@ _CODE_INVENTORY: dict[DetectorVersion, dict[str, int]] = {
         "histogram": 210,
         "spatial_filling_index": 180,
         "column_stats_var": 150,
-        "auc_composite": 90,
+        "composite_auc": 90,
         "peak_slopes": 110,
         "peak_sq_distances": 100,
         "paired_sq_distance": 90,

@@ -132,7 +132,7 @@ def _matrix_pipeline(
     x = math.normalize_minmax(window.abp)
     y = math.normalize_minmax(window.ecg)
     # Columns index the ECG axis (histogram2d's first argument), matching
-    # the reference Portrait.occupancy_matrix orientation.
+    # the reference PortraitBatch.occupancy_matrices orientation.
     matrix = math.histogram2d(y, x, grid_n)
     total = math.int_sum(matrix)
     if total == 0:

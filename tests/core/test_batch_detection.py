@@ -1,26 +1,26 @@
-"""The batch detection path must match the scalar path bit-for-bit.
+"""The batch detection path must match the per-window oracle bit-for-bit.
 
-The batch path (``extract_stream`` -> one ``scaler.transform`` -> one
-``decision_function``) exists purely for throughput; every score it
-produces must equal the per-window scalar path *exactly* -- the scalar
-path is the on-device reference, and the committed benchmark tables were
+The detection path (``extract_stream`` -> one ``scaler.transform`` -> one
+``decision_function``) scores whole batches for throughput; every score it
+produces must equal the per-window reference formulas of
+``tests/core/oracle.py`` *exactly* -- the per-window computation is the
+on-device reference, and the committed benchmark tables were first
 produced window by window.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.detector import SIFTDetector
-from repro.core.features.batched import (
-    build_portrait_batch,
-    normalize_rows,
-    spatial_filling_indices,
-    stack_signals,
-)
-from repro.core.features.matrix import spatial_filling_index
-from repro.core.portrait import build_portrait, normalize_signal
+from repro.core.features.batched import group_by_length, spatial_filling_indices
+from repro.core.portrait import build_portrait_batch, normalize_rows
 from repro.core.streaming import StreamingDetector
-from repro.core.versions import DetectorVersion
+from repro.core.versions import DetectorVersion, make_extractor
+from repro.signals.dataset import SignalWindow
+from tests.core import oracle
+from tests.core.oracle import build_portrait, normalize_signal, spatial_filling_index
 
 
 class TestBatchedPrimitives:
@@ -58,7 +58,7 @@ class TestBatchedPrimitives:
         assert out[0] == 0.0
         assert out[1] == 16.0  # all mass in one cell -> n^2
 
-    def test_stack_signals_ragged_returns_none(self, labeled_stream):
+    def test_group_by_length_keeps_input_order(self, labeled_stream):
         windows = list(labeled_stream.windows[:3])
         short = windows[0].__class__(
             ecg=windows[0].ecg[:-7],
@@ -68,17 +68,19 @@ class TestBatchedPrimitives:
             systolic_peaks=np.array([], dtype=np.intp),
             altered=False,
         )
-        assert stack_signals(windows + [short]) is None
-        assert build_portrait_batch(windows + [short]) is None
+        groups = group_by_length([short] + windows + [short])
+        assert groups == {short.n_samples: [0, 4], windows[0].n_samples: [1, 2, 3]}
+        with pytest.raises(ValueError):
+            build_portrait_batch(windows + [short])
 
     def test_portrait_batch_coordinates_match(self, labeled_stream):
         windows = labeled_stream.windows[:4]
         batch = build_portrait_batch(windows)
         for i, window in enumerate(windows):
             scalar = build_portrait(window)
-            assert np.array_equal(batch.portraits[i].x, scalar.x)
-            assert np.array_equal(batch.portraits[i].y, scalar.y)
-            assert batch.portraits[i].peak_pairs == scalar.peak_pairs
+            assert np.array_equal(batch.x[i], scalar.x)
+            assert np.array_equal(batch.y[i], scalar.y)
+            assert batch.peak_pairs[i] == scalar.peak_pairs
 
 
 class TestExtractStreamEquivalence:
@@ -90,14 +92,7 @@ class TestExtractStreamEquivalence:
         batched = extractor.extract_stream(labeled_stream)
         assert batched.shape == (len(labeled_stream), extractor.n_features)
         for i, window in enumerate(labeled_stream.windows):
-            assert np.array_equal(batched[i], extractor.extract_window(window))
-
-    def test_extract_many_is_extract_stream(self, trained_detectors, labeled_stream):
-        extractor = trained_detectors[DetectorVersion.SIMPLIFIED].extractor
-        assert np.array_equal(
-            extractor.extract_many(labeled_stream.windows),
-            extractor.extract_stream(labeled_stream),
-        )
+            assert np.array_equal(batched[i], oracle.features(extractor, window))
 
     def test_empty_stream(self, trained_detectors):
         extractor = trained_detectors[DetectorVersion.REDUCED].extractor
@@ -105,7 +100,7 @@ class TestExtractStreamEquivalence:
         assert out.shape == (0, extractor.n_features)
 
     def test_ragged_windows_fall_back(self, trained_detectors, labeled_stream):
-        """Unequal window lengths route through the per-window loop."""
+        """Unequal window lengths are extracted one length group at a time."""
         extractor = trained_detectors[DetectorVersion.SIMPLIFIED].extractor
         full = labeled_stream.windows[0]
         record_like = full.__class__(
@@ -121,7 +116,7 @@ class TestExtractStreamEquivalence:
         windows = [full, record_like]
         batched = extractor.extract_stream(windows)
         for i, window in enumerate(windows):
-            assert np.array_equal(batched[i], extractor.extract_window(window))
+            assert np.array_equal(batched[i], oracle.features(extractor, window))
 
 
 class TestDecisionValuesEquivalence:
@@ -133,16 +128,18 @@ class TestDecisionValuesEquivalence:
         detector = trained_detectors[version]
         batched = detector.decision_values(labeled_stream)
         scalar = np.array(
-            [detector.decision_value(w) for w in labeled_stream.windows]
+            [oracle.decision_value(detector, w) for w in labeled_stream.windows]
         )
         assert np.array_equal(batched, scalar)
+        single = [detector.decision_value(w) for w in labeled_stream.windows]
+        assert np.array_equal(batched, single)
 
     def test_rbf_kernel_scores_match(self, train_record, train_donors, labeled_stream):
         detector = SIFTDetector(version="reduced", kernel="rbf")
         detector.fit(train_record, train_donors)
         batched = detector.decision_values(labeled_stream)
         scalar = np.array(
-            [detector.decision_value(w) for w in labeled_stream.windows]
+            [oracle.decision_value(detector, w) for w in labeled_stream.windows]
         )
         assert np.array_equal(batched, scalar)
 
@@ -173,7 +170,7 @@ class TestDecisionValuesEquivalence:
         detector = trained_detectors[DetectorVersion.REDUCED]
         report = detector.evaluate(labeled_stream)
         scalar_pred = np.array(
-            [detector.classify_window(w) for w in labeled_stream.windows]
+            [oracle.decision_value(detector, w) >= 0.0 for w in labeled_stream.windows]
         )
         from repro.ml.metrics import score_predictions
 
@@ -200,3 +197,102 @@ class TestProcessStreamEquivalence:
         batched.finish()
 
         assert batched.episodes == serial.episodes
+
+
+def _tier_extractors():
+    return [make_extractor(version) for version in DetectorVersion]
+
+
+@st.composite
+def _ragged_windows(draw):
+    """One window of a drawn length with 0, 1 or 8+ peaks per family."""
+    n = draw(st.sampled_from([40, 64, 97]))
+    sample = st.floats(-10.0, 10.0, allow_nan=False, width=64)
+    ecg = draw(st.lists(sample, min_size=n, max_size=n))
+    abp = draw(st.lists(sample, min_size=n, max_size=n))
+    index = st.integers(0, n - 1)
+
+    def peaks():
+        size = draw(st.sampled_from([(0, 0), (1, 1), (8, 16)]))
+        return sorted(draw(st.sets(index, min_size=size[0], max_size=size[1])))
+
+    return SignalWindow(
+        ecg=np.array(ecg),
+        abp=np.array(abp),
+        r_peaks=np.array(peaks(), dtype=np.intp),
+        systolic_peaks=np.array(peaks(), dtype=np.intp),
+        sample_rate=draw(st.sampled_from([40.0, 125.0, 360.0])),
+    )
+
+
+class TestRaggedStreams:
+    @settings(max_examples=40, deadline=None)
+    @given(windows=st.lists(_ragged_windows(), min_size=1, max_size=7))
+    def test_rows_match_oracle_in_input_order(self, windows):
+        for extractor in _tier_extractors():
+            assert np.array_equal(
+                extractor.extract_stream(windows),
+                oracle.feature_matrix(extractor, windows),
+            )
+
+
+def _with_nan(window, index=5):
+    ecg = window.ecg.copy()
+    ecg[index] = np.nan
+    return SignalWindow(
+        ecg=ecg,
+        abp=window.abp,
+        r_peaks=window.r_peaks,
+        systolic_peaks=window.systolic_peaks,
+        sample_rate=window.sample_rate,
+    )
+
+
+class TestMalformedInput:
+    """A NaN sample has no occupancy cell: the matrix tiers must reject the
+    window by its stream position instead of casting NaN to an index."""
+
+    @pytest.mark.parametrize(
+        "version", [DetectorVersion.ORIGINAL, DetectorVersion.SIMPLIFIED]
+    )
+    def test_matrix_tiers_name_the_window(self, labeled_stream, version):
+        windows = list(labeled_stream.windows[:3])
+        short = SignalWindow(
+            ecg=windows[0].ecg[:-9],
+            abp=windows[0].abp[:-9],
+            r_peaks=np.array([], dtype=np.intp),
+            systolic_peaks=np.array([], dtype=np.intp),
+            sample_rate=windows[0].sample_rate,
+        )
+        extractor = make_extractor(version)
+        stream = [windows[0], short, windows[1], _with_nan(windows[2])]
+        with pytest.raises(ValueError, match=r"window 3 of the stream"):
+            extractor.extract_stream(stream)
+        ragged = [windows[0], _with_nan(short), windows[1]]
+        with pytest.raises(ValueError, match=r"window 1 of the stream"):
+            extractor.extract_stream(ragged)
+
+    def test_detector_entries_raise_the_same_error(
+        self, trained_detectors, labeled_stream
+    ):
+        detector = trained_detectors[DetectorVersion.SIMPLIFIED]
+        bad = _with_nan(labeled_stream.windows[1])
+        with pytest.raises(ValueError, match=r"window 1 of the stream"):
+            detector.decision_values([labeled_stream.windows[0], bad])
+        with pytest.raises(ValueError, match=r"window 0 of the stream"):
+            detector.decision_value(bad)
+
+    def test_chunked_scoring_names_the_stream_position(
+        self, trained_detectors, labeled_stream
+    ):
+        detector = trained_detectors[DetectorVersion.ORIGINAL]
+        windows = list(labeled_stream.windows[:9])
+        windows[6] = _with_nan(windows[6])
+        with pytest.raises(ValueError, match=r"window 6 of the stream"):
+            detector.classify_stream(windows, chunk_size=4)
+
+    def test_reduced_propagates_nan(self, labeled_stream):
+        windows = [labeled_stream.windows[0], _with_nan(labeled_stream.windows[1])]
+        features = make_extractor(DetectorVersion.REDUCED).extract_stream(windows)
+        assert np.isfinite(features[0]).all()
+        assert np.isnan(features[1]).all()

@@ -8,8 +8,8 @@ from repro.core.features import (
     ReducedFeatureExtractor,
     SimplifiedFeatureExtractor,
 )
-from repro.core.portrait import build_portrait
 from repro.core.versions import DetectorVersion, make_extractor
+from repro.signals.dataset import SignalWindow
 
 ALL_EXTRACTORS = [
     OriginalFeatureExtractor,
@@ -20,24 +20,23 @@ ALL_EXTRACTORS = [
 
 # A module-scoped fixture may depend on the session-scoped stream.
 @pytest.fixture(scope="module")
-def sample_portraits(labeled_stream):
-    return [build_portrait(w) for w in labeled_stream.windows[:6]]
+def sample_windows(labeled_stream):
+    return list(labeled_stream.windows[:6])
 
 
 class TestExtractorContracts:
     @pytest.mark.parametrize("cls", ALL_EXTRACTORS)
-    def test_vector_length_matches_names(self, cls, sample_portraits):
+    def test_vector_length_matches_names(self, cls, sample_windows):
         extractor = cls()
-        for portrait in sample_portraits:
-            features = extractor.extract(portrait)
-            assert features.shape == (extractor.n_features,)
-            assert np.isfinite(features).all()
+        features = extractor.extract_stream(sample_windows)
+        assert features.shape == (len(sample_windows), extractor.n_features)
+        assert np.isfinite(features).all()
 
     @pytest.mark.parametrize("cls", ALL_EXTRACTORS)
-    def test_deterministic(self, cls, sample_portraits):
+    def test_deterministic(self, cls, sample_windows):
         extractor = cls()
-        a = extractor.extract(sample_portraits[0])
-        b = extractor.extract(sample_portraits[0])
+        a = extractor.extract_stream(sample_windows)
+        b = extractor.extract_stream(sample_windows)
         assert np.array_equal(a, b)
 
     def test_feature_counts(self):
@@ -55,36 +54,47 @@ class TestExtractorContracts:
             OriginalFeatureExtractor(grid_n=1)
 
 
+def _first(cls, windows):
+    """``cls``'s feature vector of the first window."""
+    return cls().extract_stream(windows[:1])[0]
+
+
 class TestCrossVersionRelations:
-    def test_simplified_variance_is_square_of_original_std(self, sample_portraits):
-        original = OriginalFeatureExtractor().extract(sample_portraits[0])
-        simplified = SimplifiedFeatureExtractor().extract(sample_portraits[0])
+    def test_simplified_variance_is_square_of_original_std(self, sample_windows):
+        original = _first(OriginalFeatureExtractor, sample_windows)
+        simplified = _first(SimplifiedFeatureExtractor, sample_windows)
         assert simplified[1] == pytest.approx(original[1] ** 2, rel=1e-9)
 
-    def test_auc_identical_across_versions(self, sample_portraits):
-        original = OriginalFeatureExtractor().extract(sample_portraits[0])
-        simplified = SimplifiedFeatureExtractor().extract(sample_portraits[0])
+    def test_auc_identical_across_versions(self, sample_windows):
+        original = _first(OriginalFeatureExtractor, sample_windows)
+        simplified = _first(SimplifiedFeatureExtractor, sample_windows)
         assert simplified[2] == pytest.approx(original[2], rel=1e-9)
 
-    def test_sfi_identical_across_versions(self, sample_portraits):
-        original = OriginalFeatureExtractor().extract(sample_portraits[0])
-        simplified = SimplifiedFeatureExtractor().extract(sample_portraits[0])
+    def test_sfi_identical_across_versions(self, sample_windows):
+        original = _first(OriginalFeatureExtractor, sample_windows)
+        simplified = _first(SimplifiedFeatureExtractor, sample_windows)
         assert simplified[0] == pytest.approx(original[0], rel=1e-9)
 
-    def test_reduced_equals_simplified_geometric_tail(self, sample_portraits):
-        for portrait in sample_portraits:
-            simplified = SimplifiedFeatureExtractor().extract(portrait)
-            reduced = ReducedFeatureExtractor().extract(portrait)
-            assert np.allclose(reduced, simplified[3:])
+    def test_reduced_equals_simplified_geometric_tail(self, sample_windows):
+        simplified = SimplifiedFeatureExtractor().extract_stream(sample_windows)
+        reduced = ReducedFeatureExtractor().extract_stream(sample_windows)
+        assert np.allclose(reduced, simplified[:, 3:])
 
-    def test_squared_distances_consistent_with_original(self, sample_portraits):
+    def test_squared_distances_consistent_with_original(self):
         """Squared-distance features are the squares only per-point; check
-        the single-pair case explicitly via a portrait with one pair."""
-        portrait = sample_portraits[0]
-        if len(portrait.peak_pairs) == 1:
-            original = OriginalFeatureExtractor().extract(portrait)
-            simplified = SimplifiedFeatureExtractor().extract(portrait)
-            assert simplified[7] == pytest.approx(original[7] ** 2, rel=1e-6)
+        the single-pair case explicitly via a window with one pair."""
+        n = 360
+        t = np.arange(n) / 360.0
+        window = SignalWindow(
+            ecg=np.sin(2 * np.pi * 1.1 * t),
+            abp=np.cos(2 * np.pi * 1.1 * t),
+            r_peaks=np.array([100], dtype=np.intp),
+            systolic_peaks=np.array([180], dtype=np.intp),
+            sample_rate=360.0,
+        )
+        original = _first(OriginalFeatureExtractor, [window])
+        simplified = _first(SimplifiedFeatureExtractor, [window])
+        assert simplified[7] == pytest.approx(original[7] ** 2, rel=1e-6)
 
 
 class TestAffineInvariance:
@@ -107,8 +117,6 @@ class TestAffineInvariance:
     ):
         import numpy as np
 
-        from repro.signals.dataset import SignalWindow
-
         window = labeled_stream.windows[0]
         scaled = SignalWindow(
             ecg=window.ecg * ecg_gain + ecg_offset,
@@ -118,9 +126,7 @@ class TestAffineInvariance:
             sample_rate=window.sample_rate,
         )
         for cls in ALL_EXTRACTORS:
-            extractor = cls()
-            original = extractor.extract_window(window)
-            transformed = extractor.extract_window(scaled)
+            original, transformed = cls().extract_stream([window, scaled])
             np.testing.assert_allclose(
                 transformed, original, rtol=1e-6, atol=1e-7
             )
@@ -141,11 +147,11 @@ class TestMakeExtractor:
     def test_grid_propagates(self):
         assert make_extractor(DetectorVersion.ORIGINAL, grid_n=25).grid_n == 25
 
-    def test_extract_many_shape(self, labeled_stream):
+    def test_extract_stream_shape(self, labeled_stream):
         extractor = make_extractor(DetectorVersion.SIMPLIFIED)
-        X = extractor.extract_many(list(labeled_stream.windows[:4]))
+        X = extractor.extract_stream(list(labeled_stream.windows[:4]))
         assert X.shape == (4, 8)
 
-    def test_extract_many_empty(self):
+    def test_extract_stream_empty(self):
         extractor = make_extractor(DetectorVersion.REDUCED)
-        assert extractor.extract_many([]).shape == (0, 5)
+        assert extractor.extract_stream([]).shape == (0, 5)

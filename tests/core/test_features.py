@@ -1,46 +1,71 @@
-"""Tests for matrix and geometric feature primitives."""
+"""Tests for matrix and geometric feature primitives.
+
+The checks run against the production batched primitives: SFI over
+occupancy tensors, and :class:`PeakGeometryBatch` over portraits whose
+points are given explicitly.  Argument validation and the AUC formulas
+on bare curves belong to the per-window oracle (``tests/core/oracle.py``).
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.features.geometric import (
-    average_paired_distance,
-    average_peak_angle,
-    average_peak_distance,
-)
-from repro.core.features.matrix import (
+from repro.core.features import OriginalFeatureExtractor, SimplifiedFeatureExtractor
+from repro.core.features.batched import build_peak_geometry, spatial_filling_indices
+from repro.core.features.simplified import SLOPE_EPSILON
+from repro.core.portrait import PortraitBatch
+from tests.core.oracle import (
     auc_composite,
     auc_trapezoid,
+    average_paired_distance,
+    average_peak_angle,
     column_averages,
     spatial_filling_index,
 )
-from repro.core.features.simplified import (
-    SLOPE_EPSILON,
-    average_peak_slope,
-    average_squared_paired_distance,
-    average_squared_peak_distance,
-)
+
+
+def _sfi(matrix) -> float:
+    return float(spatial_filling_indices(np.asarray(matrix)[None])[0])
+
+
+def _geometry(r_points=(), s_points=(), paired=False):
+    """Peak geometry of one window whose portrait holds exactly these points.
+
+    R points come first, then systolic points; ``paired`` matches them in
+    order.  A trailing filler point keeps the portrait non-empty.
+    """
+    r = np.asarray(r_points, dtype=np.float64).reshape(-1, 2)
+    s = np.asarray(s_points, dtype=np.float64).reshape(-1, 2)
+    points = np.vstack([r, s, [[0.5, 0.5]]])
+    r_idx = np.arange(len(r), dtype=np.intp)
+    s_idx = len(r) + np.arange(len(s), dtype=np.intp)
+    pairs = tuple(zip(r_idx.tolist(), s_idx.tolist())) if paired else ()
+    batch = PortraitBatch(
+        x=points[None, :, 0],
+        y=points[None, :, 1],
+        r_peaks=(r_idx,),
+        systolic_peaks=(s_idx,),
+        peak_pairs=(pairs,),
+    )
+    return build_peak_geometry(batch)
 
 
 class TestSpatialFillingIndex:
     def test_uniform_matrix_is_one(self):
-        assert spatial_filling_index(np.ones((50, 50))) == pytest.approx(1.0)
+        assert _sfi(np.ones((50, 50))) == pytest.approx(1.0)
 
     def test_concentrated_matrix_is_n_squared(self):
         matrix = np.zeros((10, 10))
         matrix[3, 7] = 42
-        assert spatial_filling_index(matrix) == pytest.approx(100.0)
+        assert _sfi(matrix) == pytest.approx(100.0)
 
     def test_empty_matrix_is_zero(self):
-        assert spatial_filling_index(np.zeros((10, 10))) == 0.0
+        assert _sfi(np.zeros((10, 10))) == 0.0
 
     def test_scale_invariant(self):
         matrix = np.random.default_rng(0).integers(0, 9, size=(20, 20))
-        assert spatial_filling_index(matrix) == pytest.approx(
-            spatial_filling_index(matrix * 7)
-        )
+        assert _sfi(matrix) == pytest.approx(_sfi(matrix * 7))
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
@@ -52,7 +77,7 @@ class TestSpatialFillingIndex:
         matrix = np.random.default_rng(seed).integers(0, 5, size=(n, n))
         if matrix.sum() == 0:
             return
-        sfi = spatial_filling_index(matrix)
+        sfi = _sfi(matrix)
         assert 1.0 - 1e-9 <= sfi <= n * n + 1e-9
 
 
@@ -70,10 +95,12 @@ class TestAUC:
     def test_trapezoid_of_constant(self):
         assert auc_trapezoid(np.full(11, 2.0)) == pytest.approx(20.0)
 
-    def test_composite_equals_trapezoid(self):
-        """The paper's composite-sum formula IS the trapezoid rule."""
-        curve = np.random.default_rng(0).random(50)
-        assert auc_composite(curve) == pytest.approx(auc_trapezoid(curve))
+    def test_composite_equals_trapezoid(self, labeled_stream):
+        """The paper's composite-sum formula IS the trapezoid rule: the
+        Simplified build's AUC column tracks the Original build's."""
+        original = OriginalFeatureExtractor().extract_stream(labeled_stream)
+        simplified = SimplifiedFeatureExtractor().extract_stream(labeled_stream)
+        np.testing.assert_allclose(simplified[:, 2], original[:, 2], rtol=1e-12)
 
     def test_short_curves(self):
         assert auc_trapezoid(np.array([1.0])) == 0.0
@@ -92,23 +119,24 @@ class TestAUC:
 
 class TestGeometricOriginal:
     def test_average_angle_of_known_points(self):
-        points = np.array([[1.0, 1.0], [1.0, 0.0]])  # 45 deg and 0 deg
-        assert average_peak_angle(points) == pytest.approx(np.pi / 8)
+        geometry = _geometry([[1.0, 1.0], [1.0, 0.0]])  # 45 deg and 0 deg
+        assert geometry.angle_means()[0][0] == pytest.approx(np.pi / 8)
 
     def test_average_distance(self):
-        points = np.array([[3.0, 4.0], [0.0, 1.0]])
-        assert average_peak_distance(points) == pytest.approx(3.0)
+        geometry = _geometry([[3.0, 4.0], [0.0, 1.0]])
+        assert geometry.distance_means()[0][0] == pytest.approx(3.0)
 
     def test_paired_distance(self):
-        r = np.array([[0.0, 0.0], [1.0, 1.0]])
-        s = np.array([[3.0, 4.0], [1.0, 1.0]])
-        assert average_paired_distance(r, s) == pytest.approx(2.5)
+        geometry = _geometry(
+            [[0.0, 0.0], [1.0, 1.0]], [[3.0, 4.0], [1.0, 1.0]], paired=True
+        )
+        assert geometry.paired_distance_means()[0] == pytest.approx(2.5)
 
     def test_empty_inputs_yield_zero(self):
-        empty = np.empty((0, 2))
-        assert average_peak_angle(empty) == 0.0
-        assert average_peak_distance(empty) == 0.0
-        assert average_paired_distance(empty, empty) == 0.0
+        geometry = _geometry()
+        assert np.array_equal(geometry.angle_means(), [[0.0], [0.0]])
+        assert np.array_equal(geometry.distance_means(), [[0.0], [0.0]])
+        assert geometry.paired_distance_means()[0] == 0.0
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
@@ -119,33 +147,34 @@ class TestGeometricOriginal:
 
 class TestGeometricSimplified:
     def test_slope_is_tangent_of_angle(self):
-        points = np.array([[0.5, 0.25]])
-        assert average_peak_slope(points) == pytest.approx(0.5)
+        geometry = _geometry([[0.5, 0.25]])
+        assert geometry.slope_means(SLOPE_EPSILON)[0][0] == pytest.approx(0.5)
 
     def test_slope_clamps_near_zero_x(self):
-        points = np.array([[0.0, 1.0]])
-        assert average_peak_slope(points) == pytest.approx(1.0 / SLOPE_EPSILON)
+        geometry = _geometry([[0.0, 1.0]], [[0.0, 0.5]])
+        r_slope, s_slope = geometry.slope_means(SLOPE_EPSILON)
+        assert r_slope[0] == 1.0 / SLOPE_EPSILON
+        assert s_slope[0] == 0.5 / SLOPE_EPSILON
 
     def test_squared_distance(self):
-        points = np.array([[3.0, 4.0]])
-        assert average_squared_peak_distance(points) == pytest.approx(25.0)
+        geometry = _geometry([[3.0, 4.0]])
+        assert geometry.squared_distance_means()[0][0] == pytest.approx(25.0)
 
     def test_squared_paired_distance(self):
-        r = np.array([[0.0, 0.0]])
-        s = np.array([[3.0, 4.0]])
-        assert average_squared_paired_distance(r, s) == pytest.approx(25.0)
+        geometry = _geometry([[0.0, 0.0]], [[3.0, 4.0]], paired=True)
+        assert geometry.paired_squared_distance_means()[0] == pytest.approx(25.0)
 
     def test_squared_is_square_of_original_for_single_point(self):
-        point = np.array([[0.6, 0.8]])
-        assert average_squared_peak_distance(point) == pytest.approx(
-            average_peak_distance(point) ** 2
+        geometry = _geometry([[0.6, 0.8]])
+        assert geometry.squared_distance_means()[0][0] == pytest.approx(
+            geometry.distance_means()[0][0] ** 2
         )
 
     def test_empty_inputs_yield_zero(self):
-        empty = np.empty((0, 2))
-        assert average_peak_slope(empty) == 0.0
-        assert average_squared_peak_distance(empty) == 0.0
-        assert average_squared_paired_distance(empty, empty) == 0.0
+        geometry = _geometry()
+        assert np.array_equal(geometry.slope_means(SLOPE_EPSILON), [[0.0], [0.0]])
+        assert np.array_equal(geometry.squared_distance_means(), [[0.0], [0.0]])
+        assert geometry.paired_squared_distance_means()[0] == 0.0
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -159,6 +188,6 @@ class TestGeometricSimplified:
         """For portrait-range points, slope = tan(angle) per point."""
         points = np.array(pts)
         slopes = points[:, 1] / points[:, 0]
-        assert average_peak_slope(points) == pytest.approx(
+        assert _geometry(points).slope_means(SLOPE_EPSILON)[0][0] == pytest.approx(
             float(np.mean(slopes)), rel=1e-9
         )

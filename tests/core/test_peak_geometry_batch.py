@@ -1,13 +1,13 @@
-"""Vectorized peak geometry must match the scalar extractors bit-for-bit.
+"""Vectorized peak geometry must match the per-window oracle bit-for-bit.
 
 Property-based equivalence suite for :class:`PeakGeometryBatch`: across
 all three detector tiers, ragged peak counts (zero, one, many -- padded
 matrices never blur the families together), and chunked vs one-shot
-extraction, every batched value must equal the scalar helper's output
-*exactly*.  The scalar path is the on-device reference.
+extraction, every batched value must equal the oracle helper's output
+*exactly*.  The per-window computation is the on-device reference.
 
 The load-bearing contract is the sequential mean: both sides accumulate
-left to right (``sequential_mean`` scalar-side, column-by-column
+left to right (``sequential_mean`` oracle-side, column-by-column
 accumulation batch-side).  Pairwise ``np.mean`` would re-associate at
 8+ peaks, so the hypothesis cases deliberately include windows with
 more than eight peaks of a kind.
@@ -22,27 +22,25 @@ from hypothesis import strategies as st
 
 from repro.core.features.batched import (
     build_peak_geometry,
-    build_portrait_batch,
     iter_window_chunks,
     masked_sequential_row_means,
 )
-from repro.core.features.geometric import (
+from repro.core.features.original import OriginalFeatureExtractor
+from repro.core.features.reduced import ReducedFeatureExtractor
+from repro.core.features.simplified import SLOPE_EPSILON, SimplifiedFeatureExtractor
+from repro.core.portrait import build_portrait_batch
+from repro.signals.dataset import SignalWindow
+from tests.core import oracle
+from tests.core.oracle import (
     average_paired_distance,
     average_peak_angle,
     average_peak_distance,
-    sequential_mean,
-)
-from repro.core.features.original import OriginalFeatureExtractor
-from repro.core.features.reduced import ReducedFeatureExtractor
-from repro.core.features.simplified import (
-    SLOPE_EPSILON,
-    SimplifiedFeatureExtractor,
     average_peak_slope,
     average_squared_paired_distance,
     average_squared_peak_distance,
+    build_portrait,
+    sequential_mean,
 )
-from repro.core.portrait import build_portrait
-from repro.signals.dataset import SignalWindow
 
 EXTRACTORS = (
     OriginalFeatureExtractor,
@@ -153,7 +151,7 @@ class TestSequentialMeanContract:
 
 
 class TestScalarHelperContract:
-    """Satellite: pin the zero-peak/single-peak scalar geometry contract."""
+    """Pin the oracle's zero-peak/single-peak geometry contract."""
 
     def test_empty_points_yield_zero(self):
         empty = np.empty((0, 2))
@@ -179,9 +177,9 @@ class TestBatchGeometryEquivalence:
     @pytest.mark.parametrize("extractor_cls", EXTRACTORS)
     def test_edge_windows_bit_identical(self, extractor_cls, edge_windows):
         extractor = extractor_cls(grid_n=50)
-        batched = extractor._extract_batch(edge_windows)
+        batched = extractor.extract_stream(edge_windows)
         for i, window in enumerate(edge_windows):
-            scalar = extractor.extract(build_portrait(window))
+            scalar = oracle.features(extractor, window)
             assert np.array_equal(batched[i], scalar), (extractor_cls, i)
 
     @pytest.mark.parametrize("extractor_cls", EXTRACTORS)
@@ -189,9 +187,9 @@ class TestBatchGeometryEquivalence:
     @settings(max_examples=25, deadline=None)
     def test_arbitrary_windows_bit_identical(self, extractor_cls, windows):
         extractor = extractor_cls(grid_n=10)
-        batched = extractor._extract_batch(windows)
+        batched = extractor.extract_stream(windows)
         for i, window in enumerate(windows):
-            scalar = extractor.extract(build_portrait(window))
+            scalar = oracle.features(extractor, window)
             assert np.array_equal(batched[i], scalar)
 
     @pytest.mark.parametrize("extractor_cls", EXTRACTORS)
@@ -217,7 +215,7 @@ class TestBatchGeometryEquivalence:
             extractor = extractor_cls(grid_n=50)
             batched = extractor.extract_stream(labeled_stream)
             for i, window in enumerate(labeled_stream.windows):
-                scalar = extractor.extract(build_portrait(window))
+                scalar = oracle.features(extractor, window)
                 assert np.array_equal(batched[i], scalar)
 
 
@@ -225,19 +223,17 @@ class TestPeakGeometryBatchShape:
     def test_padded_matrices_cover_the_ragged_counts(self, edge_windows):
         batch = build_portrait_batch(edge_windows)
         geometry = build_peak_geometry(batch)
-        for i, portrait in enumerate(batch.portraits):
-            assert geometry.r_counts[i] == len(portrait.r_peaks)
-            assert geometry.s_counts[i] == len(portrait.systolic_peaks)
-            assert geometry.pair_counts[i] == len(portrait.peak_pairs)
-            assert geometry.r_mask[i].sum() == len(portrait.r_peaks)
-        assert geometry.r_x.shape[1] == max(
-            len(p.r_peaks) for p in batch.portraits
-        )
+        for i in range(len(batch)):
+            assert geometry.r_counts[i] == len(batch.r_peaks[i])
+            assert geometry.s_counts[i] == len(batch.systolic_peaks[i])
+            assert geometry.pair_counts[i] == len(batch.peak_pairs[i])
+            assert geometry.r_mask[i].sum() == len(batch.r_peaks[i])
+        assert geometry.r_x.shape[1] == max(len(r) for r in batch.r_peaks)
 
     def test_gathered_coordinates_match_portrait_points(self, edge_windows):
-        batch = build_portrait_batch(edge_windows)
-        geometry = build_peak_geometry(batch)
-        for i, portrait in enumerate(batch.portraits):
+        geometry = build_peak_geometry(build_portrait_batch(edge_windows))
+        for i, window in enumerate(edge_windows):
+            portrait = build_portrait(window)
             points = portrait.r_peak_points()
             count = len(portrait.r_peaks)
             assert np.array_equal(geometry.r_x[i, :count], points[:, 0])

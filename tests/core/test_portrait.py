@@ -1,4 +1,9 @@
-"""Tests for portrait construction."""
+"""Tests for portrait construction.
+
+The per-window portrait (normalization, peak pairing) is the test
+oracle's (``tests/core/oracle.py``); the occupancy grid is checked on the
+production :class:`~repro.core.portrait.PortraitBatch`.
+"""
 
 import numpy as np
 import pytest
@@ -6,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.core.portrait import Portrait, build_portrait, normalize_signal
+from repro.core.portrait import PortraitBatch, build_portrait_batch
+from tests.core.oracle import build_portrait, normalize_signal
 from repro.signals.dataset import SignalWindow
 
 
@@ -73,42 +79,43 @@ class TestBuildPortrait:
         assert s_pts.shape == (0, 2)
 
 
+def _batch(x, y):
+    """A one-window batch over given portrait coordinates, no peaks."""
+    return PortraitBatch(
+        x=np.atleast_2d(x),
+        y=np.atleast_2d(y),
+        r_peaks=(np.array([], dtype=np.intp),),
+        systolic_peaks=(np.array([], dtype=np.intp),),
+        peak_pairs=((),),
+    )
+
+
 class TestOccupancyMatrix:
     def test_counts_sum_to_points(self, labeled_stream):
-        portrait = build_portrait(labeled_stream.windows[0])
-        matrix = portrait.occupancy_matrix(50)
+        window = labeled_stream.windows[0]
+        matrix = build_portrait_batch([window]).occupancy_matrices(50)[0]
         assert matrix.shape == (50, 50)
-        assert matrix.sum() == portrait.n_points
+        assert matrix.sum() == window.n_samples
 
     def test_known_placement(self):
         """Columns index the ECG axis, rows the ABP axis."""
-        portrait = Portrait(
+        batch = _batch(
             x=np.array([0.0, 0.99]),  # ABP -> rows 0 and 49
             y=np.array([0.99, 0.0]),  # ECG -> cols 49 and 0
-            r_peaks=np.array([], dtype=np.intp),
-            systolic_peaks=np.array([], dtype=np.intp),
-            peak_pairs=(),
         )
-        matrix = portrait.occupancy_matrix(50)
+        matrix = batch.occupancy_matrices(50)[0]
         assert matrix[0, 49] == 1
         assert matrix[49, 0] == 1
         assert matrix.sum() == 2
 
     def test_boundary_value_lands_in_last_cell(self):
-        portrait = Portrait(
-            x=np.array([1.0]),
-            y=np.array([1.0]),
-            r_peaks=np.array([], dtype=np.intp),
-            systolic_peaks=np.array([], dtype=np.intp),
-            peak_pairs=(),
-        )
-        matrix = portrait.occupancy_matrix(10)
-        assert matrix[9, 9] == 1
+        matrix = _batch(x=np.array([1.0]), y=np.array([1.0])).occupancy_matrices(10)
+        assert matrix[0, 9, 9] == 1
 
     def test_rejects_bad_grid(self):
-        portrait = build_portrait(_window(np.arange(10.0), np.arange(10.0)))
+        batch = build_portrait_batch([_window(np.arange(10.0), np.arange(10.0))])
         with pytest.raises(ValueError):
-            portrait.occupancy_matrix(0)
+            batch.occupancy_matrices(0)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -118,13 +125,6 @@ class TestOccupancyMatrix:
     )
     def test_property_total_preserved(self, n, size, seed):
         rng = np.random.default_rng(seed)
-        portrait = Portrait(
-            x=rng.random(size),
-            y=rng.random(size),
-            r_peaks=np.array([], dtype=np.intp),
-            systolic_peaks=np.array([], dtype=np.intp),
-            peak_pairs=(),
-        )
-        matrix = portrait.occupancy_matrix(n)
+        matrix = _batch(x=rng.random(size), y=rng.random(size)).occupancy_matrices(n)
         assert matrix.sum() == size
         assert np.all(matrix >= 0)

@@ -2,7 +2,7 @@
 
 The ``platform="native"`` contract is not "close": every decision value
 must be bit-identical to the NumPy reference path -- the same contract
-the batch path already honours against the scalar path.  These tests
+the batch path already honours against the per-window oracle.  These tests
 drive both paths over hypothesis-generated windows (arbitrary signals,
 arbitrary peak sets, ragged lengths) and the shared labelled stream,
 and compare with ``np.array_equal`` (no tolerance).
@@ -25,6 +25,7 @@ from repro.core import SIFTDetector
 from repro.core.versions import DetectorVersion
 from repro.native import native_status
 from repro.signals.dataset import SignalWindow
+from tests.core import oracle
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -101,11 +102,11 @@ def test_native_matches_numpy_on_labelled_stream(detector_pairs, labeled_stream)
 
 
 def test_native_matches_scalar_path(detector_pairs, labeled_stream):
-    """Native must equal the per-window scalar path too (transitively
-    guaranteed by batch==scalar, asserted directly here)."""
+    """Native must equal the per-window oracle too (transitively
+    guaranteed by batch==oracle, asserted directly here)."""
     for _, (reference, native) in detector_pairs.items():
         scalar = np.array(
-            [reference.decision_value(w) for w in labeled_stream.windows]
+            [oracle.decision_value(reference, w) for w in labeled_stream.windows]
         )
         assert np.array_equal(native.decision_values(labeled_stream), scalar)
 

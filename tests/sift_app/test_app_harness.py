@@ -42,7 +42,7 @@ class TestDeployModel:
         model = deploy_model(detector)
         math = RestrictedMath(allow_libm=True)
         for window in labeled_stream.windows[:5]:
-            features = detector.extract_features(window)
+            features = detector.extractor.extract_stream([window])[0]
             _, score = model.classify(math, features)
             assert score == pytest.approx(
                 detector.decision_value(window), abs=1e-6

@@ -16,6 +16,7 @@ from repro.sift_app.device_features import (
     device_extract_simplified,
 )
 from repro.sift_app.payload import DeviceWindow
+from tests.core import oracle
 
 
 def _math(libm=False):
@@ -49,7 +50,7 @@ class TestReferenceParity:
         for signal_window, device_window in zip(
             labeled_stream.windows, device_windows
         ):
-            reference = extractor.extract_window(signal_window)
+            reference = oracle.features(extractor, signal_window)
             device = device_fn(_math(libm), device_window)
             assert device.shape == reference.shape
             # float32 arithmetic and the uint8 matrix introduce only
@@ -62,7 +63,7 @@ class TestReferenceParity:
         """The libm build computes in double: deviations are at the level
         of the float32 *input* cast only."""
         extractor = make_extractor(DetectorVersion.ORIGINAL)
-        reference = extractor.extract_window(labeled_stream.windows[0])
+        reference = oracle.features(extractor, labeled_stream.windows[0])
         device = device_extract_original(_math(True), device_windows[0])
         np.testing.assert_allclose(device, reference, rtol=1e-4, atol=1e-4)
 

@@ -88,7 +88,7 @@ class TestEndToEnd:
         assert bias == model.bias_q
 
         for window in labeled_stream.windows[:10]:
-            features_q = model.quantize(detector.extract_features(window))
+            features_q = model.quantize(detector.extractor.extract_stream([window])[0])
             acc = bias
             for w, f in zip(weights, features_q.tolist()):
                 acc += (w * f) >> 14
