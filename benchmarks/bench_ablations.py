@@ -1,8 +1,9 @@
 """Ablation benches over the design choices the paper fixes.
 
-Each test sweeps one knob on a mid-size cohort (7 subjects -- enough for
-stable averages, small enough to keep the suite's runtime reasonable),
-saves the sweep table and asserts the qualitative finding.
+The orchestrator's ``ablations`` study sweeps each knob on a mid-size
+cohort (7 subjects -- enough for stable averages, small enough to keep
+the suite's runtime reasonable) and saves one table per sweep; each test
+here asserts one sweep's qualitative finding on the decoded rows.
 
 The cohort-mean sweeps honour ``--jobs N``: each setting's per-subject
 runs fan over a worker pool fed by the zero-copy dataset plane, cutting
@@ -11,47 +12,15 @@ the sweep's wall-clock without changing a single number.
 
 import pytest
 
-from repro.experiments.ablations import (
-    attack_type_ablation,
-    classifier_ablation,
-    feature_class_ablation,
-    fixed_point_ablation,
-    grid_size_ablation,
-    mixed_attack_training_ablation,
-    training_duration_ablation,
-    window_size_ablation,
-)
-from repro.experiments.pipeline import ExperimentConfig
-from repro.experiments.reporting import format_table
-
-from conftest import run_once
-
 
 @pytest.fixture(scope="module")
-def config():
-    """Mid-size protocol: full-length test streams, 7 subjects."""
-    return ExperimentConfig(
-        n_subjects=7,
-        train_duration_s=360.0,
-        test_duration_s=120.0,
-        n_train_donors=3,
-        n_test_donors=3,
-    )
+def sweeps(orchestrate):
+    """Every ablation's rows, by ablation name."""
+    return orchestrate("ablations").results
 
 
-def _table(rows, columns):
-    return format_table(
-        columns,
-        [[f"{row[c]:.4g}" if isinstance(row[c], float) else str(row[c]) for c in columns] for row in rows],
-    )
-
-
-def test_window_size(benchmark, config, save_result, jobs):
-    rows = run_once(benchmark, lambda: window_size_ablation(config, jobs=jobs), study="ablations", unit="window_size")
-    save_result(
-        "ablation_window_size",
-        _table(rows, ["window_s", "accuracy", "fp_rate", "fn_rate", "f1"]),
-    )
+def test_window_size(sweeps):
+    rows = sweeps["window_size"]
     by_window = {row["window_s"]: row["accuracy"] for row in rows}
     # w = 3 s (the paper's choice) is competitive with the best setting.
     assert by_window[3.0] >= max(by_window.values()) - 0.08
@@ -59,23 +28,15 @@ def test_window_size(benchmark, config, save_result, jobs):
     assert min(by_window.values()) > 0.6
 
 
-def test_grid_size(benchmark, config, save_result, jobs):
-    rows = run_once(benchmark, lambda: grid_size_ablation(config, jobs=jobs), study="ablations", unit="grid_size")
-    save_result(
-        "ablation_grid_size",
-        _table(rows, ["grid_n", "accuracy", "fp_rate", "fn_rate", "f1"]),
-    )
+def test_grid_size(sweeps):
+    rows = sweeps["grid_size"]
     by_grid = {row["grid_n"]: row["accuracy"] for row in rows}
     # n = 50 (the paper's choice) is competitive.
     assert by_grid[50] >= max(by_grid.values()) - 0.05
 
 
-def test_training_duration(benchmark, config, save_result, jobs):
-    rows = run_once(benchmark, lambda: training_duration_ablation(config, jobs=jobs), study="ablations", unit="training_duration")
-    save_result(
-        "ablation_training_duration",
-        _table(rows, ["train_duration_s", "accuracy", "fp_rate", "fn_rate", "f1"]),
-    )
+def test_training_duration(sweeps):
+    rows = sweeps["training_duration"]
     accuracies = [row["accuracy"] for row in rows]
     # More training data never hurts much: the longest duration is within
     # a hair of the best, and clearly above the shortest.
@@ -83,12 +44,8 @@ def test_training_duration(benchmark, config, save_result, jobs):
     assert accuracies[-1] >= accuracies[0] - 0.02
 
 
-def test_feature_classes(benchmark, config, save_result, jobs):
-    rows = run_once(benchmark, lambda: feature_class_ablation(config, jobs=jobs), study="ablations", unit="feature_classes")
-    save_result(
-        "ablation_feature_classes",
-        _table(rows, ["features", "n_features", "accuracy", "f1"]),
-    )
+def test_feature_classes(sweeps):
+    rows = sweeps["feature_classes"]
     by_name = {row["features"]: row["accuracy"] for row in rows}
     # The combination beats either class alone -- the reason the Reduced
     # build (geometric only) loses accuracy in Table II.
@@ -96,12 +53,8 @@ def test_feature_classes(benchmark, config, save_result, jobs):
     assert by_name["both (simplified)"] >= by_name["geometric_only (reduced)"] - 0.01
 
 
-def test_classifier_choice(benchmark, config, save_result):
-    rows = run_once(benchmark, lambda: classifier_ablation(config), study="ablations", unit="classifier")
-    save_result(
-        "ablation_classifier",
-        _table(rows, ["classifier", "accuracy", "f1"]),
-    )
+def test_classifier_choice(sweeps):
+    rows = sweeps["classifier"]
     by_name = {row["classifier"]: row["accuracy"] for row in rows}
     # "SVM performed the best among the algorithms we tried" -- allow a
     # small margin since baselines are competently tuned.
@@ -110,12 +63,8 @@ def test_classifier_choice(benchmark, config, save_result):
     assert by_name["svm_linear"] >= by_name["centroid"] - 0.02
 
 
-def test_fixed_point_precision(benchmark, config, save_result):
-    rows = run_once(benchmark, lambda: fixed_point_ablation(config), study="ablations", unit="fixed_point")
-    save_result(
-        "ablation_fixed_point",
-        _table(rows, ["frac_bits", "accuracy", "agreement_with_float"]),
-    )
+def test_fixed_point_precision(sweeps):
+    rows = sweeps["fixed_point"]
     by_bits = {row["frac_bits"]: row["agreement_with_float"] for row in rows}
     # Agreement with the float model grows with precision; the deployed
     # Q17.14 format is effectively lossless.
@@ -123,12 +72,8 @@ def test_fixed_point_precision(benchmark, config, save_result):
     assert by_bits[14] >= by_bits[4]
 
 
-def test_attack_types(benchmark, config, save_result):
-    rows = run_once(benchmark, lambda: attack_type_ablation(config), study="ablations", unit="attack_types")
-    save_result(
-        "ablation_attack_types",
-        _table(rows, ["attack", "accuracy", "fn_rate", "fp_rate"]),
-    )
+def test_attack_types(sweeps):
+    rows = sweeps["attack_types"]
     by_attack = {row["attack"]: row for row in rows}
     # The trained-for attack is detected best.
     assert by_attack["replacement"]["accuracy"] > 0.8
@@ -142,12 +87,8 @@ def test_attack_types(benchmark, config, save_result):
     )
 
 
-def test_mixed_attack_training(benchmark, config, save_result):
-    rows = run_once(benchmark, lambda: mixed_attack_training_ablation(config), study="ablations", unit="mixed_attack_training")
-    save_result(
-        "ablation_mixed_attack_training",
-        _table(rows, ["training", "eval_attack", "accuracy", "fn_rate", "fp_rate"]),
-    )
+def test_mixed_attack_training(sweeps):
+    rows = sweeps["mixed_attack_training"]
     by_key = {(row["training"], row["eval_attack"]): row for row in rows}
     # Mixed training closes the interference blind spot dramatically...
     assert (

@@ -1,28 +1,18 @@
 """Regenerates Fig. 3: the ARP-view resource-consumption snapshot.
 
-Profiles the Original SIFT app (the version the paper's figure shows),
-renders the per-component current breakdown and the battery-life /
-detection-period slider sweep, and asserts the qualitative structure:
-compute plus BLE dominate the dynamic budget, and lifetime grows
-monotonically with the detection period.
+The orchestrator's ``fig3`` study profiles the Original SIFT app (the
+version the paper's figure shows) and the Simplified one, renders the
+per-component current breakdown and the battery-life / detection-period
+slider sweep, plus the grid-size resource sweep.  The asserts pin the
+qualitative structure: compute plus BLE dominate the dynamic budget, and
+lifetime grows monotonically with the detection period.
 """
 
 import math
 
-from repro.core.versions import DetectorVersion
-from repro.experiments.fig3 import (
-    format_fig3,
-    run_fig3,
-    run_grid_resource_sweep,
-)
-from repro.experiments.reporting import format_table
 
-from conftest import run_once
-
-
-def test_reproduce_fig3(benchmark, save_result):
-    result = run_once(benchmark, run_fig3, study="fig3", unit="profile")
-    save_result("fig3", format_fig3(result))
+def test_reproduce_fig3(orchestrate):
+    result = orchestrate("fig3").results["profile"]
 
     profile = result.profile
     breakdown = profile.current_breakdown
@@ -50,25 +40,9 @@ def test_reproduce_fig3(benchmark, save_result):
     assert all(days < asymptote for days in lifetimes)
 
 
-def test_grid_resource_sweep(benchmark, save_result):
+def test_grid_resource_sweep(orchestrate):
     """The resource half of the grid-size trade-off (ARP-view slider)."""
-    rows = run_once(benchmark, run_grid_resource_sweep, study="fig3", unit="grid_sweep")
-    save_result(
-        "fig3_grid_resource_sweep",
-        format_table(
-            ["grid_n", "deployable", "det FRAM KB", "Mcyc/win", "days"],
-            [
-                [
-                    f"{row['grid_n']:g}",
-                    "yes" if row["deployable"] else "NO (array limit)",
-                    f"{row['detector_fram_kb']:.2f}",
-                    f"{row['mcycles_per_window']:.2f}",
-                    f"{row['lifetime_days']:.1f}",
-                ]
-                for row in rows
-            ],
-        ),
-    )
+    rows = orchestrate("fig3").results["grid_sweep"]
     by_grid = {row["grid_n"]: row for row in rows}
     # FRAM grows with n^2; the paper's n = 50 fits, n = 100 cannot deploy
     # under the platform's array-size limit (Insight #1).
@@ -79,14 +53,8 @@ def test_grid_resource_sweep(benchmark, save_result):
     assert by_grid[50.0]["lifetime_days"] <= by_grid[10.0]["lifetime_days"]
 
 
-def test_fig3_simplified_has_no_libm_components(benchmark, save_result):
-    result = run_once(
-        benchmark,
-        lambda: run_fig3(version=DetectorVersion.SIMPLIFIED),
-        study="fig3",
-        unit="profile_simplified",
-    )
-    save_result("fig3_simplified", format_fig3(result))
+def test_fig3_simplified_has_no_libm_components(orchestrate):
+    result = orchestrate("fig3").results["profile_simplified"]
     assert not any(
         "libm" in name or "double" in name
         for name in result.profile.current_breakdown

@@ -1,52 +1,22 @@
 """Robustness benches: channel loss, artifact load, alert debouncing.
 
 Operational studies extending the paper's evaluation -- see
-``repro.experiments.robustness`` for what each sweep models.
+``repro.experiments.robustness`` for what each sweep models.  They run
+as the orchestrator's ``robustness`` study on a 6-subject cohort; each
+test asserts one sweep's qualitative finding on the decoded rows.
 """
 
 import pytest
 
-from repro.experiments.pipeline import ExperimentConfig
-from repro.experiments.reporting import format_table
-from repro.experiments.robustness import (
-    artifact_load_study,
-    channel_loss_study,
-    debounce_study,
-)
-
-from conftest import run_once
-
 
 @pytest.fixture(scope="module")
-def config():
-    return ExperimentConfig(
-        n_subjects=6,
-        train_duration_s=300.0,
-        test_duration_s=120.0,
-        n_train_donors=3,
-        n_test_donors=2,
-    )
+def sweeps(orchestrate):
+    """Every robustness sweep's rows, by sweep name."""
+    return orchestrate("robustness").results
 
 
-def _table(rows, columns):
-    return format_table(
-        columns,
-        [
-            [
-                f"{row[c]:.4g}" if isinstance(row[c], float) else str(row[c])
-                for c in columns
-            ]
-            for row in rows
-        ],
-    )
-
-
-def test_channel_loss(benchmark, config, save_result):
-    rows = run_once(benchmark, lambda: channel_loss_study(config), study="robustness", unit="channel_loss")
-    save_result(
-        "robustness_channel_loss",
-        _table(rows, ["loss_probability", "window_coverage", "accuracy_on_classified"]),
-    )
+def test_channel_loss(sweeps):
+    rows = sweeps["channel_loss"]
     by_loss = {row["loss_probability"]: row for row in rows}
     # Coverage falls roughly like (1-p)^2 (both halves must arrive)...
     assert by_loss[0.0]["window_coverage"] == pytest.approx(1.0)
@@ -58,12 +28,8 @@ def test_channel_loss(benchmark, config, save_result):
     )
 
 
-def test_artifact_load(benchmark, config, save_result):
-    rows = run_once(benchmark, lambda: artifact_load_study(config), study="robustness", unit="artifact_load")
-    save_result(
-        "robustness_artifact_load",
-        _table(rows, ["artifact_rate_per_min", "accuracy", "fp_rate", "fn_rate"]),
-    )
+def test_artifact_load(sweeps):
+    rows = sweeps["artifact_load"]
     by_rate = {row["artifact_rate_per_min"]: row for row in rows}
     # Clean signals are easiest; heavy artifact load costs accuracy,
     # mostly through false positives (genuine windows start looking odd).
@@ -73,21 +39,8 @@ def test_artifact_load(benchmark, config, save_result):
     assert by_rate[12.0]["accuracy"] > 0.6
 
 
-def test_debouncing(benchmark, config, save_result):
-    rows = run_once(benchmark, lambda: debounce_study(config), study="robustness", unit="debounce")
-    save_result(
-        "robustness_debounce",
-        _table(
-            rows,
-            [
-                "votes_needed",
-                "vote_window",
-                "window_accuracy",
-                "false_episodes_per_run",
-                "attack_catch_rate",
-            ],
-        ),
-    )
+def test_debouncing(sweeps):
+    rows = sweeps["debounce"]
     by_k = {row["votes_needed"]: row for row in rows}
     # Stricter voting cannot raise the false-episode rate...
     assert (

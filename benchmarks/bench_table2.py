@@ -1,41 +1,22 @@
 """Regenerates Table II: detection performance of the three versions.
 
 The full paper protocol -- 12 subjects, 20-minute training, 2-minute
-50 %-altered unseen test streams, both platforms -- runs once under the
-benchmark timer.  Shape assertions encode the paper's qualitative result:
+50 %-altered unseen test streams, both platforms -- runs once through
+the orchestrator's ``table2`` study.  Shape assertions encode the
+paper's qualitative result:
 
 * Original and Simplified are comparable and both strong (>= ~85 %);
 * Reduced is several points worse;
 * the device (Amulet) rows track the reference (MATLAB) rows closely.
 """
 
-import pytest
-
 from repro.core.versions import DetectorVersion
-from repro.experiments.table2 import (
-    format_table2,
-    format_table2_by_subject,
-    run_table2,
-)
-
-from conftest import run_once
+from repro.experiments.table2 import Table2Result
 
 
-@pytest.fixture(scope="module")
-def table2_result(request):
-    """Computed lazily inside the benchmarked test, cached for asserts."""
-    return {}
-
-
-def test_reproduce_table2(benchmark, table2_result, save_result):
-    result = run_once(benchmark, run_table2, study="table2")
-    table2_result["result"] = result
-    save_result("table2", format_table2(result))
-    save_result("table2_by_subject", format_table2_by_subject(result))
-
-    acc = {
-        (row.version, row.platform): row.report.accuracy for row in result.rows
-    }
+def test_reproduce_table2(orchestrate):
+    result = Table2Result.merge(list(orchestrate("table2").results.values()))
+    acc = {(row.version, row.platform): row.report.accuracy for row in result.rows}
     # Original ~ Simplified, both strong.
     for platform in ("amulet", "reference"):
         assert acc[(DetectorVersion.ORIGINAL, platform)] > 0.85

@@ -1,8 +1,9 @@
 """Regenerates Table III: memory use and expected battery lifetime.
 
 Each version's app is built into a firmware image, streamed the standard
-evaluation windows on the simulated Amulet, and profiled by ARP.  Shape
-assertions encode the paper's Table III:
+evaluation windows on the simulated Amulet, and profiled by ARP (the
+orchestrator's ``table3`` study).  Shape assertions encode the paper's
+Table III:
 
 * detector SRAM: 259 B for the matrix builds, 69 B for Reduced (exact);
 * detector FRAM: monotone decreasing, Reduced roughly half Original;
@@ -12,14 +13,11 @@ assertions encode the paper's Table III:
 """
 
 from repro.core.versions import DetectorVersion
-from repro.experiments.table3 import format_table3, run_table3
-
-from conftest import run_once
+from repro.experiments.table3 import Table3Result
 
 
-def test_reproduce_table3(benchmark, save_result):
-    result = run_once(benchmark, run_table3, study="table3")
-    save_result("table3", format_table3(result))
+def test_reproduce_table3(orchestrate):
+    result = Table3Result.merge(list(orchestrate("table3").results.values()))
 
     profiles = result.profiles
     original = profiles[DetectorVersion.ORIGINAL]

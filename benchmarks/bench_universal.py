@@ -1,58 +1,16 @@
 """Universal-model bench: is per-user enrollment worth it?
 
 Leave-one-subject-out universal training vs the paper's per-user models
-(see ``repro.experiments.universal``).  The expected outcome: the
-universal model works -- SIFT checks inter-signal consistency, which
-transfers across wearers -- but per-user enrollment buys several points
-of accuracy, justifying the paper's protocol.
+(see ``repro.experiments.universal``), run as the orchestrator's
+``universal`` study.  The expected outcome: the universal model works
+-- SIFT checks inter-signal consistency, which transfers across wearers
+-- but per-user enrollment buys several points of accuracy, justifying
+the paper's protocol.
 """
 
-import pytest
 
-from repro.experiments.pipeline import ExperimentConfig
-from repro.experiments.reporting import format_table
-from repro.experiments.universal import run_universal_study
-
-from conftest import run_once
-
-
-@pytest.fixture(scope="module")
-def config():
-    return ExperimentConfig(
-        n_subjects=7,
-        train_duration_s=360.0,
-        test_duration_s=120.0,
-        n_train_donors=3,
-        n_test_donors=3,
-    )
-
-
-def test_universal_vs_per_user(benchmark, config, save_result):
-    study = run_once(benchmark, lambda: run_universal_study(config), study="universal", unit="loso")
-
-    rows = [
-        [
-            "per-user (paper)",
-            f"{100 * study.per_user.false_positive_rate:.2f}",
-            f"{100 * study.per_user.false_negative_rate:.2f}",
-            f"{100 * study.per_user.accuracy:.2f}",
-        ],
-        [
-            "universal (LOSO)",
-            f"{100 * study.universal.false_positive_rate:.2f}",
-            f"{100 * study.universal.false_negative_rate:.2f}",
-            f"{100 * study.universal.accuracy:.2f}",
-        ],
-    ]
-    save_result(
-        "universal_model",
-        format_table(["training", "FP %", "FN %", "Acc %"], rows)
-        + "\n\nper-held-out-subject universal accuracy:\n"
-        + "\n".join(
-            f"  {subject_id}: {100 * report.accuracy:.1f}%"
-            for subject_id, report in study.per_subject_universal.items()
-        ),
-    )
+def test_universal_vs_per_user(orchestrate):
+    study = orchestrate("universal").results["loso"]
 
     # The universal model transfers...
     assert study.universal.accuracy > 0.7

@@ -1,14 +1,20 @@
 """Shared benchmark helpers.
 
-Heavy experiments run exactly once via ``benchmark.pedantic`` (regenerating
-a paper table is a one-shot measurement, not a statistical microbenchmark);
-their rendered tables are printed and also written to
-``benchmarks/results/<name>.txt`` so the output survives pytest's capture.
+The paper-study benches (Tables II/III, Fig. 3, ablations, robustness,
+universal model) are thin: the :func:`orchestrate` fixture runs a
+registered study once per session through the orchestrator -- always
+the full protocol, so its reports land in ``benchmarks/results/`` exactly
+as ``repro orchestrate`` writes them -- and the bench asserts the
+paper's qualitative shape on the decoded results.
 
-Every :func:`run_once` measurement that names its ``study`` also lands in
-the orchestrator's perf-sample buffer; at session end the samples are
-aggregated into a ``BENCH_<stamp>.json`` perf trajectory (same schema the
-``repro orchestrate`` driver emits), which is what the CI regression gate
+Other benches time one call with :func:`run_once` (a one-shot
+measurement, not a statistical microbenchmark) and save their own text
+with ``save_result``.
+
+Every orchestrated unit and every :func:`run_once` measurement that
+names a ``study`` becomes a :class:`UnitOutcome`; at session end the
+same builder the orchestrator uses folds them into a ``BENCH_<stamp>
+.json`` perf trajectory, which is what the CI regression gate
 (``repro bench-gate``) consumes.
 """
 
@@ -19,6 +25,9 @@ import time
 from pathlib import Path
 
 import pytest
+
+from repro.experiments.orchestrator import Orchestrator, StudyRun, UnitOutcome
+from repro.experiments.trajectory import build_trajectory, write_trajectory
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -83,47 +92,70 @@ def save_result():
     return _save
 
 
+#: The session's measured units, per study, in measurement order.
+_UNITS: dict[str, list[UnitOutcome]] = {}
+
+
+@pytest.fixture(scope="session")
+def orchestrate(tmp_path_factory, jobs):
+    """Run a registered study (once per session) and return its StudyRun.
+
+    Checkpoints go to a session temp dir, so every session recomputes;
+    reports go to the results directory.
+    """
+    orchestrator = Orchestrator(
+        jobs=jobs,
+        checkpoint_dir=tmp_path_factory.mktemp("checkpoints"),
+        results_dir=results_dir(),
+    )
+    runs: dict[str, StudyRun] = {}
+
+    def _run(name: str) -> StudyRun:
+        if name not in runs:
+            runs[name] = orchestrator.run_study(name)
+            _UNITS.setdefault(name, []).extend(runs[name].units)
+        return runs[name]
+
+    return _run
+
+
 def run_once(benchmark, fn, study: str | None = None, unit: str | None = None,
              sample=None):
     """Run a one-shot experiment under pytest-benchmark's timer.
 
     Naming a ``study`` (and optionally a ``unit`` within it) records the
-    wall-clock into the orchestrator's perf-sample buffer, from which
-    :func:`pytest_sessionfinish` assembles the session's trajectory.
-    ``sample`` maps the run's result to extra sample fields (e.g.
-    ``n_windows``, ``p99_ms``) merged into the recorded measurement.
+    wall-clock as a :class:`UnitOutcome` of the session's trajectory.
+    ``sample`` maps the run's result to its ``n_windows`` / ``p99_ms``;
+    any further fields (e.g. a measured ``speedup``) ride along into the
+    unit's ``units_detail`` entry.
     """
     started = time.perf_counter()
     result = benchmark.pedantic(fn, rounds=1, iterations=1, warmup_rounds=0)
     wall_s = time.perf_counter() - started
     if study is not None:
-        from repro.experiments.orchestrator import record_perf_sample
-
-        fields = dict(sample(result)) if sample is not None else {}
-        record_perf_sample(study, unit or study, wall_s, **fields)
+        extra = dict(sample(result)) if sample is not None else {}
+        _UNITS.setdefault(study, []).append(
+            UnitOutcome(
+                name=unit or study,
+                wall_s=wall_s,
+                n_windows=int(extra.pop("n_windows", 0)),
+                p99_ms=float(extra.pop("p99_ms", 0.0)),
+                extra=extra,
+            )
+        )
     return result
 
 
 def pytest_sessionfinish(session, exitstatus):
-    """Persist the session's perf samples as a BENCH_<stamp>.json record."""
-    try:
-        from repro.experiments.orchestrator import (
-            drain_perf_samples,
-            trajectory_from_samples,
-            write_trajectory,
-        )
-    except ImportError:  # bare collection without src on the path
+    """Persist the session's measured units as a BENCH_<stamp>.json record."""
+    if not _UNITS:
         return
-    samples = drain_perf_samples()
-    if not samples:
-        return
-    record = trajectory_from_samples(
-        samples,
+    record = build_trajectory(
+        [StudyRun(name, tuple(units)) for name, units in _UNITS.items()],
         label="bench",
         quick=bool(session.config.getoption("--quick")),
         jobs=int(session.config.getoption("--jobs")),
     )
-    out = results_dir()
-    out.mkdir(parents=True, exist_ok=True)
-    path = write_trajectory(record, out)
+    _UNITS.clear()
+    path = write_trajectory(record, results_dir())
     print(f"\nperf trajectory: {path}")

@@ -155,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     orchestrate.add_argument("--studies", type=_csv_list, default=None,
                              metavar="A,B,...",
                              help="comma-separated study names (default: all; "
-                             "see repro.experiments.orchestrator.study_names)")
+                             "see repro.experiments.studies.study_names)")
     orchestrate.add_argument("--reeval", action="store_true",
                              help="regenerate reports from checkpoints alone "
                              "(zero recomputation; fails on any missing unit)")
@@ -166,9 +166,11 @@ def build_parser() -> argparse.ArgumentParser:
                              default=Path("benchmarks/results/checkpoints"),
                              metavar="DIR",
                              help="where unit checkpoints live")
-    orchestrate.add_argument("--results-dir", type=Path,
-                             default=Path("benchmarks/results"), metavar="DIR",
-                             help="where reports and trajectories land")
+    orchestrate.add_argument("--results-dir", type=Path, default=None,
+                             metavar="DIR",
+                             help="where reports and trajectories land "
+                             "(default: benchmarks/results, or "
+                             "benchmarks/results/quick with --quick)")
     orchestrate.add_argument("--no-trajectory", action="store_true",
                              help="skip the BENCH_<stamp>.json perf record")
 
@@ -446,16 +448,12 @@ def _resolve_trajectory(path: Path) -> Path:
 
 
 def _cmd_bench_gate(args) -> int:
-    from repro.experiments.orchestrator import (
-        CheckpointError,
-        compare_trajectories,
-        load_trajectory,
-    )
+    from repro.experiments.trajectory import compare_trajectories, load_trajectory
 
     try:
         baseline = load_trajectory(_resolve_trajectory(args.baseline))
         current = load_trajectory(_resolve_trajectory(args.current))
-    except (OSError, ValueError, CheckpointError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     regressions, lines = compare_trajectories(

@@ -15,9 +15,14 @@
   cohort recordings serialized once into shared memory and attached
   (not rebuilt) by :class:`CohortRunner` workers;
 - :mod:`~repro.experiments.orchestrator` -- the checkpointed driver over
-  the whole study matrix: resumable JSONL unit checkpoints, zero-compute
-  report re-evaluation, and the persisted perf trajectory the CI
-  regression gate consumes.
+  the whole study matrix: resumable JSONL unit checkpoints and
+  zero-compute report re-evaluation;
+- :mod:`~repro.experiments.studies` -- the study registry: each study's
+  units, full-protocol config and one renderer per report;
+- :mod:`~repro.experiments.codec` -- the generic dataclass <-> JSON codec
+  every checkpointed result goes through;
+- :mod:`~repro.experiments.trajectory` -- the perf trajectory builder,
+  its ``BENCH_*.json`` files and the CI regression gate.
 """
 
 from repro.experiments.ablations import (
@@ -48,11 +53,7 @@ from repro.experiments.fig3 import Fig3Result, format_fig3, run_fig3
 from repro.experiments.orchestrator import (
     CheckpointStore,
     Orchestrator,
-    compare_trajectories,
     config_hash,
-    load_trajectory,
-    study_names,
-    write_trajectory,
 )
 from repro.experiments.pipeline import (
     ExperimentConfig,
@@ -79,6 +80,7 @@ from repro.experiments.universal import (
     UniversalStudyResult,
     run_universal_study,
 )
+from repro.experiments.studies import study_names
 from repro.experiments.table2 import (
     Table2Result,
     format_table2,
@@ -86,6 +88,11 @@ from repro.experiments.table2 import (
     run_table2,
 )
 from repro.experiments.table3 import Table3Result, format_table3, run_table3
+from repro.experiments.trajectory import (
+    compare_trajectories,
+    load_trajectory,
+    write_trajectory,
+)
 
 __all__ = [
     "CheckpointStore",

@@ -23,7 +23,13 @@ from repro.experiments.pipeline import (
 from repro.experiments.reporting import format_bar_chart, format_table
 from repro.sift_app.harness import AmuletSIFTRunner
 
-__all__ = ["Fig3Result", "format_fig3", "run_fig3", "run_grid_resource_sweep"]
+__all__ = [
+    "Fig3Result",
+    "format_fig3",
+    "format_grid_resource_sweep",
+    "run_fig3",
+    "run_grid_resource_sweep",
+]
 
 #: The detection periods the slider sweep evaluates, in seconds.
 DEFAULT_PERIOD_SWEEP = (1.5, 3.0, 6.0, 12.0, 30.0)
@@ -189,3 +195,20 @@ def format_fig3(result: Fig3Result) -> str:
         f"{result.profile.lifetime_days:.1f} days"
     )
     return "\n\n".join([chart, slider, summary])
+
+
+def format_grid_resource_sweep(rows: list[dict[str, float]]) -> str:
+    """Render :func:`run_grid_resource_sweep` rows as a table."""
+    return format_table(
+        ["grid_n", "deployable", "det FRAM KB", "Mcyc/win", "days"],
+        [
+            [
+                f"{row['grid_n']:g}",
+                "yes" if row["deployable"] else "NO (array limit)",
+                f"{row['detector_fram_kb']:.2f}",
+                f"{row['mcycles_per_window']:.2f}",
+                f"{row['lifetime_days']:.1f}",
+            ]
+            for row in rows
+        ],
+    )

@@ -1,32 +1,25 @@
-"""Checkpointed experiment orchestrator with a persisted perf trajectory.
+"""Checkpointed experiment orchestrator: the single experiment driver.
 
 The paper's evaluation is a matrix of one-shot studies (Table II/III,
-Fig. 3, the ablations, the fault matrix, the universal-model question).
-Before this module each study had its own entry point and no memory: a
-crashed sweep restarted from zero, a tweaked report needed a full
-recompute, and five PRs of speed work (batching, chunking, the
-shared-memory dataplane) left no run-over-run record of what they bought.
-
-The orchestrator fixes all three with one driver:
+Fig. 3, the ablations, the fault matrix, the universal-model question),
+registered in :mod:`repro.experiments.studies`.  This module drives them:
 
 * **Checkpointed units.**  Every study is decomposed into *units* -- one
   detector version of Table II, one ablation sweep, one fault of the
   fault matrix.  Each completed unit appends one JSONL line (its config
-  hash, JSON payload, wall-clock, cache and dataplane counter deltas) to
-  ``benchmarks/results/checkpoints/<study>.jsonl``, flushed and fsynced
-  before the next unit starts.  Re-running skips every unit whose
-  checkpoint carries the current config hash, so an interrupted sweep
-  resumes mid-matrix, recomputing only the unit it died in.
-* **Reports from payloads.**  Report files are rendered from the JSON
-  payloads (round-tripped through ``json`` even on the first run), so a
-  resumed run's reports are bit-identical to an uninterrupted run's, and
-  ``reeval=True`` regenerates every report with zero recomputation.
-* **Perf trajectory.**  A completed run emits ``BENCH_<stamp>.json``:
-  per-study wall-clock, windows/second, experiment-cache hit/miss/
-  eviction deltas and dataset-plane publish/attach time, plus a machine
-  calibration constant so trajectories from different hosts compare.
-  :func:`compare_trajectories` is the CI regression gate over two such
-  records.
+  hash, encoded result, wall-clock, windows scored, cache and dataplane
+  counter deltas) to ``benchmarks/results/checkpoints/<study>.jsonl``,
+  flushed and fsynced before the next unit starts.  Re-running skips
+  every unit whose checkpoint carries the current config hash, so an
+  interrupted sweep resumes mid-matrix, recomputing only the unit it
+  died in.
+* **Reports from checkpoints.**  Results are persisted with the generic
+  codec (:mod:`repro.experiments.codec`) and reports are rendered from
+  the *decoded* line even on the first run, so a resumed run's reports
+  are bit-identical to an uninterrupted run's, and ``reeval=True``
+  regenerates every report with zero recomputation.
+* **Perf trajectory.**  A run that computed anything emits
+  ``BENCH_<stamp>.json`` through :mod:`repro.experiments.trajectory`.
 
 Checkpoint *invalidation* is content-keyed, like the experiment cache:
 a unit's hash covers every protocol knob that influences its numbers
@@ -41,20 +34,25 @@ import dataclasses
 import hashlib
 import json
 import os
-import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
 from repro.core.versions import DetectorVersion
 from repro.experiments import dataplane
 from repro.experiments.cache import EXPERIMENT_CACHE
-from repro.experiments.pipeline import ExperimentConfig, SubjectRunResult
-from repro.experiments.reporting import format_bar_chart, format_table
-from repro.ml.metrics import DetectionReport
+from repro.experiments.codec import decode, encode
+from repro.experiments.pipeline import ExperimentConfig
+from repro.experiments.studies import (
+    StudyContext,
+    StudyDefinition,
+    UnitSpec,
+    build_registry,
+)
+from repro.experiments.trajectory import build_trajectory, write_trajectory
 
 __all__ = [
     "CheckpointError",
@@ -62,27 +60,19 @@ __all__ = [
     "MissingCheckpointError",
     "Orchestrator",
     "OrchestratorRun",
-    "StudyContext",
-    "StudyDefinition",
     "StudyRun",
     "UnitOutcome",
-    "UnitSpec",
-    "build_registry",
-    "compare_trajectories",
     "config_hash",
-    "drain_perf_samples",
-    "load_trajectory",
-    "record_perf_sample",
-    "study_names",
-    "trajectory_from_samples",
-    "write_trajectory",
 ]
 
-#: Schema version stamped into every checkpoint line and trajectory file.
-SCHEMA = 1
+#: Schema version stamped into every checkpoint line.  Lines from another
+#: schema (an older payload layout) are ignored and their units recompute.
+CHECKPOINT_SCHEMA = 2
 
 #: Default on-disk locations, relative to the repository root (the CLI
-#: and the benches run from there; tests pass explicit directories).
+#: runs from there; tests pass explicit directories).  Quick runs write
+#: their reports and trajectory under ``quick/`` so they never overwrite
+#: the committed full-protocol reports.
 DEFAULT_RESULTS_DIR = Path("benchmarks") / "results"
 DEFAULT_CHECKPOINT_DIR = DEFAULT_RESULTS_DIR / "checkpoints"
 
@@ -142,12 +132,13 @@ class CheckpointStore:
     """One JSONL checkpoint file per study, append-only, crash-tolerant.
 
     Each line is one completed unit: ``{"schema", "unit", "config_hash",
-    "payload", "wall_s", "cache", "dataplane", "completed_at"}``.
-    Appends are flushed *and* fsynced so a unit that completed before a
-    kill is never lost; a line truncated by the kill itself is skipped
-    (with the units it would have described simply recomputed).  The
-    latest line per unit wins, so recomputing a unit under a new config
-    hash supersedes its stale checkpoint without rewriting the file.
+    "payload", "wall_s", "n_windows", "p99_ms", "cache", "dataplane",
+    "completed_at"}``.  Appends are flushed *and* fsynced so a unit that
+    completed before a kill is never lost; a line truncated by the kill
+    itself is skipped (with the units it would have described simply
+    recomputed).  The latest line per unit wins, so recomputing a unit
+    under a new config hash supersedes its stale checkpoint without
+    rewriting the file.
     """
 
     def __init__(self, directory: Path | str = DEFAULT_CHECKPOINT_DIR):
@@ -178,14 +169,20 @@ class CheckpointStore:
                     records[str(record["unit"])] = record
         return records
 
-    def append(self, study: str, record: Mapping[str, Any]) -> None:
-        """Durably append one completed unit's record."""
+    def append(self, study: str, record: Mapping[str, Any]) -> str:
+        """Durably append one completed unit's record; return its line.
+
+        Keys keep their order (no ``sort_keys``): encoded results carry
+        ordered ``str``-keyed dicts, and a resumed run must read back
+        exactly what the first run rendered from.
+        """
         self.directory.mkdir(parents=True, exist_ok=True)
-        line = json.dumps(record, sort_keys=True)
+        line = json.dumps(record)
         with self.path(study).open("a", encoding="utf-8") as handle:
             handle.write(line + "\n")
             handle.flush()
             os.fsync(handle.fileno())
+        return line
 
     def remove(self, study: str) -> None:
         """Drop a study's checkpoints (``fresh`` runs recompute)."""
@@ -196,59 +193,29 @@ class CheckpointStore:
 
 
 # ----------------------------------------------------------------------
-# Study model
+# Run records
 # ----------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class StudyContext:
-    """Everything a study needs to enumerate and run its units."""
-
-    config: ExperimentConfig
-    quick: bool = False
-    jobs: int = 1
-
-
-@dataclass(frozen=True)
-class UnitSpec:
-    """One checkpointable unit of a study.
-
-    ``params`` must cover every knob that influences ``run``'s payload
-    (it is what gets hashed); ``run`` returns a JSON-serializable
-    payload, with an optional ``"n_windows"`` key counting the windows
-    the unit scored (feeds the trajectory's windows/sec).
-    """
-
-    name: str
-    params: Mapping[str, Any]
-    run: Callable[[StudyContext], Mapping[str, Any]]
-
-
-@dataclass(frozen=True)
-class StudyDefinition:
-    """A named study: how to split it into units and render its reports.
-
-    ``render`` receives the unit payloads (in unit order, every value
-    JSON-round-tripped) and returns ``{report_name: text}``; report
-    files land in the results directory as ``<report_name>.txt``.
-    """
-
-    name: str
-    build_units: Callable[[StudyContext], Sequence[UnitSpec]]
-    render: Callable[[StudyContext, dict[str, Any]], dict[str, str]]
-
-
-@dataclass(frozen=True)
 class UnitOutcome:
-    """One unit's disposition within a study run."""
+    """One measured unit: its decoded result plus what it cost.
+
+    Bench sessions build these directly for their microbenchmarks;
+    ``extra`` fields (e.g. a measured ``speedup``) ride into the
+    trajectory's ``units_detail`` verbatim.
+    """
 
     name: str
-    config_hash: str
-    payload: Any
     wall_s: float
-    cached: bool
+    cached: bool = False
+    result: Any = None
+    config_hash: str = ""
+    n_windows: int = 0
+    p99_ms: float = 0.0
     cache: dict[str, int] = field(default_factory=dict)
     dataplane: dict[str, float] = field(default_factory=dict)
+    extra: dict[str, Any] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -257,7 +224,7 @@ class StudyRun:
 
     name: str
     units: tuple[UnitOutcome, ...]
-    reports: dict[str, Path]
+    reports: dict[str, Path] = field(default_factory=dict)
 
     @property
     def wall_s(self) -> float:
@@ -271,11 +238,12 @@ class StudyRun:
     @property
     def n_windows(self) -> int:
         """Windows scored by recomputed units (0 when unreported)."""
-        return sum(
-            int(u.payload.get("n_windows", 0))
-            for u in self.units
-            if not u.cached and isinstance(u.payload, Mapping)
-        )
+        return sum(u.n_windows for u in self.units if not u.cached)
+
+    @property
+    def results(self) -> dict[str, Any]:
+        """The decoded result of every unit, in unit order."""
+        return {u.name: u.result for u in self.units}
 
 
 @dataclass(frozen=True)
@@ -288,944 +256,8 @@ class OrchestratorRun:
 
 
 # ----------------------------------------------------------------------
-# Payload <-> report helpers
-# ----------------------------------------------------------------------
-
-
-def _report_dict(report: DetectionReport) -> dict[str, float]:
-    return {
-        "false_positive_rate": report.false_positive_rate,
-        "false_negative_rate": report.false_negative_rate,
-        "accuracy": report.accuracy,
-        "f1": report.f1,
-    }
-
-
-def _report_from(payload: Mapping[str, Any]) -> DetectionReport:
-    return DetectionReport(
-        false_positive_rate=float(payload["false_positive_rate"]),
-        false_negative_rate=float(payload["false_negative_rate"]),
-        accuracy=float(payload["accuracy"]),
-        f1=float(payload["f1"]),
-    )
-
-
-def _float_table(rows: Iterable[Mapping[str, Any]], columns: Sequence[str]) -> str:
-    """The benches' table layout: ``%.4g`` floats, verbatim strings."""
-    return format_table(
-        list(columns),
-        [
-            [
-                f"{row[c]:.4g}" if isinstance(row[c], float) else str(row[c])
-                for c in columns
-            ]
-            for row in rows
-        ],
-    )
-
-
-def _config_params(config: ExperimentConfig) -> dict[str, Any]:
-    return dataclasses.asdict(config)
-
-
-# ----------------------------------------------------------------------
-# Study definitions
-# ----------------------------------------------------------------------
-
-
-def _table2_units(ctx: StudyContext) -> list[UnitSpec]:
-    def run_version(version: DetectorVersion):
-        def run(ctx: StudyContext) -> dict[str, Any]:
-            from repro.experiments.table2 import run_table2
-
-            result = run_table2(
-                ctx.config, versions=(version,), jobs=ctx.jobs
-            )
-            return {
-                "version": version.value,
-                "rows": [
-                    {
-                        "platform": row.platform,
-                        "report": _report_dict(row.report),
-                    }
-                    for row in result.rows
-                ],
-                "per_subject": [
-                    {
-                        "subject_id": r.subject_id,
-                        "reference": _report_dict(r.reference_report),
-                        "device": (
-                            _report_dict(r.device_report)
-                            if r.device_report is not None
-                            else None
-                        ),
-                        "n_test_windows": r.n_test_windows,
-                    }
-                    for r in result.per_subject
-                ],
-                "failures": [
-                    {"subject_id": f.subject_id, "error": f.error}
-                    for f in result.failures
-                ],
-                # Each stream is scored on both platforms.
-                "n_windows": 2 * sum(
-                    r.n_test_windows for r in result.per_subject
-                ),
-            }
-
-        return run
-
-    return [
-        UnitSpec(
-            name=version.value,
-            params={
-                "study": "table2",
-                "config": _config_params(ctx.config),
-                "version": version.value,
-            },
-            run=run_version(version),
-        )
-        for version in DetectorVersion
-    ]
-
-
-def _table2_render(ctx: StudyContext, payloads: dict[str, Any]) -> dict[str, str]:
-    from repro.experiments.table2 import (
-        Table2Result,
-        Table2Row,
-        format_table2,
-        format_table2_by_subject,
-    )
-
-    rows: list[Table2Row] = []
-    per_subject: list[SubjectRunResult] = []
-    for payload in payloads.values():
-        version = DetectorVersion.from_name(payload["version"])
-        for row in payload["rows"]:
-            rows.append(
-                Table2Row(
-                    version=version,
-                    platform=row["platform"],
-                    report=_report_from(row["report"]),
-                )
-            )
-        for subject in payload["per_subject"]:
-            per_subject.append(
-                SubjectRunResult(
-                    subject_id=subject["subject_id"],
-                    version=version,
-                    reference_report=_report_from(subject["reference"]),
-                    device_report=(
-                        _report_from(subject["device"])
-                        if subject["device"] is not None
-                        else None
-                    ),
-                    n_test_windows=int(subject["n_test_windows"]),
-                )
-            )
-    result = Table2Result(
-        rows=tuple(rows),
-        per_subject=tuple(per_subject),
-        config=ctx.config,
-    )
-    return {
-        "table2": format_table2(result),
-        "table2_by_subject": format_table2_by_subject(result),
-    }
-
-
-def _table3_units(ctx: StudyContext) -> list[UnitSpec]:
-    def run_version(version: DetectorVersion):
-        def run(ctx: StudyContext) -> dict[str, Any]:
-            from repro.experiments.table3 import run_table3
-
-            profile = run_table3(ctx.config, versions=(version,)).profiles[
-                version
-            ]
-            return {
-                "version": version.value,
-                "system_fram_kb": profile.system_fram_kb,
-                "app_fram_kb": profile.app_fram_kb,
-                "system_sram_bytes": profile.system_sram_bytes,
-                "app_sram_bytes": profile.app_sram_bytes,
-                "lifetime_days": profile.lifetime_days,
-            }
-
-        return run
-
-    return [
-        UnitSpec(
-            name=version.value,
-            params={
-                "study": "table3",
-                "config": _config_params(ctx.config),
-                "version": version.value,
-            },
-            run=run_version(version),
-        )
-        for version in DetectorVersion
-    ]
-
-
-def _table3_render(ctx: StudyContext, payloads: dict[str, Any]) -> dict[str, str]:
-    from repro.experiments.table3 import PAPER_TABLE3
-
-    headers = ["Version", "Resource Type", "Measurements", "(paper)"]
-    body = []
-    for payload in payloads.values():
-        paper = PAPER_TABLE3.get(payload["version"])
-        rows = [
-            (
-                "Memory Use (FRAM)",
-                f"{payload['system_fram_kb']:.2f} KB_sys + "
-                f"{payload['app_fram_kb']:.2f} KB_det",
-                f"{paper[0]:.2f} + {paper[1]:.2f} KB" if paper else "-",
-            ),
-            (
-                "Max Ram Use (SRAM)",
-                f"{payload['system_sram_bytes']} B_sys + "
-                f"{payload['app_sram_bytes']} B_det",
-                f"{paper[2]} + {paper[3]} B" if paper else "-",
-            ),
-            (
-                "Expected Lifetime",
-                f"{payload['lifetime_days']:.0f} days",
-                f"{paper[4]} days" if paper else "-",
-            ),
-        ]
-        for i, (resource, measured, paper_text) in enumerate(rows):
-            body.append(
-                [
-                    payload["version"].capitalize() if i == 0 else "",
-                    resource,
-                    measured,
-                    paper_text,
-                ]
-            )
-    return {
-        "table3": format_table(
-            headers,
-            body,
-            title="TABLE III: Resource Usage of Three Versions of Detector",
-        )
-    }
-
-
-def _fig3_units(ctx: StudyContext) -> list[UnitSpec]:
-    grids = (10, 50) if ctx.quick else (10, 25, 50, 100)
-
-    def run_profile(ctx: StudyContext) -> dict[str, Any]:
-        from repro.experiments.fig3 import run_fig3
-
-        result = run_fig3(ctx.config)
-        return {
-            "version": result.version.value,
-            "top_consumers": [
-                [name, current] for name, current in result.top_consumers()
-            ],
-            "period_sweep": [
-                [period, days]
-                for period, days in sorted(result.period_sweep.items())
-            ],
-            "average_current_ma": result.profile.average_current_ma,
-            "period_s": result.profile.period_s,
-            "lifetime_days": result.profile.lifetime_days,
-        }
-
-    def run_grid_sweep(ctx: StudyContext) -> dict[str, Any]:
-        from repro.experiments.fig3 import run_grid_resource_sweep
-
-        rows = run_grid_resource_sweep(ctx.config, grids=grids, jobs=ctx.jobs)
-        return {"rows": rows}
-
-    return [
-        UnitSpec(
-            name="profile",
-            params={
-                "study": "fig3",
-                "config": _config_params(ctx.config),
-                "version": DetectorVersion.ORIGINAL.value,
-            },
-            run=run_profile,
-        ),
-        UnitSpec(
-            name="grid_sweep",
-            params={
-                "study": "fig3",
-                "config": _config_params(ctx.config),
-                "grids": list(grids),
-                "version": DetectorVersion.SIMPLIFIED.value,
-            },
-            run=run_grid_sweep,
-        ),
-    ]
-
-
-def _fig3_render(ctx: StudyContext, payloads: dict[str, Any]) -> dict[str, str]:
-    profile = payloads["profile"]
-    chart = format_bar_chart(
-        [(name, current) for name, current in profile["top_consumers"]],
-        unit=" mA",
-        title=(
-            f"Fig. 3: Resource Consumption of SIFT app "
-            f"({profile['version']} version)"
-        ),
-    )
-    slider = format_table(
-        ["Detection period (s)", "Expected lifetime (days)"],
-        [
-            [f"{period:g}", f"{days:.1f}"]
-            for period, days in profile["period_sweep"]
-        ],
-        title="ARP-view slider: battery life vs detection period",
-    )
-    summary = (
-        f"average current: {profile['average_current_ma']:.4f} mA | "
-        f"lifetime at {profile['period_s']:g} s period: "
-        f"{profile['lifetime_days']:.1f} days"
-    )
-    sweep_table = format_table(
-        ["grid_n", "deployable", "det FRAM KB", "Mcyc/win", "days"],
-        [
-            [
-                f"{row['grid_n']:g}",
-                "yes" if row["deployable"] else "NO (array limit)",
-                f"{row['detector_fram_kb']:.2f}",
-                f"{row['mcycles_per_window']:.2f}",
-                f"{row['lifetime_days']:.1f}",
-            ]
-            for row in payloads["grid_sweep"]["rows"]
-        ],
-    )
-    return {
-        "fig3": "\n\n".join([chart, slider, summary]),
-        "fig3_grid_resource_sweep": sweep_table,
-    }
-
-
-#: (ablation name, callable path, sweep kwarg, quick sweep, full sweep,
-#: takes jobs, report columns).  Sweeps are trimmed in quick mode so the
-#: orchestrator smoke stays a smoke.
-_ABLATIONS: tuple[tuple[str, str, str | None, tuple, tuple, bool, tuple[str, ...]], ...] = (
-    (
-        "window_size", "window_size_ablation", "window_values",
-        (1.5, 3.0), (1.5, 3.0, 6.0, 12.0), True,
-        ("window_s", "accuracy", "fp_rate", "fn_rate", "f1"),
-    ),
-    (
-        "grid_size", "grid_size_ablation", "grid_values",
-        (10, 50), (10, 25, 50, 100), True,
-        ("grid_n", "accuracy", "fp_rate", "fn_rate", "f1"),
-    ),
-    (
-        "training_duration", "training_duration_ablation", "durations_s",
-        (60.0, 180.0), (120.0, 300.0, 600.0, 1200.0), True,
-        ("train_duration_s", "accuracy", "fp_rate", "fn_rate", "f1"),
-    ),
-    (
-        "feature_classes", "feature_class_ablation", None,
-        (), (), True,
-        ("features", "n_features", "accuracy", "f1"),
-    ),
-    (
-        "classifier", "classifier_ablation", None,
-        (), (), False,
-        ("classifier", "accuracy", "f1"),
-    ),
-    (
-        "fixed_point", "fixed_point_ablation", "frac_bits_values",
-        (4, 14), (4, 6, 8, 10, 14, 20), False,
-        ("frac_bits", "accuracy", "agreement_with_float"),
-    ),
-    (
-        "attack_types", "attack_type_ablation", None,
-        (), (), False,
-        ("attack", "accuracy", "fn_rate", "fp_rate"),
-    ),
-    (
-        "mixed_attack_training", "mixed_attack_training_ablation", None,
-        (), (), False,
-        ("training", "eval_attack", "accuracy", "fn_rate", "fp_rate"),
-    ),
-)
-
-
-def _ablation_units(ctx: StudyContext) -> list[UnitSpec]:
-    import repro.experiments.ablations as ablations_module
-
-    units = []
-    for name, func_name, sweep_kwarg, quick_sweep, full_sweep, takes_jobs, _ in _ABLATIONS:
-        sweep = quick_sweep if ctx.quick else full_sweep
-
-        def make_run(func_name=func_name, sweep_kwarg=sweep_kwarg,
-                     sweep=sweep, takes_jobs=takes_jobs):
-            def run(ctx: StudyContext) -> dict[str, Any]:
-                func = getattr(ablations_module, func_name)
-                kwargs: dict[str, Any] = {}
-                if sweep_kwarg is not None:
-                    kwargs[sweep_kwarg] = sweep
-                if takes_jobs:
-                    kwargs["jobs"] = ctx.jobs
-                return {"rows": func(ctx.config, **kwargs)}
-
-            return run
-
-        params: dict[str, Any] = {
-            "study": "ablations",
-            "ablation": name,
-            "config": _config_params(ctx.config),
-        }
-        if sweep_kwarg is not None:
-            params["sweep"] = list(sweep)
-        units.append(UnitSpec(name=name, params=params, run=make_run()))
-    return units
-
-
-def _ablation_render(ctx: StudyContext, payloads: dict[str, Any]) -> dict[str, str]:
-    columns = {name: cols for name, _, _, _, _, _, cols in _ABLATIONS}
-    return {
-        f"ablation_{name}": _float_table(payload["rows"], columns[name])
-        for name, payload in payloads.items()
-    }
-
-
-def _fault_matrix_units(ctx: StudyContext) -> list[UnitSpec]:
-    from repro.faults import fault_names
-
-    severities = (0.0, 0.5, 1.0) if ctx.quick else (0.0, 0.25, 0.5, 1.0)
-
-    def make_run(fault: str):
-        def run(ctx: StudyContext) -> dict[str, Any]:
-            from repro.experiments.robustness import fault_matrix_study
-
-            rows = fault_matrix_study(
-                ctx.config, faults=(fault,), severities=severities
-            )
-            return {"rows": rows}
-
-        return run
-
-    return [
-        UnitSpec(
-            name=fault,
-            params={
-                "study": "fault-matrix",
-                "fault": fault,
-                "severities": list(severities),
-                "config": _config_params(ctx.config),
-            },
-            run=make_run(fault),
-        )
-        for fault in fault_names()
-    ]
-
-
-def _fault_matrix_render(ctx: StudyContext, payloads: dict[str, Any]) -> dict[str, str]:
-    from repro.experiments.robustness import format_fault_matrix
-
-    rows = [row for payload in payloads.values() for row in payload["rows"]]
-    return {"fault_matrix": format_fault_matrix(rows)}
-
-
-def _universal_units(ctx: StudyContext) -> list[UnitSpec]:
-    def run(ctx: StudyContext) -> dict[str, Any]:
-        from repro.experiments.universal import run_universal_study
-
-        study = run_universal_study(ctx.config)
-        return {
-            "per_user": _report_dict(study.per_user),
-            "universal": _report_dict(study.universal),
-            "per_subject_universal": [
-                [subject_id, _report_dict(report)]
-                for subject_id, report in study.per_subject_universal.items()
-            ],
-        }
-
-    return [
-        UnitSpec(
-            name="loso",
-            params={
-                "study": "universal",
-                "config": _config_params(ctx.config),
-            },
-            run=run,
-        )
-    ]
-
-
-def _universal_render(ctx: StudyContext, payloads: dict[str, Any]) -> dict[str, str]:
-    payload = payloads["loso"]
-    rows = [
-        [
-            label,
-            f"{100 * report['false_positive_rate']:.2f}",
-            f"{100 * report['false_negative_rate']:.2f}",
-            f"{100 * report['accuracy']:.2f}",
-        ]
-        for label, report in (
-            ("per-user (paper)", payload["per_user"]),
-            ("universal (LOSO)", payload["universal"]),
-        )
-    ]
-    per_subject = "\n".join(
-        f"  {subject_id}: {100 * report['accuracy']:.1f}%"
-        for subject_id, report in payload["per_subject_universal"]
-    )
-    return {
-        "universal_model": (
-            format_table(["training", "FP %", "FN %", "Acc %"], rows)
-            + "\n\nper-held-out-subject universal accuracy:\n"
-            + per_subject
-        )
-    }
-
-
-#: (robustness study, callable name, report name, report columns).
-_ROBUSTNESS: tuple[tuple[str, str, str, tuple[str, ...]], ...] = (
-    (
-        "channel_loss", "channel_loss_study", "robustness_channel_loss",
-        ("loss_probability", "window_coverage", "accuracy_on_classified"),
-    ),
-    (
-        "artifact_load", "artifact_load_study", "robustness_artifact_load",
-        ("artifact_rate_per_min", "accuracy", "fp_rate", "fn_rate"),
-    ),
-    (
-        "debounce", "debounce_study", "robustness_debounce",
-        (
-            "votes_needed", "vote_window", "window_accuracy",
-            "false_episodes_per_run", "attack_catch_rate",
-        ),
-    ),
-)
-
-
-def _robustness_units(ctx: StudyContext) -> list[UnitSpec]:
-    import repro.experiments.robustness as robustness_module
-
-    def make_run(func_name: str):
-        def run(ctx: StudyContext) -> dict[str, Any]:
-            func = getattr(robustness_module, func_name)
-            return {"rows": func(ctx.config)}
-
-        return run
-
-    return [
-        UnitSpec(
-            name=name,
-            params={
-                "study": "robustness",
-                "sweep": name,
-                "config": _config_params(ctx.config),
-            },
-            run=make_run(func_name),
-        )
-        for name, func_name, _, _ in _ROBUSTNESS
-    ]
-
-
-def _robustness_render(ctx: StudyContext, payloads: dict[str, Any]) -> dict[str, str]:
-    layout = {name: (report, cols) for name, _, report, cols in _ROBUSTNESS}
-    return {
-        layout[name][0]: _float_table(payload["rows"], layout[name][1])
-        for name, payload in payloads.items()
-    }
-
-
-def _gateway_units(ctx: StudyContext) -> list[UnitSpec]:
-    # Serving scale: quick keeps the orchestrator smoke a smoke; the
-    # full run holds the issue's >= 1k concurrent wearers.
-    n_wearers = 64 if ctx.quick else 1024
-    stream_s = 12.0 if ctx.quick else 30.0
-    batch_size = 256
-    loss_probability = 0.02
-
-    def run(ctx: StudyContext) -> dict[str, Any]:
-        from repro.gateway import run_gateway_load
-
-        report = run_gateway_load(
-            n_wearers=n_wearers,
-            stream_s=stream_s,
-            batch_size=batch_size,
-            loss_probability=loss_probability,
-            seed=ctx.config.seed,
-        )
-        stats = report.stats
-        return {
-            "n_wearers": report.n_wearers,
-            "wall_s": round(report.wall_s, 6),
-            "windows_sent": report.windows_sent,
-            "verdicts": stats.verdicts,
-            "windows_scored": stats.windows_scored,
-            "windows_abstained": stats.windows_abstained,
-            "windows_shed": stats.windows_shed,
-            "incomplete_windows": stats.incomplete_windows,
-            "windows_vanished": report.windows_vanished,
-            "episodes_closed": stats.episodes_closed,
-            "mean_batch_size": round(stats.mean_batch_size, 3),
-            "windows_per_s": round(report.windows_per_s, 3),
-            "p50_ms": round(report.p50_latency_s * 1e3, 4),
-            "p99_ms": round(report.p99_latency_s * 1e3, 4),
-            "leaked_sessions": report.leaked_sessions,
-            "n_windows": stats.verdicts,
-        }
-
-    return [
-        UnitSpec(
-            name="serving",
-            params={
-                "study": "gateway",
-                "n_wearers": n_wearers,
-                "stream_s": stream_s,
-                "batch_size": batch_size,
-                "loss_probability": loss_probability,
-                "seed": ctx.config.seed,
-            },
-            run=run,
-        )
-    ]
-
-
-def _gateway_render(ctx: StudyContext, payloads: dict[str, Any]) -> dict[str, str]:
-    payload = payloads["serving"]
-    rows = [
-        ["concurrent wearers", f"{payload['n_wearers']}"],
-        ["windows sent", f"{payload['windows_sent']}"],
-        [
-            "verdicts",
-            f"{payload['verdicts']} ({payload['windows_scored']} scored, "
-            f"{payload['windows_abstained']} abstained)",
-        ],
-        ["windows shed", f"{payload['windows_shed']}"],
-        [
-            "incomplete windows",
-            f"{payload['incomplete_windows']} "
-            f"(+{payload.get('windows_vanished', 0)} vanished in channel)",
-        ],
-        ["episodes closed", f"{payload['episodes_closed']}"],
-        ["mean batch size", f"{payload['mean_batch_size']:.1f}"],
-        ["throughput", f"{payload['windows_per_s']:.0f} windows/s"],
-        [
-            "verdict latency",
-            f"p50 {payload['p50_ms']:.2f} ms, p99 {payload['p99_ms']:.2f} ms",
-        ],
-        ["leaked sessions", f"{payload['leaked_sessions']}"],
-    ]
-    return {
-        "gateway_serving": format_table(
-            ["metric", "value"],
-            rows,
-            title="Ingestion gateway: multi-wearer serving load",
-        )
-    }
-
-
-def _chaos_units(ctx: StudyContext) -> list[UnitSpec]:
-    # Chaos scale: the schedules are invariant checks, not load tests --
-    # quick and full differ only in fleet size / stream length so the
-    # full run exercises more batches per fault.
-    n_wearers = 8 if ctx.quick else 16
-    stream_s = 12.0 if ctx.quick else 24.0
-
-    from repro.faults.runtime import schedule_names
-
-    def schedule_runner(schedule: str) -> Callable[[StudyContext], dict[str, Any]]:
-        def run(ctx: StudyContext) -> dict[str, Any]:
-            from repro.faults.runtime import run_chaos_schedule
-
-            report = run_chaos_schedule(
-                schedule,
-                seed=ctx.config.seed,
-                n_wearers=n_wearers,
-                stream_s=stream_s,
-                strict=False,
-            )
-            payload = report.to_payload()
-            payload["n_windows"] = payload["verdicts"]
-            return payload
-
-        return run
-
-    def run_restart(ctx: StudyContext) -> dict[str, Any]:
-        import tempfile
-
-        from repro.faults.runtime import run_restart_chaos
-
-        with tempfile.TemporaryDirectory(prefix="chaos-restart-") as tmp:
-            report = run_restart_chaos(
-                Path(tmp) / "sessions.jsonl",
-                seed=ctx.config.seed,
-                strict=False,
-            )
-        payload = report.to_payload()
-        payload["n_windows"] = report.n_wearers * report.n_windows_per_wearer
-        return payload
-
-    def run_truncation(ctx: StudyContext) -> dict[str, Any]:
-        import tempfile
-
-        from repro.faults.runtime import run_truncation_chaos
-
-        with tempfile.TemporaryDirectory(prefix="chaos-trunc-") as tmp:
-            report = run_truncation_chaos(tmp, seed=ctx.config.seed, strict=False)
-        return report.to_payload()
-
-    units = [
-        UnitSpec(
-            name=f"schedule-{schedule}",
-            params={
-                "study": "chaos",
-                "schedule": schedule,
-                "n_wearers": n_wearers,
-                "stream_s": stream_s,
-                "seed": ctx.config.seed,
-            },
-            run=schedule_runner(schedule),
-        )
-        for schedule in schedule_names()
-    ]
-    units.append(
-        UnitSpec(
-            name="restart",
-            params={"study": "chaos", "unit": "restart", "seed": ctx.config.seed},
-            run=run_restart,
-        )
-    )
-    units.append(
-        UnitSpec(
-            name="truncation",
-            params={"study": "chaos", "unit": "truncation", "seed": ctx.config.seed},
-            run=run_truncation,
-        )
-    )
-    return units
-
-
-def _chaos_render(ctx: StudyContext, payloads: dict[str, Any]) -> dict[str, str]:
-    rows = []
-    for name, payload in payloads.items():
-        if not name.startswith("schedule-"):
-            continue
-        rows.append(
-            [
-                payload["schedule"],
-                f"{payload['planned_faults']}",
-                f"{payload['faults_detected']}",
-                f"{payload['restarts']}",
-                f"{payload['windows_degraded']}",
-                f"{payload['windows_unscorable']}",
-                "yes" if payload["conservation_ok"] else "NO",
-                "ok" if payload["ok"] else "; ".join(payload["violations"]),
-            ]
-        )
-    restart = payloads["restart"]
-    truncation = payloads["truncation"]
-    rows.append(
-        [
-            "restart",
-            "1",
-            "-",
-            "1",
-            "-",
-            "-",
-            "yes" if restart["bit_identical_outside_restart"] else "NO",
-            "ok" if restart["ok"] else "; ".join(restart["violations"]),
-        ]
-    )
-    rows.append(
-        [
-            "truncation",
-            f"{truncation['points_checked']}",
-            "-",
-            "-",
-            "-",
-            "-",
-            "yes",
-            "ok" if truncation["ok"] else "; ".join(truncation["violations"]),
-        ]
-    )
-    return {
-        "chaos_matrix": format_table(
-            [
-                "schedule",
-                "planned",
-                "detected",
-                "restarts",
-                "degraded",
-                "unscorable",
-                "conserved",
-                "verdict",
-            ],
-            rows,
-            title="Runtime chaos: supervised gateway under seeded fault schedules",
-        )
-    }
-
-
-def _native_units(ctx: StudyContext) -> list[UnitSpec]:
-    # Native scale: throughput comparison needs a stream long enough to
-    # swamp dispatch overhead; quick keeps it to a CI-smoke minute.
-    stream_s = 60.0 if ctx.quick else 300.0
-    train_s = 120.0
-
-    def tier_runner(version_name: str) -> Callable[[StudyContext], dict[str, Any]]:
-        def run(ctx: StudyContext) -> dict[str, Any]:
-            from repro.core.detector import SIFTDetector
-            from repro.native import native_status
-            from repro.signals import SyntheticFantasia, iter_windows
-
-            data = SyntheticFantasia(n_subjects=4, seed=ctx.config.seed)
-            victim = data.subjects[0]
-            others = data.subjects[1:]
-            detector = SIFTDetector(version=version_name)
-            detector.fit(
-                data.record(victim, train_s, purpose="train"),
-                [data.record(s, train_s / 2, purpose="train") for s in others],
-            )
-            record = data.record(victim, stream_s, purpose="test")
-            windows = list(iter_windows(record, window_s=3.0))
-
-            def best_of(fn: Callable[[], Any], rounds: int = 3) -> float:
-                best = float("inf")
-                for _ in range(rounds):
-                    started = time.perf_counter()
-                    fn()
-                    best = min(best, time.perf_counter() - started)
-                return best
-
-            numpy_values = detector.decision_values(windows)
-            numpy_wall = best_of(lambda: detector.decision_values(windows))
-            payload: dict[str, Any] = {
-                "n_windows": len(windows),
-                "numpy_windows_per_s": round(len(windows) / numpy_wall, 3),
-            }
-            available, reason = native_status(version_name)
-            payload["available"] = available
-            if not available:
-                # No toolchain (or no SVML for Original): still a valid
-                # unit -- the payload records why there is no native lane.
-                payload.update(reason=reason, speedup=None, bit_identical=None)
-                return payload
-            detector.platform = "native"
-            if not detector.native_active:  # build failed; reason captured
-                payload.update(
-                    available=False,
-                    reason=str(detector.native_error),
-                    speedup=None,
-                    bit_identical=None,
-                )
-                return payload
-            native_values = detector.decision_values(windows)
-            native_wall = best_of(lambda: detector.decision_values(windows))
-            payload.update(
-                reason="ok",
-                bit_identical=bool(np.array_equal(numpy_values, native_values)),
-                native_windows_per_s=round(len(windows) / native_wall, 3),
-                speedup=round(numpy_wall / native_wall, 3),
-            )
-            return payload
-
-        return run
-
-    return [
-        UnitSpec(
-            name=version.value,
-            params={
-                "study": "native",
-                "version": version.value,
-                "stream_s": stream_s,
-                "seed": ctx.config.seed,
-            },
-            run=tier_runner(version.value),
-        )
-        for version in DetectorVersion
-    ]
-
-
-def _native_render(ctx: StudyContext, payloads: dict[str, Any]) -> dict[str, str]:
-    rows = []
-    for name, payload in payloads.items():
-        if payload.get("available"):
-            rows.append(
-                [
-                    name,
-                    f"{payload['numpy_windows_per_s']:.0f}",
-                    f"{payload['native_windows_per_s']:.0f}",
-                    f"{payload['speedup']:.2f}x",
-                    "yes" if payload["bit_identical"] else "NO",
-                ]
-            )
-        else:
-            rows.append(
-                [name, f"{payload['numpy_windows_per_s']:.0f}", "-", "-",
-                 payload.get("reason", "unavailable")]
-            )
-    return {
-        "native_speedup": format_table(
-            ["tier", "numpy w/s", "native w/s", "speedup", "bit-identical"],
-            rows,
-            title="Native scoring core: generated-C hot path vs NumPy",
-        )
-    }
-
-
-def build_registry() -> dict[str, StudyDefinition]:
-    """The default study registry, in canonical run order."""
-    return {
-        "table2": StudyDefinition("table2", _table2_units, _table2_render),
-        "table3": StudyDefinition("table3", _table3_units, _table3_render),
-        "fig3": StudyDefinition("fig3", _fig3_units, _fig3_render),
-        "ablations": StudyDefinition(
-            "ablations", _ablation_units, _ablation_render
-        ),
-        "fault-matrix": StudyDefinition(
-            "fault-matrix", _fault_matrix_units, _fault_matrix_render
-        ),
-        "universal": StudyDefinition(
-            "universal", _universal_units, _universal_render
-        ),
-        "robustness": StudyDefinition(
-            "robustness", _robustness_units, _robustness_render
-        ),
-        "gateway": StudyDefinition(
-            "gateway", _gateway_units, _gateway_render
-        ),
-        "chaos": StudyDefinition("chaos", _chaos_units, _chaos_render),
-        "native": StudyDefinition("native", _native_units, _native_render),
-    }
-
-
-def study_names() -> tuple[str, ...]:
-    """The registered study names, in canonical run order."""
-    return tuple(build_registry())
-
-
-# ----------------------------------------------------------------------
 # Orchestrator
 # ----------------------------------------------------------------------
-
-
-def _calibration_s() -> float:
-    """Seconds this machine takes for a fixed numpy workload.
-
-    Stamped into every trajectory so two records from different hosts
-    (or a CI runner on a noisy neighbour) compare on *calibrated*
-    wall-clock: the regression gate divides each study's wall-clock by
-    its trajectory's calibration constant.  Best-of-five of a seeded
-    matmul chain sized to tens of milliseconds -- long enough that
-    scheduler jitter doesn't swing the constant (a noisy calibration
-    would inject the very noise it exists to remove), dominated by the
-    same BLAS/cache machinery as the hot paths it normalizes.
-    """
-    rng = np.random.default_rng(0)
-    a = rng.standard_normal((384, 384))
-    best = float("inf")
-    for _ in range(5):
-        started = time.perf_counter()
-        for _ in range(16):
-            a @ a
-        best = min(best, time.perf_counter() - started)
-    return best
 
 
 class Orchestrator:
@@ -1233,19 +265,19 @@ class Orchestrator:
 
     Parameters
     ----------
-    config:
-        Protocol configuration shared by every study (default: the
-        paper's; ``quick=True`` without an explicit config uses
-        :meth:`ExperimentConfig.quick`).
     quick:
-        Trim the sweeps (ablation values, fault severities, grid sizes)
-        to smoke size.  Affects unit *params*, so quick and full
-        checkpoints never collide.
+        Run every study under :meth:`ExperimentConfig.quick` and trim
+        the sweeps (ablation values, fault severities, grid sizes) to
+        smoke size.  Otherwise each study runs its own full-protocol
+        config (the one its committed reports use).  Affects unit
+        *params*, so quick and full checkpoints never collide.
     jobs:
         Worker processes for the cohort-fanning units.  Not part of any
         config hash: results are bit-identical at any worker count.
     checkpoint_dir / results_dir:
-        Where unit checkpoints and rendered reports live.
+        Where unit checkpoints and rendered reports live.  The results
+        directory defaults to ``benchmarks/results``, or its ``quick/``
+        subdirectory for quick runs.
     registry:
         Study registry override (tests inject synthetic studies).
     echo:
@@ -1254,19 +286,19 @@ class Orchestrator:
 
     def __init__(
         self,
-        config: ExperimentConfig | None = None,
         quick: bool = False,
         jobs: int = 1,
         checkpoint_dir: Path | str = DEFAULT_CHECKPOINT_DIR,
-        results_dir: Path | str = DEFAULT_RESULTS_DIR,
+        results_dir: Path | str | None = None,
         registry: Mapping[str, StudyDefinition] | None = None,
         echo: Callable[[str], None] | None = None,
     ) -> None:
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
-        if config is None:
-            config = ExperimentConfig.quick() if quick else ExperimentConfig()
-        self.context = StudyContext(config=config, quick=bool(quick), jobs=int(jobs))
+        if results_dir is None:
+            results_dir = DEFAULT_RESULTS_DIR / "quick" if quick else DEFAULT_RESULTS_DIR
+        self.quick = bool(quick)
+        self.jobs = int(jobs)
         self.store = CheckpointStore(checkpoint_dir)
         self.results_dir = Path(results_dir)
         self.registry = dict(registry) if registry is not None else build_registry()
@@ -1277,102 +309,90 @@ class Orchestrator:
         if self._echo is not None:
             self._echo(message)
 
+    def _check_names(self, names: Sequence[str]) -> None:
+        unknown = [name for name in names if name not in self.registry]
+        if unknown:
+            known = ", ".join(self.registry)
+            raise CheckpointError(
+                f"unknown study {', '.join(map(repr, unknown))} (known: {known})"
+            )
+
     # -- single-study execution ----------------------------------------
 
-    def run_study(
-        self, name: str, reeval: bool = False, write_reports: bool = True
-    ) -> StudyRun:
+    def run_study(self, name: str, reeval: bool = False) -> StudyRun:
         """Run (or resume, or re-render) one study.
 
         Units whose checkpoint carries the current config hash are
-        *skipped* -- their payloads come off disk.  ``reeval`` forbids
+        *skipped* -- their results come off disk.  ``reeval`` forbids
         computation entirely: a unit without a valid checkpoint raises
         :class:`MissingCheckpointError`.
         """
-        try:
-            definition = self.registry[name]
-        except KeyError:
-            known = ", ".join(self.registry)
-            raise CheckpointError(f"unknown study {name!r} (known: {known})")
-        specs = definition.build_units(self.context)
+        self._check_names([name])
+        definition = self.registry[name]
+        config = ExperimentConfig.quick() if self.quick else definition.config
+        ctx = StudyContext(config=config, quick=self.quick, jobs=self.jobs)
         existing = self.store.load(name)
         outcomes: list[UnitOutcome] = []
-        for spec in specs:
+        for spec in definition.build_units(ctx):
             unit_hash = config_hash(spec.params)
             record = existing.get(spec.name)
-            if record is not None and record.get("config_hash") == unit_hash:
+            if (
+                record is not None
+                and record.get("schema") == CHECKPOINT_SCHEMA
+                and record.get("config_hash") == unit_hash
+            ):
                 self.echo(f"[{name}] {spec.name}: checkpoint hit ({unit_hash})")
-                outcomes.append(
-                    UnitOutcome(
-                        name=spec.name,
-                        config_hash=unit_hash,
-                        payload=record.get("payload"),
-                        wall_s=float(record.get("wall_s", 0.0)),
-                        cached=True,
-                        cache=dict(record.get("cache", {})),
-                        dataplane=dict(record.get("dataplane", {})),
-                    )
-                )
+                outcomes.append(_outcome(spec, record, cached=True))
                 continue
             if reeval:
                 raise MissingCheckpointError(
                     f"study {name!r} unit {spec.name!r} has no checkpoint "
                     f"for hash {unit_hash} -- run without reeval first"
                 )
-            outcomes.append(self._run_unit(name, spec, unit_hash))
-        payloads = {o.name: o.payload for o in outcomes}
+            outcomes.append(self._run_unit(name, ctx, spec, unit_hash))
         reports: dict[str, Path] = {}
-        if write_reports:
-            for report_name, text in definition.render(
-                self.context, payloads
-            ).items():
-                self.results_dir.mkdir(parents=True, exist_ok=True)
-                path = self.results_dir / f"{report_name}.txt"
-                path.write_text(text + "\n")
-                reports[report_name] = path
+        results = {o.name: o.result for o in outcomes}
+        for report_name, text in definition.render(ctx, results).items():
+            self.results_dir.mkdir(parents=True, exist_ok=True)
+            path = self.results_dir / f"{report_name}.txt"
+            path.write_text(text + "\n")
+            reports[report_name] = path
         return StudyRun(name=name, units=tuple(outcomes), reports=reports)
 
-    def _run_unit(self, study: str, spec: UnitSpec, unit_hash: str) -> UnitOutcome:
+    def _run_unit(
+        self, study: str, ctx: StudyContext, spec: UnitSpec, unit_hash: str
+    ) -> UnitOutcome:
         cache_before = EXPERIMENT_CACHE.stats()
         plane_before = dataplane.perf_stats()
         started = time.perf_counter()
-        payload = spec.run(self.context)
+        result = spec.run(ctx)
         wall_s = time.perf_counter() - started
-        # Round-trip through JSON *now* so the first run renders from
-        # exactly what a resumed run will load (tuples become lists,
-        # keys become strings): reports stay bit-identical either way.
-        payload = json.loads(json.dumps(payload))
         cache_after = EXPERIMENT_CACHE.stats()
         plane_after = dataplane.perf_stats()
-        cache_delta = {
-            key: int(cache_after[key]) - int(cache_before[key])
-            for key in ("hits", "misses", "evictions")
-        }
-        plane_delta = {
-            key: round(plane_after[key] - plane_before[key], 6)
-            for key in ("publishes", "publish_s", "attaches", "attach_s")
-        }
         record = {
-            "schema": SCHEMA,
+            "schema": CHECKPOINT_SCHEMA,
             "unit": spec.name,
             "config_hash": unit_hash,
-            "payload": payload,
+            "payload": encode(result),
             "wall_s": round(wall_s, 6),
-            "cache": cache_delta,
-            "dataplane": plane_delta,
+            "n_windows": int(spec.n_windows(result)) if spec.n_windows else 0,
+            "p99_ms": float(spec.p99_ms(result)) if spec.p99_ms else 0.0,
+            "cache": {
+                key: int(cache_after[key]) - int(cache_before[key])
+                for key in ("hits", "misses", "evictions")
+            },
+            "dataplane": {
+                key: round(plane_after[key] - plane_before[key], 6)
+                for key in ("publishes", "publish_s", "attaches", "attach_s")
+            },
             "completed_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         }
-        self.store.append(study, record)
+        # Decode the line as written, *now*: the first run renders from
+        # exactly what a resumed run will load, so reports stay
+        # bit-identical either way.
+        line = self.store.append(study, record)
         self.echo(f"[{study}] {spec.name}: computed in {wall_s:.2f}s")
-        return UnitOutcome(
-            name=spec.name,
-            config_hash=unit_hash,
-            payload=payload,
-            wall_s=wall_s,
-            cached=False,
-            cache=cache_delta,
-            dataplane=plane_delta,
-        )
+        return _outcome(spec, json.loads(line), cached=False)
 
     # -- full runs ------------------------------------------------------
 
@@ -1381,11 +401,11 @@ class Orchestrator:
         studies: Sequence[str] | None = None,
         reeval: bool = False,
         fresh: bool = False,
-        write_reports: bool = True,
         trajectory: bool = True,
     ) -> OrchestratorRun:
         """Run the study matrix (default: every registered study).
 
+        Every name is validated before anything is removed or run.
         ``fresh`` drops the selected studies' checkpoints first;
         ``reeval`` renders reports from checkpoints alone (zero
         recomputation, no trajectory).  On completion a ``BENCH_<stamp>
@@ -1393,15 +413,13 @@ class Orchestrator:
         copied to ``BENCH_latest.json`` for the CI gate).
         """
         names = list(studies) if studies is not None else list(self.registry)
+        self._check_names(names)
         if fresh:
             if reeval:
                 raise CheckpointError("fresh and reeval are contradictory")
             for name in names:
                 self.store.remove(name)
-        runs = tuple(
-            self.run_study(name, reeval=reeval, write_reports=write_reports)
-            for name in names
-        )
+        runs = tuple(self.run_study(name, reeval=reeval) for name in names)
         record: dict[str, Any] | None = None
         path: Path | None = None
         recomputed = sum(run.recomputed_units for run in runs)
@@ -1409,309 +427,22 @@ class Orchestrator:
             # A fully-cached run measured nothing; writing its ~0s
             # trajectory would clobber BENCH_latest.json with a record
             # the regression gate can only skip.
-            record = self._build_trajectory(runs)
+            record = build_trajectory(runs, quick=self.quick, jobs=self.jobs)
             path = write_trajectory(record, self.results_dir)
             self.echo(f"perf trajectory: {path}")
         return OrchestratorRun(studies=runs, trajectory=record, trajectory_path=path)
 
-    def _build_trajectory(self, runs: Sequence[StudyRun]) -> dict[str, Any]:
-        studies: dict[str, Any] = {}
-        for run in runs:
-            wall_s = run.wall_s
-            n_windows = run.n_windows
-            cache = {"hits": 0, "misses": 0, "evictions": 0}
-            plane = {"publishes": 0, "publish_s": 0.0, "attaches": 0, "attach_s": 0.0}
-            # Serving studies report a tail latency; the worst recomputed
-            # unit's p99 is the study's (a sum would be meaningless).
-            p99_ms = 0.0
-            for unit in run.units:
-                if unit.cached:
-                    continue
-                for key in cache:
-                    cache[key] += int(unit.cache.get(key, 0))
-                for key in plane:
-                    plane[key] += unit.dataplane.get(key, 0)
-                if isinstance(unit.payload, Mapping):
-                    p99_ms = max(p99_ms, float(unit.payload.get("p99_ms", 0.0)))
-            studies[run.name] = {
-                "p99_ms": round(p99_ms, 4),
-                "wall_s": round(wall_s, 6),
-                "units": len(run.units),
-                "recomputed_units": run.recomputed_units,
-                "cached_units": len(run.units) - run.recomputed_units,
-                "n_windows": n_windows,
-                "windows_per_s": (
-                    round(n_windows / wall_s, 3) if wall_s > 0 and n_windows else 0.0
-                ),
-                "cache": cache,
-                "dataplane": {
-                    "publishes": int(plane["publishes"]),
-                    "publish_s": round(plane["publish_s"], 6),
-                    "attaches": int(plane["attaches"]),
-                    "attach_s": round(plane["attach_s"], 6),
-                },
-                "units_detail": [
-                    {
-                        "unit": unit.name,
-                        "wall_s": round(unit.wall_s, 6),
-                        "cached": unit.cached,
-                    }
-                    for unit in run.units
-                ],
-            }
-        return {
-            "schema": SCHEMA,
-            "label": "orchestrate",
-            "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-            "quick": self.context.quick,
-            "jobs": self.context.jobs,
-            "python": sys.version.split()[0],
-            "calibration_s": round(_calibration_s(), 6),
-            "studies": studies,
-        }
 
-
-# ----------------------------------------------------------------------
-# Perf samples (the benches' route into the trajectory)
-# ----------------------------------------------------------------------
-
-#: Process-local samples recorded by ``benchmarks/conftest.run_once``.
-_PERF_SAMPLES: list[dict[str, Any]] = []
-
-
-def record_perf_sample(
-    study: str,
-    unit: str,
-    wall_s: float,
-    n_windows: int = 0,
-    p99_ms: float = 0.0,
-    **extra: Any,
-) -> None:
-    """Record one bench measurement for the session's trajectory.
-
-    ``p99_ms`` is the serving-path tail latency (0 = not a serving
-    measurement); it feeds the trajectory's per-study ``p99_ms`` and the
-    regression gate's latency check.  Any further keyword fields (e.g.
-    the native bench's measured ``speedup``) ride along into the unit's
-    ``units_detail`` entry verbatim -- they must be JSON-serializable.
-    """
-    _PERF_SAMPLES.append(
-        {
-            "study": str(study),
-            "unit": str(unit),
-            "wall_s": float(wall_s),
-            "n_windows": int(n_windows),
-            "p99_ms": float(p99_ms),
-            **{str(key): value for key, value in extra.items()},
-        }
+def _outcome(spec: UnitSpec, record: Mapping[str, Any], cached: bool) -> UnitOutcome:
+    """A unit's outcome from its checkpoint record."""
+    return UnitOutcome(
+        name=spec.name,
+        wall_s=float(record["wall_s"]),
+        cached=cached,
+        result=decode(spec.returns, record["payload"]),
+        config_hash=str(record["config_hash"]),
+        n_windows=int(record["n_windows"]),
+        p99_ms=float(record["p99_ms"]),
+        cache=dict(record["cache"]),
+        dataplane=dict(record["dataplane"]),
     )
-
-
-def drain_perf_samples() -> list[dict[str, Any]]:
-    """All samples recorded so far (clearing the buffer)."""
-    samples, _PERF_SAMPLES[:] = list(_PERF_SAMPLES), []
-    return samples
-
-
-def trajectory_from_samples(
-    samples: Sequence[Mapping[str, Any]],
-    label: str = "bench",
-    quick: bool = False,
-    jobs: int = 1,
-) -> dict[str, Any]:
-    """Aggregate raw perf samples into a trajectory record."""
-    studies: dict[str, Any] = {}
-    for sample in samples:
-        study = studies.setdefault(
-            str(sample["study"]),
-            {
-                "wall_s": 0.0,
-                "units": 0,
-                "recomputed_units": 0,
-                "cached_units": 0,
-                "n_windows": 0,
-                "windows_per_s": 0.0,
-                "p99_ms": 0.0,
-                "units_detail": [],
-            },
-        )
-        study["wall_s"] = round(study["wall_s"] + float(sample["wall_s"]), 6)
-        study["units"] += 1
-        study["recomputed_units"] += 1
-        study["n_windows"] += int(sample.get("n_windows", 0))
-        study["p99_ms"] = round(
-            max(study["p99_ms"], float(sample.get("p99_ms", 0.0))), 4
-        )
-        detail = {
-            "unit": str(sample["unit"]),
-            "wall_s": round(float(sample["wall_s"]), 6),
-            "cached": False,
-        }
-        detail.update(
-            {
-                key: value
-                for key, value in sample.items()
-                if key not in ("study", "unit", "wall_s", "n_windows", "p99_ms")
-            }
-        )
-        study["units_detail"].append(detail)
-    for study in studies.values():
-        if study["wall_s"] > 0 and study["n_windows"]:
-            study["windows_per_s"] = round(
-                study["n_windows"] / study["wall_s"], 3
-            )
-    return {
-        "schema": SCHEMA,
-        "label": str(label),
-        "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        "quick": bool(quick),
-        "jobs": int(jobs),
-        "python": sys.version.split()[0],
-        "calibration_s": round(_calibration_s(), 6),
-        "studies": studies,
-    }
-
-
-# ----------------------------------------------------------------------
-# Trajectory files and the regression gate
-# ----------------------------------------------------------------------
-
-
-def write_trajectory(
-    record: Mapping[str, Any],
-    directory: Path | str = DEFAULT_RESULTS_DIR,
-    stamp: str | None = None,
-) -> Path:
-    """Write ``BENCH_<stamp>.json`` (and the ``BENCH_latest.json`` copy).
-
-    ``stamp`` defaults to the current local time, second resolution;
-    the dated file is the per-run artifact, ``BENCH_latest.json`` is the
-    stable name CI feeds to the regression gate.
-    """
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    stamp = stamp or time.strftime("%Y%m%d-%H%M%S")
-    text = json.dumps(record, indent=2, sort_keys=True) + "\n"
-    path = directory / f"BENCH_{stamp}.json"
-    path.write_text(text)
-    (directory / "BENCH_latest.json").write_text(text)
-    return path
-
-
-def load_trajectory(path: Path | str) -> dict[str, Any]:
-    """Load one trajectory record (schema-checked)."""
-    record = json.loads(Path(path).read_text())
-    if not isinstance(record, dict) or "studies" not in record:
-        raise CheckpointError(f"{path}: not a trajectory record")
-    return record
-
-
-def compare_trajectories(
-    baseline: Mapping[str, Any],
-    current: Mapping[str, Any],
-    threshold: float = 0.2,
-    min_wall_s: float = 1.0,
-    min_p99_ms: float = 1.0,
-) -> tuple[list[str], list[str]]:
-    """The CI regression gate over two trajectory records.
-
-    Returns ``(regressions, lines)``: human-readable regression messages
-    (empty = gate passes) plus a per-study comparison table.  A study
-    regresses when its wall-clock grows by more than ``threshold``
-    (default 20 %) under *both* the raw and the calibration-normalized
-    ratio -- the favorable one wins, so neither a slower CI runner (raw
-    inflated, calibrated ~1) nor a noisy calibration constant (calibrated
-    inflated, raw ~1) can fail the gate by itself; a genuine same-code
-    slowdown inflates both.  Throughput (windows/sec) gates symmetrically
-    on a drop past ``threshold``, and serving tail latency (``p99_ms``,
-    recorded by the gateway study) gates like wall-clock, with its own
-    ``min_p99_ms`` noise floor.  Studies missing from either side, fully
-    checkpoint-cached on either side, or faster than ``min_wall_s`` on
-    both sides (noise floor) are reported but never gate.
-    """
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
-    base_cal = float(baseline.get("calibration_s", 0.0)) or None
-    cur_cal = float(current.get("calibration_s", 0.0)) or None
-    regressions: list[str] = []
-    lines: list[str] = []
-    base_studies = baseline.get("studies", {})
-    cur_studies = current.get("studies", {})
-    for name in sorted(set(base_studies) | set(cur_studies)):
-        base = base_studies.get(name)
-        cur = cur_studies.get(name)
-        if base is None or cur is None:
-            lines.append(
-                f"{name}: only in "
-                f"{'current' if base is None else 'baseline'} -- skipped"
-            )
-            continue
-        base_wall = float(base.get("wall_s", 0.0))
-        cur_wall = float(cur.get("wall_s", 0.0))
-        if not base.get("recomputed_units") or not cur.get("recomputed_units"):
-            lines.append(f"{name}: checkpoint-cached run -- skipped")
-            continue
-        if base_wall < min_wall_s and cur_wall < min_wall_s:
-            # Sub-second studies never wall-clock-gate, but their tail
-            # latency (below) still does: a serving study can be cheap
-            # in wall-clock yet regress badly in p99.
-            lines.append(
-                f"{name}: {base_wall:.2f}s -> {cur_wall:.2f}s "
-                f"(below {min_wall_s:g}s noise floor -- skipped)"
-            )
-        else:
-            raw_ratio = cur_wall / base_wall if base_wall > 0 else float("inf")
-            if base_cal and cur_cal:
-                cal_ratio = (cur_wall / cur_cal) / (base_wall / base_cal)
-                ratio = min(raw_ratio, cal_ratio)
-                note = f" raw x{raw_ratio:.2f}, calibrated x{cal_ratio:.2f}"
-            else:
-                ratio = raw_ratio
-                note = f" raw x{raw_ratio:.2f}"
-            lines.append(
-                f"{name}: {base_wall:.2f}s -> {cur_wall:.2f}s [{note.strip()}]"
-            )
-            if ratio > 1.0 + threshold:
-                regressions.append(
-                    f"{name}: wall-clock regressed x{ratio:.2f} "
-                    f"(limit x{1.0 + threshold:.2f};{note})"
-                )
-            base_wps = float(base.get("windows_per_s", 0.0))
-            cur_wps = float(cur.get("windows_per_s", 0.0))
-            if base_wps > 0 and cur_wps > 0:
-                raw_wps = cur_wps / base_wps
-                if base_cal and cur_cal:
-                    cal_wps = (cur_wps * cur_cal) / (base_wps * base_cal)
-                    wps_ratio = max(raw_wps, cal_wps)
-                else:
-                    wps_ratio = raw_wps
-                if wps_ratio < 1.0 - threshold:
-                    regressions.append(
-                        f"{name}: throughput regressed x{wps_ratio:.2f} "
-                        f"({base_wps:.1f} -> {cur_wps:.1f} windows/s)"
-                    )
-        base_p99 = float(base.get("p99_ms", 0.0))
-        cur_p99 = float(cur.get("p99_ms", 0.0))
-        if base_p99 > 0 and cur_p99 > 0:
-            if base_p99 < min_p99_ms and cur_p99 < min_p99_ms:
-                lines.append(
-                    f"{name}: p99 {base_p99:.2f}ms -> {cur_p99:.2f}ms "
-                    f"(below {min_p99_ms:g}ms noise floor -- skipped)"
-                )
-            else:
-                raw_p99 = cur_p99 / base_p99
-                if base_cal and cur_cal:
-                    cal_p99 = (cur_p99 / cur_cal) / (base_p99 / base_cal)
-                    p99_ratio = min(raw_p99, cal_p99)
-                else:
-                    p99_ratio = raw_p99
-                lines.append(
-                    f"{name}: p99 {base_p99:.2f}ms -> {cur_p99:.2f}ms "
-                    f"[raw x{raw_p99:.2f}]"
-                )
-                if p99_ratio > 1.0 + threshold:
-                    regressions.append(
-                        f"{name}: p99 latency regressed x{p99_ratio:.2f} "
-                        f"({base_p99:.2f} -> {cur_p99:.2f} ms)"
-                    )
-    return regressions, lines

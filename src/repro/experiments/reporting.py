@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Any, Mapping, Sequence
 
-__all__ = ["format_bar_chart", "format_table"]
+__all__ = ["format_bar_chart", "format_rows", "format_table"]
 
 
 def format_table(
@@ -27,6 +27,20 @@ def format_table(
     lines.append(rule)
     lines.extend(render(row) for row in cells[1:])
     return "\n".join(lines)
+
+
+def format_rows(rows: Sequence[Mapping[str, Any]], columns: Sequence[str]) -> str:
+    """Sweep rows as a table: ``%.4g`` floats, every other value verbatim."""
+    return format_table(
+        columns,
+        [
+            [
+                f"{row[c]:.4g}" if isinstance(row[c], float) else str(row[c])
+                for c in columns
+            ]
+            for row in rows
+        ],
+    )
 
 
 def format_bar_chart(

@@ -9,6 +9,7 @@ and averages the per-subject FP/FN/accuracy/F1 rates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from repro.core.versions import DetectorVersion
 from repro.experiments.pipeline import ExperimentConfig, SubjectRunResult
@@ -60,6 +61,16 @@ class Table2Result:
             if candidate.version is version and candidate.platform == platform:
                 return candidate
         raise KeyError(f"no row for ({version}, {platform!r})")
+
+    @classmethod
+    def merge(cls, parts: Sequence[Table2Result]) -> Table2Result:
+        """Concatenate per-version results run under one config."""
+        return cls(
+            rows=tuple(row for part in parts for row in part.rows),
+            per_subject=tuple(s for part in parts for s in part.per_subject),
+            config=parts[0].config,
+            failures=tuple(f for part in parts for f in part.failures),
+        )
 
 
 def run_table2(

@@ -10,6 +10,7 @@ layout and projected battery lifetime.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from repro.amulet.profiler import ResourceProfile
 from repro.core.versions import DetectorVersion
@@ -39,6 +40,14 @@ class Table3Result:
 
     profiles: dict[DetectorVersion, ResourceProfile]
     config: ExperimentConfig
+
+    @classmethod
+    def merge(cls, parts: Sequence[Table3Result]) -> Table3Result:
+        """Combine per-version results run under one config."""
+        return cls(
+            profiles={v: p for part in parts for v, p in part.profiles.items()},
+            config=parts[0].config,
+        )
 
     def profile(self, version: DetectorVersion) -> ResourceProfile:
         """The resource profile of one version."""

@@ -27,12 +27,13 @@ from repro.experiments.pipeline import (
     make_dataset,
     run_subject,
 )
+from repro.experiments.reporting import format_table
 from repro.ml.kernels import make_kernel
 from repro.ml.metrics import DetectionReport, mean_report, score_predictions
 from repro.ml.scaler import StandardScaler
 from repro.ml.svm import SVC
 
-__all__ = ["UniversalStudyResult", "run_universal_study"]
+__all__ = ["UniversalStudyResult", "format_universal_study", "run_universal_study"]
 
 
 @dataclass(frozen=True)
@@ -120,4 +121,28 @@ def run_universal_study(
         per_user=mean_report(per_user_reports),
         universal=mean_report(universal_reports.values()),
         per_subject_universal=universal_reports,
+    )
+
+
+def format_universal_study(study: UniversalStudyResult) -> str:
+    """The two regimes side by side, then per-held-out-subject accuracy."""
+    rows = [
+        [
+            label,
+            f"{100 * report.false_positive_rate:.2f}",
+            f"{100 * report.false_negative_rate:.2f}",
+            f"{100 * report.accuracy:.2f}",
+        ]
+        for label, report in (
+            ("per-user (paper)", study.per_user),
+            ("universal (LOSO)", study.universal),
+        )
+    ]
+    return (
+        format_table(["training", "FP %", "FN %", "Acc %"], rows)
+        + "\n\nper-held-out-subject universal accuracy:\n"
+        + "\n".join(
+            f"  {subject_id}: {100 * report.accuracy:.1f}%"
+            for subject_id, report in study.per_subject_universal.items()
+        )
     )

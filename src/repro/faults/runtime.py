@@ -216,7 +216,7 @@ class ChaosReport:
         return not self.violations
 
     def to_payload(self) -> dict:
-        """JSON-ready record for the orchestrator's chaos study."""
+        """Flat JSON-ready summary of the run (the chaos bench's report)."""
         sup = self.report.supervisor
         stats = self.report.stats
         return {
@@ -344,19 +344,6 @@ class RestartChaosReport:
     @property
     def ok(self) -> bool:
         return not self.violations
-
-    def to_payload(self) -> dict:
-        return {
-            "n_wearers": self.n_wearers,
-            "n_windows_per_wearer": self.n_windows_per_wearer,
-            "snapshot_window": self.snapshot_window,
-            "crash_window": self.crash_window,
-            "restart_window_verdicts": self.restart_window_verdicts,
-            "bit_identical_outside_restart": self.bit_identical_outside_restart,
-            "episodes_match": self.episodes_match,
-            "ok": self.ok,
-            "violations": list(self.violations),
-        }
 
 
 def _verdict_key(verdict: SessionVerdict) -> tuple:
@@ -588,15 +575,6 @@ class TruncationChaosReport:
     @property
     def ok(self) -> bool:
         return not self.violations
-
-    def to_payload(self) -> dict:
-        return {
-            "file_bytes": self.file_bytes,
-            "points_checked": self.points_checked,
-            "max_recovered_epoch": max(self.recovered_epochs, default=0),
-            "ok": self.ok,
-            "violations": list(self.violations),
-        }
 
 
 def run_truncation_chaos(

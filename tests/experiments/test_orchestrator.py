@@ -24,13 +24,14 @@ from repro.experiments.orchestrator import (
     CheckpointStore,
     MissingCheckpointError,
     Orchestrator,
-    StudyDefinition,
-    UnitSpec,
-    compare_trajectories,
+    StudyRun,
+    UnitOutcome,
     config_hash,
-    drain_perf_samples,
-    record_perf_sample,
-    trajectory_from_samples,
+)
+from repro.experiments.studies import StudyDefinition, UnitSpec
+from repro.experiments.trajectory import (
+    build_trajectory,
+    compare_trajectories,
     write_trajectory,
 )
 
@@ -39,7 +40,7 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 
 def _counting_registry(calls: list[str], payload_of=None):
     """One synthetic study, three units, each run appended to ``calls``."""
-    payload_of = payload_of or (lambda name: {"value": name.upper(), "n_windows": 10})
+    payload_of = payload_of or (lambda name: {"value": name.upper()})
 
     def build_units(ctx):
         def make(name):
@@ -51,6 +52,7 @@ def _counting_registry(calls: list[str], payload_of=None):
                 name=name,
                 params={"study": "synthetic", "unit": name, "quick": ctx.quick},
                 run=run,
+                n_windows=lambda result: 10,
             )
 
         return [make("alpha"), make("beta"), make("gamma")]
@@ -205,6 +207,18 @@ class TestResume:
         with pytest.raises(CheckpointError, match="unknown study"):
             orch.run(studies=["nonesuch"], trajectory=False)
 
+    def test_every_name_checked_before_fresh_or_any_unit(self, tmp_path):
+        calls: list[str] = []
+        orch = _orchestrator(tmp_path, _counting_registry(calls))
+        report = orch.run(trajectory=False).studies[0].reports["synthetic"]
+        before = (orch.store.path("synthetic").read_bytes(), report.stat().st_mtime_ns)
+        calls.clear()
+        with pytest.raises(CheckpointError, match="unknown study 'nonesuch'"):
+            orch.run(studies=["synthetic", "nonesuch"], fresh=True, trajectory=False)
+        assert calls == []
+        after = (orch.store.path("synthetic").read_bytes(), report.stat().st_mtime_ns)
+        assert after == before
+
 
 class TestReeval:
     def test_reeval_recomputes_nothing(self, tmp_path):
@@ -235,7 +249,8 @@ _KILLABLE_SCRIPT = """
 import sys, time
 from pathlib import Path
 
-from repro.experiments.orchestrator import Orchestrator, StudyDefinition, UnitSpec
+from repro.experiments.orchestrator import Orchestrator
+from repro.experiments.studies import StudyDefinition, UnitSpec
 
 base = Path(sys.argv[1])
 slow_unit = sys.argv[2] if len(sys.argv) > 2 else None
@@ -246,7 +261,7 @@ def build_units(ctx):
             if name == slow_unit:
                 print(f"UNIT-STARTED {name}", flush=True)
                 time.sleep(60.0)
-            return {"value": name.upper(), "n_windows": 5}
+            return {"value": name.upper()}
         return UnitSpec(name=name, params={"study": "killable", "unit": name}, run=run)
     return [make(n) for n in ("alpha", "beta", "gamma")]
 
@@ -374,23 +389,28 @@ class TestTrajectory:
         assert latest.read_bytes() == stamp
 
     def test_perf_samples_aggregate(self):
-        drain_perf_samples()
-        record_perf_sample("table2", "original", 2.0, n_windows=100)
-        record_perf_sample("table2", "simplified", 2.0, n_windows=100)
-        record_perf_sample("fig3", "profile", 0.5)
-        record = trajectory_from_samples(drain_perf_samples(), label="bench")
-        assert drain_perf_samples() == []  # buffer drained
+        runs = [
+            StudyRun(
+                "table2",
+                (
+                    UnitOutcome("original", 2.0, n_windows=100),
+                    UnitOutcome("simplified", 2.0, n_windows=100),
+                ),
+            ),
+            StudyRun("fig3", (UnitOutcome("profile", 0.5, extra={"speedup": 2.5}),)),
+        ]
+        record = build_trajectory(runs, label="bench")
         table2 = record["studies"]["table2"]
         assert table2["wall_s"] == pytest.approx(4.0)
         assert table2["units"] == 2
         assert table2["n_windows"] == 200
         assert table2["windows_per_s"] == pytest.approx(50.0)
         assert record["studies"]["fig3"]["windows_per_s"] == 0.0
+        # Extras ride into units_detail verbatim.
+        assert record["studies"]["fig3"]["units_detail"][0]["speedup"] == 2.5
 
     def test_write_trajectory_files(self, tmp_path):
-        record = trajectory_from_samples(
-            [{"study": "s", "unit": "u", "wall_s": 1.0, "n_windows": 0}]
-        )
+        record = build_trajectory([StudyRun("s", (UnitOutcome("u", 1.0),))])
         path = write_trajectory(record, tmp_path, stamp="test")
         assert path == tmp_path / "BENCH_test.json"
         assert json.loads(path.read_text()) == json.loads(

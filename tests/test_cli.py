@@ -127,3 +127,37 @@ class TestBenchGateDirectories:
     def test_empty_directory_is_an_error(self, tmp_path, capsys):
         assert main(["bench-gate", str(tmp_path), str(tmp_path)]) == 2
         assert "no BENCH_*.json" in capsys.readouterr().err
+
+
+class TestOrchestrateOutputs:
+    def test_quick_run_never_touches_committed_reports(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """Quick reports and trajectory default to results/quick/."""
+        monkeypatch.chdir(tmp_path)
+        results = tmp_path / "benchmarks" / "results"
+        results.mkdir(parents=True)
+        committed = results / "table3.txt"
+        committed.write_text("full-protocol table\n")
+        assert main(["orchestrate", "--quick", "--studies", "table3"]) == 0
+        assert committed.read_text() == "full-protocol table\n"
+        assert (results / "quick" / "table3.txt").exists()
+        assert (results / "quick" / "BENCH_latest.json").exists()
+        assert not (results / "BENCH_latest.json").exists()
+
+    def test_unknown_study_rejected_before_fresh_touches_anything(
+        self, tmp_path, capsys
+    ):
+        dirs = [
+            "--checkpoint-dir", str(tmp_path / "checkpoints"),
+            "--results-dir", str(tmp_path / "results"),
+        ]
+        assert main(["orchestrate", "--quick", "--studies", "table3", *dirs]) == 0
+        checkpoint = tmp_path / "checkpoints" / "table3.jsonl"
+        report = tmp_path / "results" / "table3.txt"
+        before = (checkpoint.read_bytes(), report.stat().st_mtime_ns)
+        assert main([
+            "orchestrate", "--quick", "--fresh", "--studies", "table3,nosuch", *dirs,
+        ]) == 2
+        assert "unknown study 'nosuch'" in capsys.readouterr().err
+        assert (checkpoint.read_bytes(), report.stat().st_mtime_ns) == before
