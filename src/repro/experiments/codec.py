@@ -15,7 +15,9 @@ schema.  The mapping is exact for everything the results hold:
   insertion order;
 * floats go through ``json``'s shortest round-trip repr (NaN and the
   infinities included), so ``decode(cls, json.loads(json.dumps(
-  encode(x)))) == x`` bit for bit.
+  encode(x)))) == x`` bit for bit.  ``json`` parses every ``NaN`` to
+  one shared float object, so each decoded NaN is made a fresh one:
+  two NaN keys of one dict are distinct keys and must stay two.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import functools
+import math
 import types
 import typing
 from typing import Any, TypeVar
@@ -93,5 +96,7 @@ def decode(cls: type[T] | Any, data: Any) -> T:
         return {  # type: ignore[return-value]
             decode(args[0], key): decode(args[1], value) for key, value in pairs
         }
+    if isinstance(data, float) and math.isnan(data):
+        return float("nan")  # type: ignore[return-value]
     # Primitives and ``Any``: the JSON value already is the value.
     return data

@@ -1,9 +1,10 @@
-"""Native-speed scoring: generated C for the full hot path.
+"""Native-speed scoring and training: C for the hot loops.
 
 The package behind ``SIFTDetector(platform="native")``: per-model C code
 generation (:mod:`~repro.native.codegen`), host compilation with a cached
 artifact (:mod:`~repro.native.build`), and the parity-checked scorer
-(:mod:`~repro.native.backend`).  Everything degrades gracefully -- hosts
+(:mod:`~repro.native.backend`).  :mod:`~repro.native.smo` runs the SMO
+loop of ``SVC.fit`` in C.  Everything degrades gracefully -- hosts
 without a compiler (or, for the Original tier, without numpy's SVML
 ``atan2``) simply stay on the NumPy path.
 """

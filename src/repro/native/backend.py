@@ -32,6 +32,7 @@ from repro.core.versions import DetectorVersion, make_extractor
 from repro.native.build import (
     BuildError,
     LoadedScoringLib,
+    compile_flags,
     compile_hot_path,
     find_compiler,
     svml_atan2_supported,
@@ -156,7 +157,9 @@ class NativeScorer:
         )
         self.source = source
         try:
-            self.artifact = compile_hot_path(source, version)
+            self.artifact = compile_hot_path(
+                source, f"sift-{version.value}", compile_flags(version)
+            )
             self._lib = LoadedScoringLib(self.artifact, version)
         except BuildError as exc:
             raise NativeUnavailableError(str(exc)) from exc

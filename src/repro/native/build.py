@@ -131,8 +131,10 @@ def svml_atan2_address() -> int | None:
         return None
 
 
-def compile_hot_path(source: str, version: DetectorVersion) -> Path:
-    """Compile the generated source to a cached shared object.
+def compile_hot_path(
+    source: str, name: str, flags: tuple[str, ...] = _BASE_FLAGS
+) -> Path:
+    """Compile C source to a cached shared object named ``name-<key>.so``.
 
     Returns the artifact path; raises :class:`BuildError` when no compiler
     is available or compilation fails.
@@ -140,18 +142,20 @@ def compile_hot_path(source: str, version: DetectorVersion) -> Path:
     compiler = find_compiler()
     if compiler is None:
         raise BuildError("no C compiler found (set $CC or install cc/gcc)")
-    flags = compile_flags(version)
     key = _artifact_key(source, compiler, flags)
     directory = cache_dir()
-    artifact = directory / f"sift-{version.value}-{key}.so"
+    artifact = directory / f"{name}-{key}.so"
     if artifact.exists():
         return artifact
 
-    c_path = directory / f"sift-{version.value}-{key}.c"
-    c_path.write_text(source)
+    # Per-process source and staging paths: concurrent first builds (pool
+    # workers on a fresh cache) must not rewrite a file another's compiler
+    # is reading.
+    c_path = directory / f"{name}-{key}.{os.getpid()}.c"
     staging = directory / f"{artifact.name}.tmp{os.getpid()}"
     cmd = [compiler, *flags, str(c_path), "-o", str(staging), "-lm"]
     try:
+        c_path.write_text(source)
         proc = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
         if proc.returncode != 0:
             raise BuildError(
@@ -161,9 +165,9 @@ def compile_hot_path(source: str, version: DetectorVersion) -> Path:
     except (OSError, subprocess.TimeoutExpired) as exc:
         raise BuildError(f"native build failed: {exc}") from exc
     finally:
-        if staging.exists():
+        for leftover in (c_path, staging):
             try:
-                staging.unlink()
+                leftover.unlink(missing_ok=True)
             except OSError:
                 pass
     return artifact

@@ -157,6 +157,11 @@ def test_special_floats_and_keys_survive():
     sweep = {float("nan"): -0.0, float("inf"): 5e-324, -float("inf"): 1.5}
     decoded = _roundtrip(dict[float, float], sweep)
     assert repr(decoded) == repr(sweep)
+    # Distinct NaN objects are distinct keys; the decoder must not fold
+    # them into the one NaN that ``json`` parses every ``NaN`` to.
+    two_nans = {float("nan"): 0.0, float("nan"): 1.0}
+    decoded = _roundtrip(dict[float, float], two_nans)
+    assert repr(decoded) == repr(two_nans)
     by_version = {DetectorVersion.REDUCED: (1, (2.0, None))}
     assert _roundtrip(
         dict[DetectorVersion, tuple[int, tuple[float, None]]], by_version

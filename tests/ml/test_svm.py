@@ -96,6 +96,43 @@ class TestSVCLinear:
         with pytest.raises(ValueError):
             SVC(tol=-1.0)
 
+    @pytest.mark.parametrize(
+        "params",
+        [
+            {"C": float("nan")},
+            {"tol": float("nan")},
+            {"tol": float("inf")},
+            {"max_iter": 0},
+            {"max_passes": 0},
+            {"max_iter": -3},
+        ],
+        ids=["C-nan", "tol-nan", "tol-inf", "max_iter-0", "max_passes-0", "max_iter-neg"],
+    )
+    def test_rejects_settings_that_train_nothing(self, params):
+        """Each of these used to return an all-zero model without complaint."""
+        name, value = next(iter(params.items()))
+        with pytest.raises(ValueError, match=name):
+            SVC(**params)
+        # Settings changed after construction are caught before training.
+        svc = SVC()
+        setattr(svc, name, value)
+        with pytest.raises(ValueError, match=name):
+            svc.fit(*_blobs())
+        assert svc.support_vectors_ is None
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_features_naming_the_row(self, bad):
+        X, y = _blobs()
+        X[17, 1] = bad
+        X[40, 0] = bad
+        with pytest.raises(ValueError, match="row 17"):
+            SVC().fit(X, y)
+
+    def test_infinite_C_is_a_hard_margin(self):
+        X, y = _blobs(gap=3.0)
+        svc = SVC(C=float("inf")).fit(X, y)
+        assert np.mean(svc.predict(X) == y) == 1.0
+
     def test_deterministic_given_seed(self):
         X, y = _blobs()
         a = SVC(seed=1).fit(X, y)

@@ -5,8 +5,11 @@ artifact cache, and pickling across process boundaries."""
 from __future__ import annotations
 
 import copy
+import os
 import pickle
+import subprocess
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -94,13 +97,37 @@ class TestBuildCache:
             np.zeros(5),
             np.ones(5),
         )
-        first = compile_hot_path(source, version)
+        name, flags = f"sift-{version.value}", compile_flags(version)
+        first = compile_hot_path(source, name, flags)
         assert first.exists()
+        assert first.name.startswith(f"{name}-")
         stamp = first.stat().st_mtime_ns
-        second = compile_hot_path(source, version)
+        second = compile_hot_path(source, name, flags)
         assert second == first
         assert second.stat().st_mtime_ns == stamp  # no recompile
         assert first.parent == cache_dir()
+
+    def test_compiler_reads_a_per_process_source(self, tmp_path, monkeypatch):
+        """Concurrent first builds into a fresh cache each compile their
+        own copy of the source, so none can rewrite a file another
+        compiler is reading; only the artifact stays behind."""
+        if find_compiler() is None:
+            pytest.skip("no C compiler")
+        monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
+        real_run = subprocess.run
+        sources = []
+
+        def spy(cmd, **kwargs):
+            source = next(Path(arg) for arg in cmd if arg.endswith(".c"))
+            sources.append((source, source.read_text()))
+            return real_run(cmd, **kwargs)
+
+        monkeypatch.setattr(subprocess, "run", spy)
+        artifact = compile_hot_path("double probe(double x) { return x; }\n", "probe")
+        [(source, text)] = sources
+        assert f".{os.getpid()}.c" in source.name
+        assert text.startswith("double probe")
+        assert sorted(tmp_path.iterdir()) == [artifact]
 
     def test_flags_pin_fp_contract(self):
         """FMA contraction would silently break bit parity; every tier
