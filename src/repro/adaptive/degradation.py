@@ -24,7 +24,7 @@ from typing import Sequence
 from repro.core.versions import DetectorVersion
 from repro.signals.quality import QualityReport
 
-__all__ = ["DegradationController", "TierSwitch"]
+__all__ = ["DegradationController", "DegradationState", "TierSwitch"]
 
 
 @dataclass(frozen=True)
@@ -34,6 +34,18 @@ class TierSwitch:
     window_index: int
     version: DetectorVersion
     direction: str  # "down" | "up"
+
+
+@dataclass(frozen=True)
+class DegradationState:
+    """A :class:`DegradationController`'s snapshot (tier level, streaks,
+    windows observed and the switch history)."""
+
+    level: int
+    bad_streak: int
+    good_streak: int
+    observed: int
+    switches: tuple[TierSwitch, ...]
 
 
 class DegradationController:
@@ -119,34 +131,25 @@ class DegradationController:
 
     # -- snapshot/restore (gateway session persistence) -----------------
 
-    def export_state(self) -> dict:
-        """JSON-safe dump of the hysteresis state and switch history."""
-        return {
-            "level": self._level,
-            "bad_streak": self._bad_streak,
-            "good_streak": self._good_streak,
-            "observed": self._observed,
-            "switches": [
-                [s.window_index, s.version.value, s.direction]
-                for s in self.switches
-            ],
-        }
+    def export_state(self) -> DegradationState:
+        """The hysteresis state and switch history."""
+        return DegradationState(
+            level=self._level,
+            bad_streak=self._bad_streak,
+            good_streak=self._good_streak,
+            observed=self._observed,
+            switches=tuple(self.switches),
+        )
 
-    def restore_state(self, exported: dict) -> None:
-        """Resume from an :meth:`export_state` dump (round-trip exact)."""
-        level = int(exported["level"])
-        if not 0 <= level < len(self.tiers):
-            raise ValueError(f"snapshot tier level {level} outside the ladder")
-        self._level = level
-        self._bad_streak = int(exported["bad_streak"])
-        self._good_streak = int(exported["good_streak"])
-        self._observed = int(exported["observed"])
-        self.switches = [
-            TierSwitch(
-                int(index), DetectorVersion.from_name(version), str(direction)
-            )
-            for index, version, direction in exported["switches"]
-        ]
+    def restore_state(self, state: DegradationState) -> None:
+        """Resume from an :meth:`export_state` value (round-trip exact)."""
+        if not 0 <= state.level < len(self.tiers):
+            raise ValueError(f"snapshot tier level {state.level} outside the ladder")
+        self._level = state.level
+        self._bad_streak = state.bad_streak
+        self._good_streak = state.good_streak
+        self._observed = state.observed
+        self.switches = list(state.switches)
 
     def observe(self, report: QualityReport) -> DetectorVersion:
         """Feed one window's quality report; returns the tier to use."""

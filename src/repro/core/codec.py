@@ -1,9 +1,12 @@
-"""One generic dataclass <-> JSON codec for experiment results.
+"""One generic dataclass <-> JSON codec for all persisted state.
 
-Every checkpointed unit persists ``encode(result)`` and every report is
-rendered from ``decode(cls, payload)``, so a study needs no hand-written
-serializer: the result dataclass's own fields and type hints are the
-schema.  The mapping is exact for everything the results hold:
+Every checkpointed experiment unit persists ``encode(result)`` and every
+report is rendered from ``decode(cls, payload)``; every gateway session
+snapshot persists ``encode(state)`` of the typed state dataclasses the
+components export; the orchestrator's config hash is a hash of
+``encode(params)``.  Nothing needs a hand-written serializer: the
+dataclass's own fields and type hints are the schema.  The mapping is
+exact for everything that state holds:
 
 * dataclasses become objects of their fields; fields declared
   ``compare=False`` (live handles such as ``SubjectRunResult.runner``)
@@ -13,6 +16,12 @@ schema.  The mapping is exact for everything the results hold:
 * ``str``-keyed dicts become objects, any other dict a list of
   ``[key, value]`` pairs, so enum and float keys keep their type and
   insertion order;
+* ``np.ndarray`` values become ``{"dtype", "shape", "values"}``; the
+  values widen to Python scalars and narrow back to the recorded dtype,
+  which is lossless for every bool/int/uint/float dtype, -0.0 and the
+  infinities included, so ``tobytes()`` survives the round trip (a NaN
+  comes back as the default quiet NaN: JSON, like the scalar path,
+  keeps no NaN sign or payload);
 * floats go through ``json``'s shortest round-trip repr (NaN and the
   infinities included), so ``decode(cls, json.loads(json.dumps(
   encode(x)))) == x`` bit for bit.  ``json`` parses every ``NaN`` to
@@ -53,6 +62,14 @@ def encode(obj: Any) -> Any:
         return [[encode(key), encode(value)] for key, value in obj.items()]
     if isinstance(obj, (list, tuple)):
         return [encode(value) for value in obj]
+    if isinstance(obj, np.ndarray):
+        if obj.dtype.kind not in "biuf":
+            raise TypeError(f"cannot encode {obj.dtype} array")
+        return {
+            "dtype": str(obj.dtype),
+            "shape": list(obj.shape),
+            "values": obj.ravel().tolist(),
+        }
     if isinstance(obj, np.generic):
         return obj.item()
     if obj is None or isinstance(obj, (bool, int, float, str)):
@@ -78,6 +95,9 @@ def decode(cls: type[T] | Any, data: Any) -> T:
         )
     if isinstance(cls, type) and issubclass(cls, enum.Enum):
         return cls(data)  # type: ignore[return-value]
+    if cls is np.ndarray:
+        array = np.asarray(data["values"], dtype=data["dtype"])
+        return array.reshape(data["shape"])  # type: ignore[return-value]
     origin = typing.get_origin(cls)
     args = typing.get_args(cls)
     if origin in (typing.Union, types.UnionType):

@@ -33,7 +33,7 @@ from repro.signals.quality import SignalQualityIndex
 if TYPE_CHECKING:
     from repro.adaptive.degradation import DegradationController
 
-__all__ = ["AttackEpisode", "StreamingDetector", "StreamingState"]
+__all__ = ["AttackEpisode", "DebouncerState", "StreamingDetector", "StreamingState"]
 
 
 @dataclass(frozen=True)
@@ -73,6 +73,20 @@ class StreamingState:
     episode_start: int = 0
     episode_peak: float = float("-inf")
     recent: deque = field(default_factory=deque)
+
+
+@dataclass(frozen=True)
+class DebouncerState:
+    """A :class:`StreamingDetector`'s snapshot: its :class:`StreamingState`
+    (the voting horizon as a tuple), closed episodes and abstain history."""
+
+    window_index: int
+    in_episode: bool
+    episode_start: int
+    episode_peak: float
+    recent: tuple[tuple[bool, float], ...]
+    episodes: tuple[AttackEpisode, ...]
+    abstained_indexes: tuple[int, ...]
 
 
 class StreamingDetector:
@@ -305,65 +319,31 @@ class StreamingDetector:
 
     # -- snapshot/restore (gateway session persistence) -----------------
 
-    def export_state(self) -> dict:
-        """JSON-safe dump of the debouncer's mutable state.
-
-        Everything :meth:`restore_state` needs to make a *fresh*
-        detector continue the stream bit-identically: the voting
-        horizon, the open-episode bookkeeping, the closed episodes and
-        the abstain history.  ``episode_peak``'s ``-inf`` rest value is
-        encoded as ``None`` (JSON has no infinities).
-        """
+    def export_state(self) -> DebouncerState:
+        """Everything :meth:`restore_state` needs to make a *fresh*
+        detector continue the stream bit-identically."""
         state = self.state
-        return {
-            "window_index": int(state.window_index),
-            "in_episode": bool(state.in_episode),
-            "episode_start": int(state.episode_start),
-            "episode_peak": (
-                None
-                if state.episode_peak == float("-inf")
-                else float(state.episode_peak)
-            ),
-            "recent": [[bool(vote), float(value)] for vote, value in state.recent],
-            "episodes": [
-                {
-                    "start_index": e.start_index,
-                    "end_index": e.end_index,
-                    "start_time_s": e.start_time_s,
-                    "end_time_s": e.end_time_s,
-                    "peak_decision_value": e.peak_decision_value,
-                }
-                for e in self.episodes
-            ],
-            "abstained_indexes": [int(i) for i in self.abstained_indexes],
-        }
-
-    def restore_state(self, exported: dict) -> None:
-        """Resume from an :meth:`export_state` dump (round-trip exact)."""
-        self.state = StreamingState(
-            window_index=int(exported["window_index"]),
-            in_episode=bool(exported["in_episode"]),
-            episode_start=int(exported["episode_start"]),
-            episode_peak=(
-                float("-inf")
-                if exported["episode_peak"] is None
-                else float(exported["episode_peak"])
-            ),
-            recent=deque(
-                (bool(vote), float(value)) for vote, value in exported["recent"]
-            ),
+        return DebouncerState(
+            window_index=state.window_index,
+            in_episode=state.in_episode,
+            episode_start=state.episode_start,
+            episode_peak=state.episode_peak,
+            recent=tuple(state.recent),
+            episodes=tuple(self.episodes),
+            abstained_indexes=tuple(self.abstained_indexes),
         )
-        self.episodes = [
-            AttackEpisode(
-                start_index=int(e["start_index"]),
-                end_index=int(e["end_index"]),
-                start_time_s=float(e["start_time_s"]),
-                end_time_s=float(e["end_time_s"]),
-                peak_decision_value=float(e["peak_decision_value"]),
-            )
-            for e in exported["episodes"]
-        ]
-        self.abstained_indexes = [int(i) for i in exported["abstained_indexes"]]
+
+    def restore_state(self, state: DebouncerState) -> None:
+        """Resume from an :meth:`export_state` value (round-trip exact)."""
+        self.state = StreamingState(
+            window_index=state.window_index,
+            in_episode=state.in_episode,
+            episode_start=state.episode_start,
+            episode_peak=state.episode_peak,
+            recent=deque(state.recent),
+        )
+        self.episodes = list(state.episodes)
+        self.abstained_indexes = list(state.abstained_indexes)
 
     def reset(self) -> None:
         """Clear state and history (e.g. after re-synchronization)."""

@@ -18,9 +18,8 @@
   the whole study matrix: resumable JSONL unit checkpoints and
   zero-compute report re-evaluation;
 - :mod:`~repro.experiments.studies` -- the study registry: each study's
-  units, full-protocol config and one renderer per report;
-- :mod:`~repro.experiments.codec` -- the generic dataclass <-> JSON codec
-  every checkpointed result goes through;
+  units, full-protocol config and one renderer per report (results are
+  persisted through the generic codec, :mod:`repro.core.codec`);
 - :mod:`~repro.experiments.trajectory` -- the perf trajectory builder,
   its ``BENCH_*.json`` files and the CI regression gate.
 """

@@ -14,7 +14,7 @@ registered in :mod:`repro.experiments.studies`.  This module drives them:
   interrupted sweep resumes mid-matrix, recomputing only the unit it
   died in.
 * **Reports from checkpoints.**  Results are persisted with the generic
-  codec (:mod:`repro.experiments.codec`) and reports are rendered from
+  codec (:mod:`repro.core.codec`) and reports are rendered from
   the *decoded* line even on the first run, so a resumed run's reports
   are bit-identical to an uninterrupted run's, and ``reeval=True``
   regenerates every report with zero recomputation.
@@ -30,21 +30,17 @@ unit's own sweep values) and excludes the knobs that provably do not
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
-import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
-import numpy as np
-
-from repro.core.versions import DetectorVersion
+from repro.core.codec import decode, encode
+from repro.core.durable_log import DurableLog
 from repro.experiments import dataplane
 from repro.experiments.cache import EXPERIMENT_CACHE
-from repro.experiments.codec import decode, encode
 from repro.experiments.pipeline import ExperimentConfig
 from repro.experiments.studies import (
     StudyContext,
@@ -91,35 +87,20 @@ class MissingCheckpointError(CheckpointError):
 # ----------------------------------------------------------------------
 
 
-def _jsonable(value: Any) -> Any:
-    """``value`` reduced to JSON-stable primitives for hashing."""
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return _jsonable(dataclasses.asdict(value))
-    if isinstance(value, Mapping):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple, set, frozenset)):
-        items = sorted(value, key=repr) if isinstance(value, (set, frozenset)) else value
-        return [_jsonable(v) for v in items]
-    if isinstance(value, DetectorVersion):
-        return value.value
-    if isinstance(value, (np.integer, np.floating)):
-        return value.item()
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    raise TypeError(f"unhashable unit parameter: {value!r}")
-
-
 def config_hash(params: Any) -> str:
     """A stable content hash of a unit's parameters.
 
-    Canonical JSON (sorted keys, no whitespace) through SHA-256: the
-    same parameters hash identically across processes and Python
-    versions, and any change to any protocol knob changes the hash --
-    which is what invalidates a stale checkpoint.
+    The generic codec's form of ``params`` as canonical JSON (sorted
+    keys, no whitespace) through SHA-256: the same parameters hash
+    identically across processes and Python versions, and any change to
+    any protocol knob changes the hash -- which is what invalidates a
+    stale checkpoint.
     """
-    canonical = json.dumps(
-        _jsonable(params), sort_keys=True, separators=(",", ":")
-    )
+    try:
+        encoded = encode(params)
+    except TypeError as exc:
+        raise TypeError(f"unhashable unit parameter: {exc}") from None
+    canonical = json.dumps(encoded, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
 
@@ -133,9 +114,10 @@ class CheckpointStore:
 
     Each line is one completed unit: ``{"schema", "unit", "config_hash",
     "payload", "wall_s", "n_windows", "p99_ms", "cache", "dataplane",
-    "completed_at"}``.  Appends are flushed *and* fsynced so a unit that
-    completed before a kill is never lost; a line truncated by the kill
-    itself is skipped (with the units it would have described simply
+    "completed_at"}``, written through the shared
+    :class:`~repro.core.durable_log.DurableLog`: appends are flushed
+    *and* fsynced so a unit that completed before a kill is never lost;
+    a line truncated by the kill itself is skipped (with the units it would have described simply
     recomputed).  The latest line per unit wins, so recomputing a unit
     under a new config hash supersedes its stale checkpoint without
     rewriting the file.
@@ -150,46 +132,20 @@ class CheckpointStore:
 
     def load(self, study: str) -> dict[str, dict[str, Any]]:
         """The latest checkpoint record per unit name (empty if none)."""
-        path = self.path(study)
-        if not path.exists():
-            return {}
-        records: dict[str, dict[str, Any]] = {}
-        with path.open("r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError:
-                    # A kill mid-append truncates at most the last line;
-                    # the unit it described simply recomputes.
-                    continue
-                if isinstance(record, dict) and "unit" in record:
-                    records[str(record["unit"])] = record
-        return records
+        return {
+            str(record["unit"]): record
+            for record in DurableLog(self.path(study)).records()
+            if "unit" in record
+        }
 
     def append(self, study: str, record: Mapping[str, Any]) -> str:
-        """Durably append one completed unit's record; return its line.
-
-        Keys keep their order (no ``sort_keys``): encoded results carry
-        ordered ``str``-keyed dicts, and a resumed run must read back
-        exactly what the first run rendered from.
-        """
-        self.directory.mkdir(parents=True, exist_ok=True)
-        line = json.dumps(record)
-        with self.path(study).open("a", encoding="utf-8") as handle:
-            handle.write(line + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
+        """Durably append one completed unit's record; return its line."""
+        (line,) = DurableLog(self.path(study)).append([record])
         return line
 
     def remove(self, study: str) -> None:
         """Drop a study's checkpoints (``fresh`` runs recompute)."""
-        try:
-            self.path(study).unlink()
-        except FileNotFoundError:
-            pass
+        DurableLog(self.path(study)).remove()
 
 
 # ----------------------------------------------------------------------

@@ -774,29 +774,6 @@ class CohortRunner:
         return out
 
 
-def _run_subject_serial(
-    dataset: SyntheticFantasia,
-    config: ExperimentConfig,
-    subject_index: int,
-    version: DetectorVersion,
-    with_device: bool,
-    chunk_size: int | None = None,
-) -> tuple[SubjectRunResult | None, str | None]:
-    """In-process twin of :func:`_run_subject_task` (keeps the runner)."""
-    try:
-        result = run_subject(
-            dataset,
-            dataset.subjects[subject_index],
-            version,
-            config,
-            with_device=with_device,
-            chunk_size=chunk_size,
-        )
-        return result, None
-    except Exception as exc:  # noqa: BLE001
-        return None, f"{type(exc).__name__}: {exc}"
-
-
 def clear_experiment_cache() -> None:
     """Drop the process-local experiment cache (counters reset too)."""
     EXPERIMENT_CACHE.clear()

@@ -3,7 +3,7 @@
 A study splits into *units* -- one detector version of Table II, one
 ablation sweep, one fault of the fault matrix.  Each unit's ``run``
 returns the study's own result object (or row list); the orchestrator
-persists it through the generic codec (:mod:`repro.experiments.codec`)
+persists it through the generic codec (:mod:`repro.core.codec`)
 and hands the decoded objects to the study's ``render``, which is a thin
 call into the one formatter each report has.  Each study also carries
 the full-protocol configuration its committed reports were produced

@@ -660,7 +660,7 @@ def run_truncation_chaos(
             )
             continue
         if sorted(resume_points) != sorted(
-            state["wearer_id"] for state in session_states
+            state.wearer_id for state in session_states
         ):
             violations.append(
                 f"truncation at byte {cut}: epoch {epoch} restored the "

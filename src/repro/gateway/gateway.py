@@ -42,7 +42,7 @@ from repro.adaptive.degradation import DegradationController
 from repro.core.detector import SIFTDetector
 from repro.core.versions import DetectorVersion
 from repro.gateway.session import SessionVerdict, WearerSession
-from repro.gateway.snapshot import SessionSnapshotStore
+from repro.gateway.snapshot import GatewayState, SessionSnapshotStore
 from repro.gateway.supervisor import (
     InProcessBackend,
     ScoringBackend,
@@ -532,16 +532,16 @@ class IngestionGateway:
             store.write_epoch, self._export_gateway_state(), sessions
         )
 
-    def _export_gateway_state(self) -> dict:
-        return {
-            "sessions_started": self.sessions_started,
-            "windows_shed_queue": self.windows_shed_queue,
-            "windows_shed_session": self.windows_shed_session,
-            "batches": self.batches,
-            "batched_windows": self.batched_windows,
-            "windows_unscorable": self.windows_unscorable,
-            "closed_totals": dict(self._closed_totals),
-        }
+    def _export_gateway_state(self) -> GatewayState:
+        return GatewayState(
+            sessions_started=self.sessions_started,
+            windows_shed_queue=self.windows_shed_queue,
+            windows_shed_session=self.windows_shed_session,
+            batches=self.batches,
+            batched_windows=self.batched_windows,
+            windows_unscorable=self.windows_unscorable,
+            closed_totals=dict(self._closed_totals),
+        )
 
     def restore_sessions(self, store: SessionSnapshotStore) -> dict[str, int]:
         """Rebuild every snapshotted session before serving resumes.
@@ -569,23 +569,20 @@ class IngestionGateway:
         _, gateway_state, session_states = loaded
         resume_points: dict[str, int] = {}
         for state in session_states:
-            session = self.session(state["wearer_id"])
+            session = self.session(state.wearer_id)
             session.restore_state(state)
             resume = session.assembler.highest_sequence
             pending_floor = session.assembler.lowest_pending_sequence
             if pending_floor is not None:
                 resume = min(resume, pending_floor - 1)
             resume_points[session.wearer_id] = resume
-        self.sessions_started = int(gateway_state["sessions_started"])
-        self.windows_shed_queue = int(gateway_state["windows_shed_queue"])
-        self.windows_shed_session = int(gateway_state["windows_shed_session"])
-        self.batches = int(gateway_state["batches"])
-        self.batched_windows = int(gateway_state["batched_windows"])
-        self.windows_unscorable = int(gateway_state["windows_unscorable"])
-        self._closed_totals = {
-            key: int(value)
-            for key, value in gateway_state["closed_totals"].items()
-        }
+        self.sessions_started = gateway_state.sessions_started
+        self.windows_shed_queue = gateway_state.windows_shed_queue
+        self.windows_shed_session = gateway_state.windows_shed_session
+        self.batches = gateway_state.batches
+        self.batched_windows = gateway_state.batched_windows
+        self.windows_unscorable = gateway_state.windows_unscorable
+        self._closed_totals = dict(gateway_state.closed_totals)
         return resume_points
 
     # -- accounting -----------------------------------------------------

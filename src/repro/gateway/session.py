@@ -23,16 +23,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.adaptive.degradation import DegradationController
+from repro.adaptive.degradation import DegradationController, DegradationState
 from repro.core.detector import SIFTDetector
-from repro.core.streaming import StreamingDetector
+from repro.core.streaming import DebouncerState, StreamingDetector
 from repro.core.versions import DetectorVersion
 from repro.signals.dataset import SignalWindow
 from repro.signals.quality import QualityReport, SignalQualityIndex
-from repro.wiot.assembly import WindowAssembler
+from repro.wiot.assembly import AssemblerState, WindowAssembler
 from repro.wiot.channel import DeliveredPacket
 
-__all__ = ["SessionVerdict", "WearerSession", "window_from_slot"]
+__all__ = ["SessionState", "SessionVerdict", "WearerSession", "window_from_slot"]
 
 
 @dataclass(frozen=True)
@@ -55,6 +55,24 @@ class SessionVerdict:
     abstained: bool = False
     sqi: float | None = None
     latency_s: float = 0.0
+
+
+@dataclass(frozen=True)
+class SessionState:
+    """A :class:`WearerSession`'s snapshot: its components' states, the
+    recent-verdict ring and the per-session counters."""
+
+    wearer_id: str
+    assembler: AssemblerState
+    debouncer: DebouncerState
+    degradation: DegradationState | None
+    recent_verdicts: tuple[SessionVerdict, ...]
+    windows_assembled: int
+    windows_abstained: int
+    windows_scored: int
+    windows_shed: int
+    ending: bool
+    closed: bool
 
 
 def window_from_slot(
@@ -237,88 +255,58 @@ class WearerSession:
 
     # -- snapshot/restore ------------------------------------------------
 
-    def export_state(self) -> dict:
+    def export_state(self) -> SessionState:
         """Everything a fresh session needs to continue bit-identically.
 
         Only *state* is exported, never configuration or models: the
         restoring gateway is constructed with the same detectors and
-        knobs, and a session rebuilt from this dump produces the same
+        knobs, and a session rebuilt from this value produces the same
         verdicts, episodes and tier switches as one that never stopped.
-        Pending assembler halves are live packet objects here -- the
-        snapshot store's codec (:mod:`repro.gateway.snapshot`) owns
-        their JSON form.  Snapshots are quiescent by contract: taking
-        one with windows still awaiting scoring would silently drop
-        their debouncer advances on restore, so it is refused.
+        Snapshots are quiescent by contract: taking one with windows
+        still awaiting scoring would silently drop their debouncer
+        advances on restore, so it is refused.
         """
         if self.inflight != 0:
             raise RuntimeError(
                 f"session {self.wearer_id!r} has {self.inflight} windows "
                 "in flight; drain the gateway before snapshotting"
             )
-        return {
-            "wearer_id": self.wearer_id,
-            "assembler": self.assembler.export_state(),
-            "debouncer": self.debouncer.export_state(),
-            "degradation": (
+        return SessionState(
+            wearer_id=self.wearer_id,
+            assembler=self.assembler.export_state(),
+            debouncer=self.debouncer.export_state(),
+            degradation=(
                 None if self.degradation is None else self.degradation.export_state()
             ),
-            "recent_verdicts": [
-                {
-                    "wearer_id": v.wearer_id,
-                    "sequence": v.sequence,
-                    "time_s": v.time_s,
-                    "altered": v.altered,
-                    "decision_value": v.decision_value,
-                    "version": v.version,
-                    "abstained": v.abstained,
-                    "sqi": v.sqi,
-                    "latency_s": v.latency_s,
-                }
-                for v in self.recent_verdicts
-            ],
-            "windows_assembled": self.windows_assembled,
-            "windows_abstained": self.windows_abstained,
-            "windows_scored": self.windows_scored,
-            "windows_shed": self.windows_shed,
-            "ending": self.ending,
-            "closed": self.closed,
-        }
+            recent_verdicts=tuple(self.recent_verdicts),
+            windows_assembled=self.windows_assembled,
+            windows_abstained=self.windows_abstained,
+            windows_scored=self.windows_scored,
+            windows_shed=self.windows_shed,
+            ending=self.ending,
+            closed=self.closed,
+        )
 
-    def restore_state(self, exported: dict) -> None:
-        """Resume from an :meth:`export_state` dump (round-trip exact)."""
-        if exported["wearer_id"] != self.wearer_id:
+    def restore_state(self, state: SessionState) -> None:
+        """Resume from an :meth:`export_state` value (round-trip exact)."""
+        if state.wearer_id != self.wearer_id:
             raise ValueError(
-                f"snapshot belongs to {exported['wearer_id']!r}, "
-                f"not {self.wearer_id!r}"
+                f"snapshot belongs to {state.wearer_id!r}, not {self.wearer_id!r}"
             )
-        self.assembler.restore_state(exported["assembler"])
-        self.debouncer.restore_state(exported["debouncer"])
-        degradation_state = exported["degradation"]
-        if (degradation_state is None) != (self.degradation is None):
+        if (state.degradation is None) != (self.degradation is None):
             raise ValueError(
                 f"session {self.wearer_id!r}: snapshot and gateway disagree "
                 "about degradation being enabled"
             )
+        self.assembler.restore_state(state.assembler)
+        self.debouncer.restore_state(state.debouncer)
         if self.degradation is not None:
-            self.degradation.restore_state(degradation_state)
+            self.degradation.restore_state(state.degradation)
         self.recent_verdicts.clear()
-        for v in exported["recent_verdicts"]:
-            self.recent_verdicts.append(
-                SessionVerdict(
-                    wearer_id=v["wearer_id"],
-                    sequence=int(v["sequence"]),
-                    time_s=float(v["time_s"]),
-                    altered=bool(v["altered"]),
-                    decision_value=float(v["decision_value"]),
-                    version=v["version"],
-                    abstained=bool(v["abstained"]),
-                    sqi=None if v["sqi"] is None else float(v["sqi"]),
-                    latency_s=float(v["latency_s"]),
-                )
-            )
-        self.windows_assembled = int(exported["windows_assembled"])
-        self.windows_abstained = int(exported["windows_abstained"])
-        self.windows_scored = int(exported["windows_scored"])
-        self.windows_shed = int(exported["windows_shed"])
-        self.ending = bool(exported["ending"])
-        self.closed = bool(exported["closed"])
+        self.recent_verdicts.extend(state.recent_verdicts)
+        self.windows_assembled = state.windows_assembled
+        self.windows_abstained = state.windows_abstained
+        self.windows_scored = state.windows_scored
+        self.windows_shed = state.windows_shed
+        self.ending = state.ending
+        self.closed = state.closed

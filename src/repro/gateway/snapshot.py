@@ -4,21 +4,25 @@ A restarted gateway must resume every wearer exactly where it stopped:
 the assembler's pending halves and dedup ring (so replayed packets are
 rejected, not re-verdicted), the debouncer's voting horizon and open
 episode, the degradation tier with its hysteresis streaks, and the
-per-session counters.  This module persists that state with the same
-conventions the experiment orchestrator's checkpoint store proved out:
+per-session counters.  Each component exports that state as a frozen
+dataclass (:class:`~repro.gateway.session.SessionState` nests the
+others); this module persists it with :func:`repro.core.codec.encode`
+and reads it back with :func:`~repro.core.codec.decode` -- bit-exact
+for floats, NaN and -inf included, and for the float32 sample and
+peak-index arrays of every pending packet, whatever their dtype.
 
-* **append-only JSONL** -- one JSON object per line, never rewritten in
-  place;
-* **fsync at the commit point** -- an epoch is ``begin`` line, one
-  ``session`` line per wearer, one ``gateway`` line, then a ``commit``
-  line carrying the expected session count; ``flush()`` + ``os.fsync``
-  happen once, after the commit line, so the epoch is durable exactly
-  when its commit is;
-* **truncation tolerance** -- a torn tail (power loss mid-write) leaves
-  a partial last line; :meth:`SessionSnapshotStore.load` skips
-  undecodable lines and ignores any epoch whose commit is missing or
-  whose session count disagrees, falling back to the previous committed
-  epoch.
+The file is a :class:`~repro.core.durable_log.DurableLog`, the same
+fsynced append-only JSONL log the experiment checkpoints use:
+
+* **epochs** -- a ``begin`` line, one ``session`` line per wearer, one
+  ``gateway`` line, then a ``commit`` line carrying the expected session
+  count, appended and fsynced as one group, so the epoch is durable
+  exactly when its commit is.  Every line carries ``schema``;
+* **truncation tolerance** -- a torn tail leaves a partial last line;
+  :meth:`SessionSnapshotStore.load` skips undecodable lines and ignores
+  any epoch whose commit is missing or whose session count disagrees,
+  falling back to the previous committed epoch.  An epoch written in
+  another schema is refused with a ``ValueError``, never misread.
 
 Snapshots are *quiescent*: the gateway drains its queue first (see
 :meth:`~repro.gateway.gateway.IngestionGateway.snapshot`), so no window
@@ -28,100 +32,36 @@ the verdicts already emitted.  Restore rebuilds sessions bit-identically
 scored after the last snapshot) follows from the dedup ring: every
 sequence resolved *before* the snapshot is still in the restored ring
 and is rejected as a duplicate on replay.
-
-Floats round-trip exactly: ``repr``-based JSON encoding of a Python
-float is shortest-exact, and float32 sample arrays widen to float64 and
-narrow back losslessly.
 """
 
 from __future__ import annotations
 
-import json
-import os
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Any, Sequence
 
-import numpy as np
+from repro.core.codec import decode, encode
+from repro.core.durable_log import DurableLog
+from repro.gateway.session import SessionState
 
-from repro.wiot.channel import DeliveredPacket
-from repro.wiot.sensor import SensorPacket
+__all__ = ["GatewayState", "SNAPSHOT_SCHEMA", "SessionSnapshotStore"]
 
-__all__ = ["SessionSnapshotStore", "decode_delivered", "encode_delivered"]
-
-
-# -- packet codec -------------------------------------------------------
-
-
-def encode_delivered(delivered: DeliveredPacket) -> dict:
-    """JSON-safe form of one pending delivery (bit-exact round trip)."""
-    packet = delivered.packet
-    return {
-        "sensor_id": packet.sensor_id,
-        "channel": packet.channel,
-        "sequence": packet.sequence,
-        "start_time_s": packet.start_time_s,
-        "samples": np.asarray(packet.samples).tolist(),
-        "samples_dtype": str(np.asarray(packet.samples).dtype),
-        "peak_indexes": np.asarray(packet.peak_indexes).tolist(),
-        "peak_indexes_dtype": str(np.asarray(packet.peak_indexes).dtype),
-        "sample_rate": packet.sample_rate,
-        "arrival_time_s": delivered.arrival_time_s,
-        "crc32": delivered.crc32,
-    }
+#: Stamped into every snapshot line.  Lines without it are the
+#: hand-encoded layout of earlier builds (schema 1).
+SNAPSHOT_SCHEMA = 2
 
 
-def decode_delivered(encoded: dict) -> DeliveredPacket:
-    """Inverse of :func:`encode_delivered`."""
-    packet = SensorPacket(
-        sensor_id=encoded["sensor_id"],
-        channel=encoded["channel"],
-        sequence=int(encoded["sequence"]),
-        start_time_s=float(encoded["start_time_s"]),
-        samples=np.asarray(encoded["samples"], dtype=encoded["samples_dtype"]),
-        peak_indexes=np.asarray(
-            encoded["peak_indexes"],
-            # Epochs written before the dtype was recorded cast to int64.
-            dtype=encoded.get("peak_indexes_dtype", "int64"),
-        ),
-        sample_rate=float(encoded["sample_rate"]),
-    )
-    return DeliveredPacket(
-        packet=packet,
-        arrival_time_s=float(encoded["arrival_time_s"]),
-        crc32=encoded["crc32"],
-    )
+@dataclass(frozen=True)
+class GatewayState:
+    """The gateway-wide counters a snapshot carries next to its sessions."""
 
-
-def _encode_session(state: dict) -> dict:
-    """JSON-encode one session export (packets are the only live objects)."""
-    encoded = dict(state)
-    assembler = dict(state["assembler"])
-    assembler["pending"] = {
-        str(sequence): {
-            channel: encode_delivered(delivered)
-            for channel, delivered in slot.items()
-        }
-        for sequence, slot in assembler["pending"].items()
-    }
-    encoded["assembler"] = assembler
-    return encoded
-
-
-def _decode_session(encoded: dict) -> dict:
-    """Inverse of :func:`_encode_session`."""
-    state = dict(encoded)
-    assembler = dict(encoded["assembler"])
-    assembler["pending"] = {
-        int(sequence): {
-            channel: decode_delivered(delivered)
-            for channel, delivered in slot.items()
-        }
-        for sequence, slot in assembler["pending"].items()
-    }
-    state["assembler"] = assembler
-    return state
-
-
-# -- the store ----------------------------------------------------------
+    sessions_started: int
+    windows_shed_queue: int
+    windows_shed_session: int
+    batches: int
+    batched_windows: int
+    windows_unscorable: int
+    closed_totals: dict[str, int]
 
 
 class SessionSnapshotStore:
@@ -129,178 +69,98 @@ class SessionSnapshotStore:
 
     One store = one file = one gateway.  Epochs are numbered
     monotonically; :meth:`load` returns the newest *committed* epoch,
-    whatever garbage follows it.  :meth:`compact` rewrites the file down
-    to that epoch (atomically, via a temp file and ``os.replace``) so a
-    long-running gateway's snapshot file stays O(fleet), not O(uptime).
+    whatever garbage follows it.  :meth:`compact` atomically rewrites
+    the file down to that epoch so a long-running gateway's snapshot
+    file stays O(fleet), not O(uptime).
     """
 
     def __init__(self, path: str | Path) -> None:
-        self.path = Path(path)
-        self._next_epoch = self._max_epoch_present() + 1
+        self.log = DurableLog(path)
+        self.path = self.log.path
+        # Numbering must advance past *torn* epochs too: a crash
+        # mid-write leaves epoch N begun but uncommitted, and a reopened
+        # store that reused N would merge both attempts into one epoch
+        # whose session count can never match its commit -- the fresh,
+        # fully fsynced epoch would be rejected and load() would fall
+        # back to stale state.
+        self._next_epoch = 1 + max(
+            (r["epoch"] for r in self.log.records() if isinstance(r.get("epoch"), int)),
+            default=0,
+        )
 
-    def _max_epoch_present(self) -> int:
-        """Highest epoch number in any decodable record, committed or not.
-
-        Numbering must advance past *torn* epochs too: a crash mid-write
-        leaves epoch N begun but uncommitted, and a reopened store that
-        reused N would merge both attempts into one bucket whose session
-        count can never match its commit -- the fresh, fully fsynced
-        epoch would then be rejected and :meth:`load` would silently fall
-        back to stale state.
-        """
-        if not self.path.exists():
-            return 0
-        highest = 0
-        with self.path.open("r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError:
-                    continue
-                epoch = record.get("epoch")
-                if isinstance(epoch, int) and epoch > highest:
-                    highest = epoch
-        return highest
-
-    # -- writing --------------------------------------------------------
-
-    def write_epoch(self, gateway_state: dict, sessions: list[dict]) -> int:
-        """Append one complete snapshot epoch; returns its number.
-
-        ``sessions`` are raw :meth:`~repro.gateway.session.WearerSession
-        .export_state` dumps (live packet objects included); encoding
-        happens here.  The epoch is durable iff its commit line is: the
-        single flush+fsync happens after the commit is written.
-        """
+    def write_epoch(self, gateway: GatewayState, sessions: Sequence[SessionState]) -> int:
+        """Append one complete snapshot epoch; returns its number."""
         epoch = self._next_epoch
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with self.path.open("a", encoding="utf-8") as fh:
-            fh.write(json.dumps({"kind": "begin", "epoch": epoch}) + "\n")
-            for state in sessions:
-                fh.write(
-                    json.dumps(
-                        {
-                            "kind": "session",
-                            "epoch": epoch,
-                            "state": _encode_session(state),
-                        }
-                    )
-                    + "\n"
-                )
-            fh.write(
-                json.dumps(
-                    {"kind": "gateway", "epoch": epoch, "state": gateway_state}
-                )
-                + "\n"
-            )
-            fh.write(
-                json.dumps(
-                    {"kind": "commit", "epoch": epoch, "n_sessions": len(sessions)}
-                )
-                + "\n"
-            )
-            fh.flush()
-            os.fsync(fh.fileno())
+        head = {"schema": SNAPSHOT_SCHEMA, "epoch": epoch}
+        self.log.append(
+            [
+                {**head, "kind": "begin"},
+                *({**head, "kind": "session", "state": encode(s)} for s in sessions),
+                {**head, "kind": "gateway", "state": encode(gateway)},
+                {**head, "kind": "commit", "n_sessions": len(sessions)},
+            ]
+        )
         self._next_epoch = epoch + 1
         return epoch
 
-    # -- reading --------------------------------------------------------
-
-    def _scan(self) -> tuple[int, dict, list[dict]] | None:
-        """Newest committed epoch as raw (encoded) records, or ``None``."""
-        if not self.path.exists():
-            return None
-        epochs: dict[int, dict] = {}
-        with self.path.open("r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError:
-                    continue  # torn tail or flipped bits: skip, don't die
-                epoch = record.get("epoch")
-                if not isinstance(epoch, int):
-                    continue
-                kind = record.get("kind")
-                if kind == "begin":
-                    # Last begin-delimited attempt wins: if a file ever
-                    # holds two attempts at the same epoch number, merging
-                    # them would desynchronize the session count from the
-                    # commit and reject the good attempt.
-                    epochs[epoch] = {
-                        "sessions": [],
-                        "gateway": None,
-                        "committed": None,
-                    }
-                    continue
-                bucket = epochs.setdefault(
-                    epoch, {"sessions": [], "gateway": None, "committed": None}
-                )
-                if kind == "session":
-                    bucket["sessions"].append(record["state"])
-                elif kind == "gateway":
-                    bucket["gateway"] = record["state"]
-                elif kind == "commit":
-                    bucket["committed"] = record.get("n_sessions")
+    def _newest_committed(self) -> tuple[int, list[dict[str, Any]]] | None:
+        """The newest committed epoch's number and lines, or ``None``."""
+        epochs: dict[int, list[dict[str, Any]]] = {}
+        for record in self.log.records():
+            epoch = record.get("epoch")
+            if not isinstance(epoch, int):
+                continue
+            if record.get("kind") == "begin":
+                # Last begin-delimited attempt wins: merging two attempts
+                # at one number would desynchronize the session count
+                # from the commit and reject the good attempt.
+                epochs[epoch] = []
+            epochs.setdefault(epoch, []).append(record)
         for epoch in sorted(epochs, reverse=True):
-            bucket = epochs[epoch]
+            kinds = [record.get("kind") for record in epochs[epoch]]
+            commits = [r for r in epochs[epoch] if r.get("kind") == "commit"]
             if (
-                bucket["committed"] is not None
-                and bucket["gateway"] is not None
-                and len(bucket["sessions"]) == bucket["committed"]
+                commits
+                and "gateway" in kinds
+                and commits[-1].get("n_sessions") == kinds.count("session")
             ):
-                return epoch, bucket["gateway"], bucket["sessions"]
+                return epoch, epochs[epoch]
         return None
 
-    def load(self) -> tuple[int, dict, list[dict]] | None:
+    def load(self) -> tuple[int, GatewayState, list[SessionState]] | None:
         """The newest committed epoch, decoded, or ``None`` if there is
-        none (missing file, empty file, or nothing ever committed)."""
-        raw = self._scan()
-        if raw is None:
-            return None
-        epoch, gateway_state, sessions = raw
-        return epoch, gateway_state, [_decode_session(s) for s in sessions]
+        none (missing file, empty file, or nothing ever committed).
 
-    # -- maintenance ----------------------------------------------------
+        Raises ``ValueError`` when that epoch was written in another
+        schema: an old layout is refused, not guessed at.
+        """
+        found = self._newest_committed()
+        if found is None:
+            return None
+        epoch, records = found
+        foreign = [r.get("schema", 1) for r in records if r.get("schema", 1) != SNAPSHOT_SCHEMA]
+        if foreign:
+            raise ValueError(
+                f"{self.path}: snapshot epoch {epoch} is in schema {foreign[0]!r}; "
+                f"this build reads schema {SNAPSHOT_SCHEMA} only"
+            )
+        gateway = [r["state"] for r in records if r.get("kind") == "gateway"][-1]
+        sessions = [r["state"] for r in records if r.get("kind") == "session"]
+        return (
+            epoch,
+            decode(GatewayState, gateway),
+            [decode(SessionState, state) for state in sessions],
+        )
 
     def compact(self) -> bool:
         """Rewrite the file down to its newest committed epoch.
 
-        Atomic (temp file + ``os.replace``), fsynced, and a no-op when
-        there is nothing committed.  Returns whether anything was kept.
+        Atomic and fsynced (see :meth:`DurableLog.replace`), and a no-op
+        when there is nothing committed.  Returns whether anything was
+        kept.
         """
-        raw = self._scan()
-        if raw is None:
+        found = self._newest_committed()
+        if found is None:
             return False
-        epoch, gateway_state, sessions = raw
-        tmp = self.path.with_suffix(self.path.suffix + ".tmp")
-        with tmp.open("w", encoding="utf-8") as fh:
-            fh.write(json.dumps({"kind": "begin", "epoch": epoch}) + "\n")
-            for state in sessions:
-                fh.write(
-                    json.dumps(
-                        {"kind": "session", "epoch": epoch, "state": state}
-                    )
-                    + "\n"
-                )
-            fh.write(
-                json.dumps(
-                    {"kind": "gateway", "epoch": epoch, "state": gateway_state}
-                )
-                + "\n"
-            )
-            fh.write(
-                json.dumps(
-                    {"kind": "commit", "epoch": epoch, "n_sessions": len(sessions)}
-                )
-                + "\n"
-            )
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, self.path)
+        self.log.replace(found[1])
         return True

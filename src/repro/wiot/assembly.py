@@ -29,10 +29,11 @@ in a two-minute experiment; both bite in a multi-day serving session.
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass
 
 from repro.wiot.channel import DeliveredPacket
 
-__all__ = ["BoundedDedup", "WindowAssembler"]
+__all__ = ["AssemblerState", "BoundedDedup", "WindowAssembler"]
 
 #: Eviction horizon, in sequence numbers, for a half still waiting on its
 #: partner.  Generous against any realistic reordering (the channel's
@@ -43,6 +44,20 @@ DEFAULT_MAX_PENDING_LAG = 256
 #: within the channel's retry horizon -- a few sequences -- so remembering
 #: the last few thousand resolved windows is already far on the safe side.
 DEFAULT_DEDUP_CAPACITY = 4096
+
+
+@dataclass(frozen=True)
+class AssemblerState:
+    """A :class:`WindowAssembler`'s snapshot: pending halves (by sequence,
+    then channel), the dedup ring oldest-first, and the counters."""
+
+    pending: dict[int, dict[str, DeliveredPacket]]
+    resolved: tuple[int, ...]
+    highest_sequence: int
+    incomplete_windows: int
+    duplicate_packets: int
+    corrupted_packets: int
+    corrupted_duplicate_packets: int
 
 
 class BoundedDedup:
@@ -216,42 +231,32 @@ class WindowAssembler:
 
     # -- snapshot/restore (gateway session persistence) -----------------
 
-    def export_state(self) -> dict:
-        """Dump the assembler's mutable state for a session snapshot.
+    def export_state(self) -> AssemblerState:
+        """The assembler's mutable state, for a session snapshot.
 
-        Pending deliveries are exported as live
-        :class:`~repro.wiot.channel.DeliveredPacket` objects -- the
-        snapshot codec (:mod:`repro.gateway.snapshot`) owns their JSON
-        encoding, this layer owns only *which* state matters.  Insertion
-        order of both ``pending`` and the dedup ring is preserved: the
-        eviction fast path and the ring's forget order depend on it.
+        Insertion order of both ``pending`` and the dedup ring is
+        preserved: the eviction fast path and the ring's forget order
+        depend on it.
         """
-        return {
-            "pending": {
-                sequence: dict(slot) for sequence, slot in self._pending.items()
-            },
-            "resolved": list(self._resolved._order),
-            "highest_sequence": self._highest_sequence,
-            "incomplete_windows": self.incomplete_windows,
-            "duplicate_packets": self.duplicate_packets,
-            "corrupted_packets": self.corrupted_packets,
-            "corrupted_duplicate_packets": self.corrupted_duplicate_packets,
-        }
-
-    def restore_state(self, exported: dict) -> None:
-        """Resume from an :meth:`export_state` dump (round-trip exact)."""
-        self._pending = {
-            int(sequence): dict(slot)
-            for sequence, slot in exported["pending"].items()
-        }
-        ring = BoundedDedup(self._resolved.capacity)
-        for sequence in exported["resolved"]:
-            ring.add(int(sequence))
-        self._resolved = ring
-        self._highest_sequence = int(exported["highest_sequence"])
-        self.incomplete_windows = int(exported["incomplete_windows"])
-        self.duplicate_packets = int(exported["duplicate_packets"])
-        self.corrupted_packets = int(exported["corrupted_packets"])
-        self.corrupted_duplicate_packets = int(
-            exported["corrupted_duplicate_packets"]
+        return AssemblerState(
+            pending={sequence: dict(slot) for sequence, slot in self._pending.items()},
+            resolved=tuple(self._resolved._order),
+            highest_sequence=self._highest_sequence,
+            incomplete_windows=self.incomplete_windows,
+            duplicate_packets=self.duplicate_packets,
+            corrupted_packets=self.corrupted_packets,
+            corrupted_duplicate_packets=self.corrupted_duplicate_packets,
         )
+
+    def restore_state(self, state: AssemblerState) -> None:
+        """Resume from an :meth:`export_state` value (round-trip exact)."""
+        self._pending = {sequence: dict(slot) for sequence, slot in state.pending.items()}
+        ring = BoundedDedup(self._resolved.capacity)
+        for sequence in state.resolved:
+            ring.add(sequence)
+        self._resolved = ring
+        self._highest_sequence = state.highest_sequence
+        self.incomplete_windows = state.incomplete_windows
+        self.duplicate_packets = state.duplicate_packets
+        self.corrupted_packets = state.corrupted_packets
+        self.corrupted_duplicate_packets = state.corrupted_duplicate_packets

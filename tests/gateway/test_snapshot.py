@@ -1,25 +1,33 @@
 """Tests for gateway session snapshot/restore and the epoch store.
 
 The contract under test: a restored session is *indistinguishable* from
-one that never stopped -- same export (round-tripped through JSON, as
-the store persists it), same future verdicts for the same future
-windows, same duplicate rejection.  The store side: an epoch is durable
-exactly when its commit line is, and any byte-level truncation falls
-back to the newest surviving committed epoch without raising.
+one that never stopped -- same export (round-tripped through the codec
+and JSON, as the store persists it), same future verdicts for the same
+future windows, same duplicate rejection.  The store side: an epoch is
+durable exactly when its commit line is (the directory entry included),
+any byte-level truncation falls back to the newest surviving committed
+epoch without raising, and an epoch in another schema is refused.
 """
 
 import asyncio
+import dataclasses
 import json
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.adaptive.degradation import DegradationController
+from repro.core.codec import decode, encode
 from repro.core.versions import DetectorVersion
 from repro.gateway import IngestionGateway, SessionSnapshotStore, WearerSession
-from repro.gateway.snapshot import decode_delivered, encode_delivered
+from repro.gateway.session import SessionState
+from repro.gateway.snapshot import GatewayState
+from repro.wiot.assembly import AssemblerState, WindowAssembler
 from repro.wiot.channel import DeliveredPacket
 from repro.wiot.sensor import BodySensor
 
@@ -35,8 +43,13 @@ def _session(detector, wearer_id="w0"):
 
 
 def _json_roundtrip(state):
-    """Exactly what the store does to a session export (sans packets)."""
-    return json.loads(json.dumps(state))
+    """Exactly what the store does to a session export."""
+    return decode(SessionState, json.loads(json.dumps(encode(state))))
+
+
+def _gateway_state(n):
+    """A distinguishable gateway state for epoch ``n``."""
+    return GatewayState(n, 0, 0, 0, 0, 0, {})
 
 
 # -- property: snapshot round-trip ---------------------------------------
@@ -74,8 +87,8 @@ class TestSessionRoundTrip:
 
         # Bit-identical export, NaN abstain sentinels included (NaN
         # breaks dict equality, so compare the serialized form).
-        assert json.dumps(restored.export_state()) == json.dumps(
-            original.export_state()
+        assert json.dumps(encode(restored.export_state())) == json.dumps(
+            encode(original.export_state())
         )
 
         # The two sessions are now interchangeable: identical future
@@ -108,7 +121,9 @@ class TestSessionRoundTrip:
     def test_refuses_degradation_disagreement(self, trained_detectors):
         detector = trained_detectors[DetectorVersion.SIMPLIFIED]
         exported = _session(detector).export_state()
-        exported["degradation"] = {"anything": 1}
+        exported = dataclasses.replace(
+            exported, degradation=DegradationController().export_state()
+        )
         with pytest.raises(ValueError, match="degradation"):
             _session(detector).restore_state(exported)
 
@@ -154,6 +169,31 @@ class TestPendingHalves:
         assert restored.assembler.duplicate_packets == 1
 
 
+    def test_dedup_ring_keeps_its_forget_order(self, test_record):
+        """The ring forgets in insertion order, not sequence order; a
+        restore that reordered it would forget the wrong sequence."""
+        ecg = list(BodySensor("s-ecg", "ecg", test_record).packets())[:3]
+        abp = list(BodySensor("s-abp", "abp", test_record).packets())[:3]
+
+        def complete(assembler, i):
+            for packet in (ecg[i], abp[i]):
+                assembler.offer(DeliveredPacket(packet=packet, arrival_time_s=0.0))
+
+        original = WindowAssembler(dedup_capacity=2)
+        complete(original, 2)
+        complete(original, 0)  # resolved after 2: the ring is [2, 0]
+        restored = WindowAssembler(dedup_capacity=2)
+        restored.restore_state(
+            decode(AssemblerState, json.loads(json.dumps(encode(original.export_state()))))
+        )
+        for assembler in (original, restored):
+            complete(assembler, 1)  # the full ring forgets 2, its oldest
+            assembler.offer(DeliveredPacket(packet=ecg[0], arrival_time_s=0.0))
+            assert (assembler.duplicate_packets, assembler.n_pending) == (1, 0)
+            assembler.offer(DeliveredPacket(packet=ecg[2], arrival_time_s=0.0))
+            assert (assembler.duplicate_packets, assembler.n_pending) == (1, 1)
+
+
 class TestResumePoints:
     def test_resume_point_drops_below_pending_halves(
         self, tmp_path, trained_detectors, test_record
@@ -195,6 +235,7 @@ class TestPacketCodec:
         from repro.wiot.sensor import SensorPacket
 
         samples = rng.standard_normal(750).astype(np.float32)
+        samples[:2] = [np.nan, -0.0]
         packet = SensorPacket(
             sensor_id="s-ecg",
             channel="ecg",
@@ -209,9 +250,7 @@ class TestPacketCodec:
             arrival_time_s=123.789,
             crc32=packet.payload_crc32(),
         )
-        decoded = decode_delivered(
-            json.loads(json.dumps(encode_delivered(delivered)))
-        )
+        decoded = decode(DeliveredPacket, json.loads(json.dumps(encode(delivered))))
         assert decoded.packet.samples.dtype == np.float32
         assert decoded.packet.samples.tobytes() == samples.tobytes()
         assert decoded.packet.payload_crc32() == delivered.crc32
@@ -236,9 +275,7 @@ class TestPacketCodec:
             sample_rate=250.0,
         )
         delivered = DeliveredPacket(packet=packet, arrival_time_s=0.5)
-        decoded = decode_delivered(
-            json.loads(json.dumps(encode_delivered(delivered)))
-        )
+        decoded = decode(DeliveredPacket, json.loads(json.dumps(encode(delivered))))
         assert decoded.packet.peak_indexes.dtype == dtype
         assert (
             decoded.packet.peak_indexes.tobytes()
@@ -259,12 +296,12 @@ class TestSnapshotStore:
         detector = trained_detectors[DetectorVersion.SIMPLIFIED]
         store = SessionSnapshotStore(tmp_path / "s.jsonl")
         assert store.load() is None  # cold start
-        store.write_epoch({"n": 1}, [self._epoch(detector, [0.1])])
-        store.write_epoch({"n": 2}, [self._epoch(detector, [0.1, -0.5])])
+        store.write_epoch(_gateway_state(1), [self._epoch(detector, [0.1])])
+        store.write_epoch(_gateway_state(2), [self._epoch(detector, [0.1, -0.5])])
         epoch, gateway_state, sessions = store.load()
         assert epoch == 2
-        assert gateway_state == {"n": 2}
-        assert sessions[0]["windows_scored"] == 2
+        assert gateway_state == _gateway_state(2)
+        assert sessions[0].windows_scored == 2
 
     def test_every_truncation_point_recovers_a_committed_epoch(
         self, tmp_path, trained_detectors
@@ -272,9 +309,9 @@ class TestSnapshotStore:
         detector = trained_detectors[DetectorVersion.SIMPLIFIED]
         path = tmp_path / "s.jsonl"
         store = SessionSnapshotStore(path)
-        store.write_epoch({"n": 1}, [self._epoch(detector, [0.1])])
+        store.write_epoch(_gateway_state(1), [self._epoch(detector, [0.1])])
         boundary = path.stat().st_size  # epoch 1's commit is durable here
-        store.write_epoch({"n": 2}, [self._epoch(detector, [0.1, -0.5])])
+        store.write_epoch(_gateway_state(2), [self._epoch(detector, [0.1, -0.5])])
         payload = path.read_bytes()
 
         last_epoch = 0
@@ -312,9 +349,9 @@ class TestSnapshotStore:
         detector = trained_detectors[DetectorVersion.SIMPLIFIED]
         path = tmp_path / "s.jsonl"
         store = SessionSnapshotStore(path)
-        store.write_epoch({"n": 1}, [self._epoch(detector, [0.1])])
+        store.write_epoch(_gateway_state(1), [self._epoch(detector, [0.1])])
         boundary = path.stat().st_size
-        store.write_epoch({"n": 2}, [self._epoch(detector, [0.1, -0.5])])
+        store.write_epoch(_gateway_state(2), [self._epoch(detector, [0.1, -0.5])])
         # Tear epoch 2 mid-write: keep its begin + session lines, drop
         # the gateway and commit tail.
         lines = path.read_bytes().splitlines(keepends=True)
@@ -324,12 +361,12 @@ class TestSnapshotStore:
 
         reopened = SessionSnapshotStore(path)
         written = reopened.write_epoch(
-            {"n": 3}, [self._epoch(detector, [0.2, 0.3, -0.1])]
+            _gateway_state(3), [self._epoch(detector, [0.2, 0.3, -0.1])]
         )
         assert written == 3  # torn epoch 2's number is not reused
         epoch, gateway_state, sessions = SessionSnapshotStore(path).load()
-        assert (epoch, gateway_state) == (3, {"n": 3})
-        assert sessions[0]["windows_scored"] == 3
+        assert (epoch, gateway_state) == (3, _gateway_state(3))
+        assert sessions[0].windows_scored == 3
 
     def test_second_attempt_at_same_epoch_number_wins(
         self, tmp_path, trained_detectors
@@ -340,7 +377,7 @@ class TestSnapshotStore:
         detector = trained_detectors[DetectorVersion.SIMPLIFIED]
         path = tmp_path / "s.jsonl"
         store = SessionSnapshotStore(path)
-        store.write_epoch({"n": 1}, [self._epoch(detector, [0.1])])
+        store.write_epoch(_gateway_state(1), [self._epoch(detector, [0.1])])
         with path.open("a") as fh:  # torn first attempt at epoch 2
             fh.write(json.dumps({"kind": "begin", "epoch": 2}) + "\n")
             fh.write(
@@ -350,11 +387,11 @@ class TestSnapshotStore:
                 + "\n"
             )
         store._next_epoch = 2  # simulate the legacy reopen numbering
-        store.write_epoch({"n": 2}, [self._epoch(detector, [0.1, -0.5])])
+        store.write_epoch(_gateway_state(2), [self._epoch(detector, [0.1, -0.5])])
         epoch, gateway_state, sessions = SessionSnapshotStore(path).load()
-        assert (epoch, gateway_state) == (2, {"n": 2})
+        assert (epoch, gateway_state) == (2, _gateway_state(2))
         assert len(sessions) == 1
-        assert sessions[0]["windows_scored"] == 2
+        assert sessions[0].windows_scored == 2
 
     def test_garbage_lines_are_skipped_not_fatal(
         self, tmp_path, trained_detectors
@@ -362,12 +399,12 @@ class TestSnapshotStore:
         detector = trained_detectors[DetectorVersion.SIMPLIFIED]
         path = tmp_path / "s.jsonl"
         store = SessionSnapshotStore(path)
-        store.write_epoch({"n": 1}, [self._epoch(detector, [0.1])])
+        store.write_epoch(_gateway_state(1), [self._epoch(detector, [0.1])])
         with path.open("a") as fh:
             fh.write("{not json at all\n")
             fh.write(json.dumps({"kind": "commit", "epoch": "bogus"}) + "\n")
         epoch, gateway_state, _ = SessionSnapshotStore(path).load()
-        assert (epoch, gateway_state) == (1, {"n": 1})
+        assert (epoch, gateway_state) == (1, _gateway_state(1))
 
     def test_compact_keeps_only_the_newest_epoch(
         self, tmp_path, trained_detectors
@@ -377,16 +414,16 @@ class TestSnapshotStore:
         store = SessionSnapshotStore(path)
         for n in range(1, 4):
             store.write_epoch(
-                {"n": n}, [self._epoch(detector, [0.1] * n)]
+                _gateway_state(n), [self._epoch(detector, [0.1] * n)]
             )
         before = path.stat().st_size
         assert store.compact()
         assert path.stat().st_size < before
         epoch, gateway_state, sessions = SessionSnapshotStore(path).load()
-        assert (epoch, gateway_state["n"]) == (3, 3)
-        assert sessions[0]["windows_scored"] == 3
+        assert (epoch, gateway_state.sessions_started) == (3, 3)
+        assert sessions[0].windows_scored == 3
         # Epoch numbering keeps climbing after compaction.
-        assert SessionSnapshotStore(path).write_epoch({"n": 4}, []) == 4
+        assert SessionSnapshotStore(path).write_epoch(_gateway_state(4), []) == 4
 
     def test_nan_decision_values_round_trip(self, tmp_path, trained_detectors):
         """Abstained verdicts carry NaN; the store must not corrupt
@@ -395,7 +432,78 @@ class TestSnapshotStore:
         session = _session(detector)
         session.record_abstain(0, 0.0, 0.05, 0.0)
         store = SessionSnapshotStore(tmp_path / "s.jsonl")
-        store.write_epoch({}, [session.export_state()])
+        store.write_epoch(_gateway_state(0), [session.export_state()])
         _, _, sessions = store.load()
-        value = sessions[0]["recent_verdicts"][0]["decision_value"]
+        value = sessions[0].recent_verdicts[0].decision_value
         assert math.isnan(value)
+
+    def test_old_format_epoch_is_refused(self, tmp_path, trained_detectors):
+        """An epoch in the hand-encoded layout of earlier builds (no
+        ``schema`` field) is refused by name, never silently misread."""
+        path = tmp_path / "s.jsonl"
+        legacy = [
+            {"kind": "begin", "epoch": 1},
+            {"kind": "gateway", "epoch": 1, "state": {"sessions_started": 0}},
+            {"kind": "commit", "epoch": 1, "n_sessions": 0},
+        ]
+        path.write_text("".join(json.dumps(record) + "\n" for record in legacy))
+        with pytest.raises(ValueError, match="schema 1.*reads schema 2"):
+            SessionSnapshotStore(path).load()
+        # A newer epoch in the current schema supersedes it.
+        detector = trained_detectors[DetectorVersion.SIMPLIFIED]
+        store = SessionSnapshotStore(path)
+        assert store.write_epoch(_gateway_state(2), [self._epoch(detector, [0.1])]) == 2
+        epoch, gateway_state, _ = store.load()
+        assert (epoch, gateway_state) == (2, _gateway_state(2))
+
+    def test_new_file_and_compact_fsync_the_directory(
+        self, tmp_path, trained_detectors, monkeypatch
+    ):
+        """Without a directory fsync a crash can drop a new file's entry,
+        or bring the pre-compaction inode back and lose every epoch
+        appended after the rename."""
+        detector = trained_detectors[DetectorVersion.SIMPLIFIED]
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            st_ = os.fstat(fd)
+            events.append(("dir" if stat.S_ISDIR(st_.st_mode) else "file", st_.st_ino))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            real_replace(src, dst)
+            events.append(("replace", None))
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        parent = ("dir", tmp_path.stat().st_ino)
+        store = SessionSnapshotStore(tmp_path / "s.jsonl")
+        store.write_epoch(_gateway_state(1), [self._epoch(detector, [0.1])])
+        assert events[-1] == parent
+        events.clear()
+        store.write_epoch(_gateway_state(2), [self._epoch(detector, [0.1, -0.5])])
+        assert [kind for kind, _ in events] == ["file"]  # existing file: no dir sync
+        events.clear()
+        assert store.compact()
+        assert [kind for kind, _ in events] == ["file", "replace", "dir"]
+        assert events[-1] == parent
+
+    def test_failed_compact_keeps_the_file_and_leaves_no_tmp(
+        self, tmp_path, trained_detectors, monkeypatch
+    ):
+        detector = trained_detectors[DetectorVersion.SIMPLIFIED]
+        path = tmp_path / "s.jsonl"
+        store = SessionSnapshotStore(path)
+        store.write_epoch(_gateway_state(1), [self._epoch(detector, [0.1])])
+        store.write_epoch(_gateway_state(2), [self._epoch(detector, [0.1, -0.5])])
+        before = path.read_bytes()
+
+        def disk_full(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", disk_full)
+        with pytest.raises(OSError, match="disk full"):
+            store.compact()
+        assert path.read_bytes() == before
+        assert sorted(tmp_path.iterdir()) == [path]
