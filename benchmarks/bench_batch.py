@@ -26,8 +26,6 @@ from repro.attacks import AttackScenario, ReplacementAttack
 from repro.core import SIFTDetector
 from repro.signals import SyntheticFantasia
 
-from conftest import run_once
-
 
 @pytest.fixture(scope="module")
 def setup():
@@ -58,22 +56,18 @@ def _best_of(fn, rounds: int) -> float:
 
 def test_scalar_stream_scoring(benchmark, setup):
     detector, stream = setup
-    values = run_once(
-        benchmark,
+    values = benchmark.pedantic(
         lambda: [detector.decision_value(w) for w in stream.windows],
-        study="batch",
-        unit="scalar-stream",
+        rounds=1,
+        iterations=1,
     )
     assert len(values) == len(stream)
 
 
 def test_batch_stream_scoring(benchmark, setup):
     detector, stream = setup
-    values = run_once(
-        benchmark,
-        lambda: detector.decision_values(stream),
-        study="batch",
-        unit="batch-stream",
+    values = benchmark.pedantic(
+        lambda: detector.decision_values(stream), rounds=1, iterations=1
     )
     assert values.shape == (len(stream),)
 

@@ -1,42 +1,18 @@
 """Runtime-chaos bench: the supervised gateway under seeded faults.
 
-Two benches ride the perf trajectory via the ``chaos`` study: the
-supervised serving path with *zero* injected faults (its overhead over
-in-process scoring is the price of crash isolation -- keep it visible),
-and the mixed fault schedule end to end (detection + restart + degraded
-scoring), asserting the same invariants the chaos harness enforces:
-conservation closes, every planned fault kind is detected, and nothing
-leaks.
+Asserts on two orchestrated units: the ``gateway`` study's supervised
+serving run with *zero* injected faults (its overhead over in-process
+scoring is the price of crash isolation, reported beside it in
+``gateway_serving.txt``), and the ``chaos`` study's mixed fault
+schedule end to end (detection + restart + degraded scoring), with the
+invariants the chaos harness enforces: conservation closes, every
+planned fault kind is detected, and nothing leaks.
 """
 
-from repro.faults.runtime import run_chaos_schedule
-from repro.gateway import run_gateway_load
 
-from conftest import run_once
-
-
-def test_supervised_serving_overhead(benchmark, quick, save_result):
+def test_supervised_serving_overhead(orchestrate):
     """Zero-fault supervised serving: isolation overhead, conserved."""
-    n_wearers = 32 if quick else 128
-    stream_s = 12.0 if quick else 30.0
-
-    report = run_once(
-        benchmark,
-        lambda: run_gateway_load(
-            n_wearers=n_wearers,
-            stream_s=stream_s,
-            batch_size=64,
-            loss_probability=0.02,
-            supervised=True,
-        ),
-        study="chaos",
-        unit="supervised-serving",
-        sample=lambda r: {
-            "n_windows": r.stats.verdicts,
-            "p99_ms": r.p99_latency_s * 1e3,
-        },
-    )
-    save_result("chaos_supervised_serving", report.summary())
+    report = orchestrate("gateway").results["serving-supervised"]
 
     assert report.leaked_sessions == 0
     assert report.conservation_ok
@@ -49,28 +25,14 @@ def test_supervised_serving_overhead(benchmark, quick, save_result):
     assert sup.breaker_state == "closed"
 
 
-def test_mixed_fault_schedule(benchmark, quick, save_result):
+def test_mixed_fault_schedule(orchestrate):
     """The mixed schedule: every fault kind injected and survived."""
-    n_wearers = 8 if quick else 16
-    stream_s = 12.0 if quick else 24.0
+    chaos = orchestrate("chaos").results["schedule-mixed"]
 
-    chaos = run_once(
-        benchmark,
-        lambda: run_chaos_schedule(
-            "mixed", n_wearers=n_wearers, stream_s=stream_s
-        ),
-        study="chaos",
-        unit="schedule-mixed",
-        sample=lambda r: {"n_windows": r.report.stats.verdicts},
-    )
-    save_result("chaos_mixed_schedule", "\n".join(
-        f"{key}: {value}" for key, value in chaos.to_payload().items()
-    ))
-
-    # run_chaos_schedule already audited conservation, per-kind
-    # detection, and session leaks (strict mode raises); pin the
-    # headline numbers so a silently weakened schedule fails loudly.
-    assert chaos.ok
+    # The schedule audited conservation, per-kind detection and session
+    # leaks into ``ok``; pin the headline numbers so a silently weakened
+    # schedule fails loudly.
+    assert chaos.ok, chaos.violations
     assert chaos.planned_faults >= 4
     sup = chaos.report.supervisor
     assert sup.faults >= chaos.planned_faults

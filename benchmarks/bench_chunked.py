@@ -23,8 +23,6 @@ import pytest
 from repro.core import SIFTDetector
 from repro.signals import SyntheticFantasia, iter_windows
 
-from conftest import run_once
-
 WINDOW_S = 3.0
 CHUNK = 16
 
@@ -108,11 +106,10 @@ def test_chunked_peak_memory(setup, quick):
 
 def test_one_shot_stream_scoring(benchmark, setup):
     detector, record, n_windows = setup
-    values = run_once(
-        benchmark,
+    values = benchmark.pedantic(
         lambda: detector.decision_values(list(_windows(record))),
-        study="chunked",
-        unit="one-shot",
+        rounds=1,
+        iterations=1,
     )
     assert values.shape == (n_windows,)
 
@@ -125,4 +122,4 @@ def test_chunked_stream_scoring(benchmark, setup):
             len(v) for v in detector.iter_decision_values(_windows(record), 256)
         )
 
-    assert run_once(benchmark, run, study="chunked", unit="chunked") == n_windows
+    assert benchmark.pedantic(run, rounds=1, iterations=1) == n_windows

@@ -1,40 +1,18 @@
 """Ingestion-gateway serving bench.
 
-Drives a fleet of concurrent simulated wearers (>= 1k in the full run)
-through the async micro-batching gateway and asserts the serving-side
-contract: every sent window is accounted for (verdict, shed, or
-incomplete), no session leaks past shutdown, and the run reports
-sustained windows/sec plus p50/p99 verdict latency -- which land in the
-session's ``BENCH_<stamp>.json`` trajectory via the ``gateway`` study,
-where ``repro bench-gate`` gates them against the committed baseline.
+Asserts on the orchestrated ``gateway`` study: a fleet of >= 1k
+concurrent simulated wearers through the async micro-batching gateway,
+under the event-loop stall sanitizer.  The serving-side contract: every
+sent window is accounted for (verdict, shed, or incomplete), no session
+leaks past shutdown, and the run reports sustained windows/sec plus
+p50/p99 verdict latency -- which the orchestrator's ``BENCH_<stamp>.json``
+trajectory carries to ``repro bench-gate``.
 """
 
-from repro.gateway import run_gateway_load
 
-from conftest import run_once
-
-
-def test_gateway_fleet(benchmark, quick, save_result):
-    n_wearers = 128 if quick else 1024
-    stream_s = 12.0 if quick else 30.0
-
-    report = run_once(
-        benchmark,
-        lambda: run_gateway_load(
-            n_wearers=n_wearers,
-            stream_s=stream_s,
-            batch_size=256,
-            loss_probability=0.02,
-            sanitize_loop=True,
-        ),
-        study="gateway",
-        unit="serving",
-        sample=lambda r: {
-            "n_windows": r.stats.verdicts,
-            "p99_ms": r.p99_latency_s * 1e3,
-        },
-    )
-    save_result("gateway_serving_bench", report.summary())
+def test_gateway_fleet(orchestrate):
+    report = orchestrate("gateway").results["serving"]
+    n_wearers = 1024
 
     stats = report.stats
     assert report.n_wearers == n_wearers

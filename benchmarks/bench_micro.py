@@ -19,8 +19,6 @@ from repro.signals import SyntheticFantasia
 from repro.sift_app.device_features import device_extract_features
 from repro.sift_app.payload import DeviceWindow
 
-from conftest import run_once
-
 
 @pytest.fixture(scope="module")
 def data():
@@ -44,21 +42,15 @@ def data():
 
 def test_bench_signal_generation(benchmark, data):
     dataset, victim = data["dataset"], data["victim"]
-    record = run_once(
-        benchmark,
-        lambda: dataset.record(victim, 120.0, "extra"),
-        study="micro",
-        unit="signal-generation",
+    record = benchmark.pedantic(
+        lambda: dataset.record(victim, 120.0, "extra"), rounds=1, iterations=1
     )
     assert record.n_samples == int(120.0 * dataset.sample_rate)
 
 
 def test_bench_portrait_construction(benchmark, data):
-    batch = run_once(
-        benchmark,
-        lambda: build_portrait_batch([data["window"]]),
-        study="micro",
-        unit="portrait",
+    batch = benchmark.pedantic(
+        lambda: build_portrait_batch([data["window"]]), rounds=1, iterations=1
     )
     assert batch.x.shape == (1, 1080)
 
@@ -66,11 +58,8 @@ def test_bench_portrait_construction(benchmark, data):
 @pytest.mark.parametrize("version", list(DetectorVersion), ids=lambda v: v.value)
 def test_bench_reference_extraction(benchmark, data, version):
     extractor = make_extractor(version)
-    features = run_once(
-        benchmark,
-        lambda: extractor.extract_stream([data["window"]])[0],
-        study="micro",
-        unit=f"reference-extract-{version.value}",
+    features = benchmark.pedantic(
+        lambda: extractor.extract_stream([data["window"]])[0], rounds=1, iterations=1
     )
     assert features.shape == (version.n_features,)
 
@@ -83,9 +72,7 @@ def test_bench_device_extraction(benchmark, data, version):
         )
         return device_extract_features(math, version, data["device_window"])
 
-    features = run_once(
-        benchmark, extract, study="micro", unit=f"device-extract-{version.value}"
-    )
+    features = benchmark.pedantic(extract, rounds=1, iterations=1)
     assert features.shape == (version.n_features,)
 
 
@@ -117,11 +104,8 @@ def test_bench_svm_training(benchmark, data):
 def test_bench_end_to_end_window_classification(benchmark, data):
     detector = SIFTDetector(version="simplified")
     detector.fit(data["train"], data["donors"])
-    verdict = run_once(
-        benchmark,
-        lambda: detector.classify_window(data["window"]),
-        study="micro",
-        unit="end-to-end-window",
+    verdict = benchmark.pedantic(
+        lambda: detector.classify_window(data["window"]), rounds=1, iterations=1
     )
     assert verdict in (True, False)
 
@@ -131,11 +115,8 @@ def test_bench_fixed_point_classification(benchmark, data):
     detector.fit(data["train"], data["donors"])
     model = detector.deploy()
     features_q = model.quantize(detector.extractor.extract_stream([data["window"]])[0])
-    result = run_once(
-        benchmark,
-        lambda: model.predict_bool_fixed(features_q),
-        study="micro",
-        unit="fixed-point-classify",
+    result = benchmark.pedantic(
+        lambda: model.predict_bool_fixed(features_q), rounds=1, iterations=1
     )
     assert result in (True, False)
 
@@ -143,11 +124,8 @@ def test_bench_fixed_point_classification(benchmark, data):
 def test_bench_peak_detection(benchmark, data):
     from repro.signals.peaks import detect_r_peaks
 
-    peaks = run_once(
-        benchmark,
-        lambda: detect_r_peaks(data["test"].ecg, 360.0),
-        study="micro",
-        unit="peak-detection",
+    peaks = benchmark.pedantic(
+        lambda: detect_r_peaks(data["test"].ecg, 360.0), rounds=1, iterations=1
     )
     assert peaks.size > 50
 
@@ -156,10 +134,7 @@ def test_bench_occupancy_histogram(benchmark, data):
     math = RestrictedMath(counter=OpCounter())
     x = np.random.default_rng(0).random(1080)
     y = np.random.default_rng(1).random(1080)
-    matrix = run_once(
-        benchmark,
-        lambda: math.histogram2d(x, y, 50),
-        study="micro",
-        unit="occupancy-histogram",
+    matrix = benchmark.pedantic(
+        lambda: math.histogram2d(x, y, 50), rounds=1, iterations=1
     )
     assert matrix.sum() == 1080

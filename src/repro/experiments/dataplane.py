@@ -53,7 +53,7 @@ from typing import Hashable, Iterable, Mapping
 
 import numpy as np
 
-from repro.experiments.cache import EXPERIMENT_CACHE
+from repro.experiments.cache import EXPERIMENT_CACHE, cache_disabled, set_cache_budget
 from repro.experiments.pipeline import (
     ExperimentConfig,
     cohort_record_specs,
@@ -63,12 +63,18 @@ from repro.experiments.pipeline import (
 from repro.signals.dataset import Record, SyntheticFantasia
 
 __all__ = [
+    "AcquisitionResult",
     "DatasetPlane",
+    "FanoutResult",
     "PlaneManifest",
     "RecordBlock",
     "attach_records",
     "attached_plane_tokens",
+    "format_acquisition",
+    "format_fanout",
     "leaked_segments",
+    "measure_acquisition",
+    "measure_fanout",
     "perf_stats",
     "realize_cohort_records",
     "seed_worker_cache",
@@ -359,15 +365,20 @@ def _evict_stale_planes(current_token: str) -> None:
         return
     EXPERIMENT_CACHE.clear()
     for token in stale:
-        plane = _ATTACHED.pop(token)
-        plane.records.clear()
-        if plane.shm is not None:
-            try:
-                plane.shm.close()
-            except BufferError:
-                # A stray view still exports the buffer; the mapping is
-                # reclaimed when the worker exits instead.
-                pass
+        _detach(token)
+
+
+def _detach(token: str) -> None:
+    """Drop this process's attachment to one plane and unmap it."""
+    plane = _ATTACHED.pop(token)
+    plane.records.clear()
+    if plane.shm is not None:
+        try:
+            plane.shm.close()
+        except BufferError:
+            # A stray view still exports the buffer; the mapping is
+            # reclaimed when the process exits instead.
+            pass
 
 
 def _attach(manifest: PlaneManifest) -> _AttachedPlane:
@@ -474,3 +485,126 @@ def leaked_segments() -> list[str]:
         )
     except (FileNotFoundError, NotADirectoryError, PermissionError):
         return []
+
+
+# ----------------------------------------------------------------------
+# What the plane buys, measured (the ``dataplane`` study)
+# ----------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class AcquisitionResult:
+    """How long one process takes to obtain the cohort working set."""
+
+    n_records: int
+    nbytes: int
+    synthesis_s: float
+    attach_s: float
+    #: Every published record came back from the attach.
+    complete: bool
+
+    @property
+    def speedup(self) -> float:
+        return self.synthesis_s / self.attach_s
+
+
+@dataclass(frozen=True)
+class FanoutResult:
+    """A multi-version cohort fan-out timed without and with the plane."""
+
+    versions: tuple[str, ...]
+    jobs: int
+    without_s: float
+    with_s: float
+    #: Every task of both runs succeeded.
+    all_ok: bool
+    #: Both runs produced the same reference reports, task for task.
+    identical: bool
+
+
+def measure_acquisition(config: ExperimentConfig) -> AcquisitionResult:
+    """Synthesizing the working set vs attaching shared views of it.
+
+    This is the per-worker rebuild the plane removes: attaching is
+    orders of magnitude faster than synthesizing (and re-detecting peaks
+    on) the recordings.  Synthesis bypasses the experiment cache, so it
+    is cold.
+    """
+    with cache_disabled():
+        started = time.perf_counter()
+        records = realize_cohort_records(config)
+        synthesis_s = time.perf_counter() - started
+    with DatasetPlane.publish(records, backend="shm") as plane:
+        started = time.perf_counter()
+        attached = attach_records(plane.manifest)
+        attach_s = time.perf_counter() - started
+        complete = set(attached) == set(records)
+        _detach(plane.manifest.token)
+    return AcquisitionResult(
+        n_records=len(records),
+        nbytes=sum(r.nbytes for r in records.values()),
+        synthesis_s=synthesis_s,
+        attach_s=attach_s,
+        complete=complete,
+    )
+
+
+def measure_fanout(config: ExperimentConfig) -> FanoutResult:
+    """End-to-end cohort fan-out with ``share_dataset`` off vs on.
+
+    Two versions over two workers.  Each run starts from a cold parent
+    cache, so the off mode cannot coast on fork-inherited records; one
+    warm-up run primes the code paths and the fork machinery first.
+    """
+    from repro.experiments.runner import CohortRunner
+
+    versions, jobs = ("reduced", "simplified"), 2
+
+    def fanout(share: bool):
+        # Evict every entry (counted as evictions) without clear()'s
+        # counter reset, which would corrupt the orchestrator's deltas.
+        set_cache_budget(set_cache_budget(0))
+        started = time.perf_counter()
+        with CohortRunner(
+            config=config, jobs=jobs, with_device=False, share_dataset=share
+        ) as runner:
+            outcomes = [o for v in versions for o in runner.run_version(v)]
+        return time.perf_counter() - started, outcomes
+
+    fanout(True)
+    without_s, without = fanout(False)
+    with_s, with_plane = fanout(True)
+    pairs = list(zip(without, with_plane, strict=True))
+    all_ok = all(a.ok and b.ok for a, b in pairs)
+    return FanoutResult(
+        versions=versions,
+        jobs=jobs,
+        without_s=without_s,
+        with_s=with_s,
+        all_ok=all_ok,
+        identical=all_ok
+        and all(
+            a.result.reference_report == b.result.reference_report for a, b in pairs
+        ),
+    )
+
+
+def format_acquisition(result: AcquisitionResult) -> str:
+    """The ``dataplane_acquisition`` report."""
+    return (
+        f"cohort working set: {result.n_records} records, "
+        f"{result.nbytes / 2**20:.1f} MiB\n"
+        f"synthesize (per worker, without plane): {result.synthesis_s * 1e3:.1f} ms\n"
+        f"attach shared views (with plane):       {result.attach_s * 1e3:.3f} ms\n"
+        f"acquisition speedup: {result.speedup:.0f}x"
+    )
+
+
+def format_fanout(result: FanoutResult) -> str:
+    """The ``dataplane_fanout`` report."""
+    return (
+        f"cohort fan-out, jobs={result.jobs}, versions={list(result.versions)}\n"
+        f"without plane (per-worker synthesis): {result.without_s:.2f} s\n"
+        f"with plane (shared-memory attach):    {result.with_s:.2f} s\n"
+        f"speedup: {result.without_s / result.with_s:.2f}x"
+    )

@@ -48,7 +48,11 @@ from repro.experiments.studies import (
     UnitSpec,
     build_registry,
 )
-from repro.experiments.trajectory import build_trajectory, write_trajectory
+from repro.experiments.trajectory import (
+    build_trajectory,
+    draw_calibration,
+    write_trajectory,
+)
 
 __all__ = [
     "CheckpointError",
@@ -155,12 +159,7 @@ class CheckpointStore:
 
 @dataclass(frozen=True)
 class UnitOutcome:
-    """One measured unit: its decoded result plus what it cost.
-
-    Bench sessions build these directly for their microbenchmarks;
-    ``extra`` fields (e.g. a measured ``speedup``) ride into the
-    trajectory's ``units_detail`` verbatim.
-    """
+    """One measured unit: its decoded result plus what it cost."""
 
     name: str
     wall_s: float
@@ -171,16 +170,18 @@ class UnitOutcome:
     p99_ms: float = 0.0
     cache: dict[str, int] = field(default_factory=dict)
     dataplane: dict[str, float] = field(default_factory=dict)
-    extra: dict[str, Any] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
 class StudyRun:
-    """One study's units plus the report files it produced."""
+    """One study's units, the report files it produced, and the machine
+    calibration draws taken immediately before and after its recomputed
+    units (none when every unit came from a checkpoint)."""
 
     name: str
     units: tuple[UnitOutcome, ...]
     reports: dict[str, Path] = field(default_factory=dict)
+    calibration: tuple[float, ...] = ()
 
     @property
     def wall_s(self) -> float:
@@ -289,6 +290,7 @@ class Orchestrator:
         ctx = StudyContext(config=config, quick=self.quick, jobs=self.jobs)
         existing = self.store.load(name)
         outcomes: list[UnitOutcome] = []
+        calibration: list[float] = []
         for spec in definition.build_units(ctx):
             unit_hash = config_hash(spec.params)
             record = existing.get(spec.name)
@@ -305,7 +307,11 @@ class Orchestrator:
                     f"study {name!r} unit {spec.name!r} has no checkpoint "
                     f"for hash {unit_hash} -- run without reeval first"
                 )
+            if not calibration:
+                calibration.append(draw_calibration())
             outcomes.append(self._run_unit(name, ctx, spec, unit_hash))
+        if calibration:
+            calibration.append(draw_calibration())
         reports: dict[str, Path] = {}
         results = {o.name: o.result for o in outcomes}
         for report_name, text in definition.render(ctx, results).items():
@@ -313,7 +319,12 @@ class Orchestrator:
             path = self.results_dir / f"{report_name}.txt"
             path.write_text(text + "\n")
             reports[report_name] = path
-        return StudyRun(name=name, units=tuple(outcomes), reports=reports)
+        return StudyRun(
+            name=name,
+            units=tuple(outcomes),
+            reports=reports,
+            calibration=tuple(calibration),
+        )
 
     def _run_unit(
         self, study: str, ctx: StudyContext, spec: UnitSpec, unit_hash: str

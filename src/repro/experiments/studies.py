@@ -367,6 +367,7 @@ def _gateway_units(ctx: StudyContext) -> list[UnitSpec]:
         "batch_size": 256,
         "loss_probability": 0.02,
         "seed": ctx.config.seed,
+        "sanitize_loop": True,
     }
     return [
         UnitSpec(
@@ -376,40 +377,53 @@ def _gateway_units(ctx: StudyContext) -> list[UnitSpec]:
             returns=LoadReport,
             n_windows=lambda r: r.stats.verdicts,
             p99_ms=lambda r: r.p99_latency_s * 1e3,
-        )
+        ),
+        # The same fleet scored by a crash-isolated child: the price of
+        # isolation, reported beside the in-process run.  It has no
+        # p99 reader, so the gated tail latency stays the in-process one.
+        UnitSpec(
+            name="serving-supervised",
+            params={"study": "gateway", "supervised": True, **knobs},
+            run=lambda ctx: run_gateway_load(supervised=True, **knobs),
+            returns=LoadReport,
+            n_windows=lambda r: r.stats.verdicts,
+        ),
     ]
+
+
+#: ``gateway_serving`` rows: (metric, formatter over one LoadReport).
+_GATEWAY_ROWS: tuple[tuple[str, Callable[[Any], str]], ...] = (
+    ("concurrent wearers", lambda r: f"{r.n_wearers}"),
+    ("windows sent", lambda r: f"{r.windows_sent}"),
+    (
+        "verdicts",
+        lambda r: f"{r.stats.verdicts} ({r.stats.windows_scored} scored, "
+        f"{r.stats.windows_abstained} abstained)",
+    ),
+    ("windows shed", lambda r: f"{r.stats.windows_shed}"),
+    (
+        "incomplete windows",
+        lambda r: f"{r.stats.incomplete_windows} "
+        f"(+{r.windows_vanished} vanished in channel)",
+    ),
+    ("episodes closed", lambda r: f"{r.stats.episodes_closed}"),
+    ("mean batch size", lambda r: f"{r.stats.mean_batch_size:.1f}"),
+    ("throughput", lambda r: f"{r.windows_per_s:.0f} windows/s"),
+    (
+        "verdict latency",
+        lambda r: f"p50 {r.p50_latency_s * 1e3:.2f} ms, "
+        f"p99 {r.p99_latency_s * 1e3:.2f} ms",
+    ),
+    ("leaked sessions", lambda r: f"{r.leaked_sessions}"),
+)
 
 
 def _gateway_render(ctx: StudyContext, results: dict[str, Any]) -> dict[str, str]:
-    report = results["serving"]
-    stats = report.stats
-    rows = [
-        ["concurrent wearers", f"{report.n_wearers}"],
-        ["windows sent", f"{report.windows_sent}"],
-        [
-            "verdicts",
-            f"{stats.verdicts} ({stats.windows_scored} scored, "
-            f"{stats.windows_abstained} abstained)",
-        ],
-        ["windows shed", f"{stats.windows_shed}"],
-        [
-            "incomplete windows",
-            f"{stats.incomplete_windows} "
-            f"(+{report.windows_vanished} vanished in channel)",
-        ],
-        ["episodes closed", f"{stats.episodes_closed}"],
-        ["mean batch size", f"{stats.mean_batch_size:.1f}"],
-        ["throughput", f"{report.windows_per_s:.0f} windows/s"],
-        [
-            "verdict latency",
-            f"p50 {report.p50_latency_s * 1e3:.2f} ms, "
-            f"p99 {report.p99_latency_s * 1e3:.2f} ms",
-        ],
-        ["leaked sessions", f"{report.leaked_sessions}"],
-    ]
+    reports = (results["serving"], results["serving-supervised"])
+    rows = [[metric, *(cell(r) for r in reports)] for metric, cell in _GATEWAY_ROWS]
     return {
         "gateway_serving": format_table(
-            ["metric", "value"],
+            ["metric", "in-process", "supervised"],
             rows,
             title="Ingestion gateway: multi-wearer serving load",
         )
@@ -563,16 +577,7 @@ def _native_units(ctx: StudyContext) -> list[UnitSpec]:
             record = data.record(victim, stream_s, purpose="test")
             windows = list(iter_windows(record, window_s=3.0))
 
-            def best_of(fn: Callable[[], Any], rounds: int = 3) -> float:
-                best = float("inf")
-                for _ in range(rounds):
-                    started = time.perf_counter()
-                    fn()
-                    best = min(best, time.perf_counter() - started)
-                return best
-
-            numpy_values = detector.decision_values(windows)
-            numpy_wall = best_of(lambda: detector.decision_values(windows))
+            numpy_values, numpy_wall = _best_of(lambda: detector.decision_values(windows))
             payload: dict[str, Any] = {
                 "n_windows": len(windows),
                 "numpy_windows_per_s": round(len(windows) / numpy_wall, 3),
@@ -593,8 +598,7 @@ def _native_units(ctx: StudyContext) -> list[UnitSpec]:
                     bit_identical=None,
                 )
                 return payload
-            native_values = detector.decision_values(windows)
-            native_wall = best_of(lambda: detector.decision_values(windows))
+            native_values, native_wall = _best_of(lambda: detector.decision_values(windows))
             payload.update(
                 reason="ok",
                 bit_identical=bool(np.array_equal(numpy_values, native_values)),
@@ -605,7 +609,7 @@ def _native_units(ctx: StudyContext) -> list[UnitSpec]:
 
         return run
 
-    return [
+    units = [
         UnitSpec(
             name=version.value,
             params={
@@ -619,11 +623,100 @@ def _native_units(ctx: StudyContext) -> list[UnitSpec]:
         )
         for version in DetectorVersion
     ]
+    # SVM training: a 1200 s training record makes the Table II-sized
+    # 800 x 8 Simplified training set; quick trims it to 80 x 8, timed once.
+    smo_knobs = (
+        {"train_s": 120.0, "rounds": 1} if ctx.quick else {"train_s": 1200.0, "rounds": 3}
+    )
+    units.append(
+        UnitSpec(
+            name="smo",
+            params={"study": "native", "unit": "smo", "seed": ctx.config.seed, **smo_knobs},
+            run=lambda ctx: _smo_speedup(ctx.config.seed, **smo_knobs),
+            returns=SmoSpeedup,
+        )
+    )
+    return units
+
+
+@dataclass(frozen=True)
+class SmoSpeedup:
+    """The native SMO solver against the NumPy loop on one training set.
+
+    ``reason`` is ``"ok"`` when the native kernel ran, else why there is
+    no native lane (and the comparison fields keep their defaults).
+    """
+
+    n_samples: int
+    n_features: int
+    reason: str
+    bit_identical: bool = False
+    n_iter: int = 0
+    numpy_fit_ms: float = 0.0
+    native_fit_ms: float = 0.0
+
+    @property
+    def speedup(self) -> float:
+        return self.numpy_fit_ms / self.native_fit_ms
+
+
+def _smo_speedup(seed: int, train_s: float, rounds: int) -> SmoSpeedup:
+    """Fit one Simplified training set with ``smo.solve`` and ``_smo_numpy``."""
+    from repro.core.detector import SIFTDetector
+    from repro.core.training import build_training_set
+    from repro.ml.svm import SVC, _canonical_labels, _smo_numpy
+    from repro.native import smo
+    from repro.signals import SyntheticFantasia
+
+    data = SyntheticFantasia(n_subjects=4, seed=seed)
+    victim, donors = data.subjects[0], data.subjects[1:]
+    detector = SIFTDetector(version=DetectorVersion.SIMPLIFIED)
+    training_set = build_training_set(
+        detector.extractor,
+        data.record(victim, train_s, purpose="train"),
+        [data.record(s, 120.0, purpose="train") for s in donors],
+    )
+    X = detector.scaler.fit_transform(training_set.X)
+    y = _canonical_labels(training_set.y)
+    svc = SVC()
+    K = svc.kernel(X, X)
+    knobs = (svc.C, svc.tol, svc.max_passes, svc.max_iter)
+
+    def fit(solver: Callable[..., Any]) -> Callable[[], Any]:
+        return lambda: solver(K, y, *knobs, np.random.default_rng(svc.seed))
+
+    shape = {"n_samples": X.shape[0], "n_features": X.shape[1]}
+    native, native_s = _best_of(fit(smo.solve), rounds)
+    if native is None:
+        return SmoSpeedup(**shape, reason="native SMO kernel unavailable")
+    reference, numpy_s = _best_of(fit(_smo_numpy), rounds)
+    return SmoSpeedup(
+        **shape,
+        reason="ok",
+        bit_identical=(
+            native[0].tobytes() == reference[0].tobytes()
+            and native[1:] == reference[1:]
+        ),
+        n_iter=native[2],
+        numpy_fit_ms=round(numpy_s * 1e3, 3),
+        native_fit_ms=round(native_s * 1e3, 3),
+    )
+
+
+def _best_of(fn: Callable[[], Any], rounds: int = 3) -> tuple[Any, float]:
+    """``fn``'s result and the fastest of ``rounds`` timed calls, in seconds."""
+    best = float("inf")
+    for _ in range(rounds):
+        started = time.perf_counter()
+        result = fn()
+        best = min(best, time.perf_counter() - started)
+    return result, best
 
 
 def _native_render(ctx: StudyContext, results: dict[str, Any]) -> dict[str, str]:
     rows = []
-    for name, payload in results.items():
+    tiers = {name: payload for name, payload in results.items() if name != "smo"}
+    for name, payload in tiers.items():
         if payload.get("available"):
             rows.append(
                 [
@@ -644,7 +737,92 @@ def _native_render(ctx: StudyContext, results: dict[str, Any]) -> dict[str, str]
             ["tier", "numpy w/s", "native w/s", "speedup", "bit-identical"],
             rows,
             title="Native scoring core: generated-C hot path vs NumPy",
+        ),
+        "native_smo": _format_smo(results["smo"]),
+    }
+
+
+def _format_smo(fit: SmoSpeedup) -> str:
+    shape = f"{fit.n_samples}x{fit.n_features}"
+    if fit.reason != "ok":
+        row = [shape, "-", "-", "-", "-", fit.reason]
+    else:
+        row = [
+            shape,
+            f"{fit.n_iter}",
+            f"{fit.numpy_fit_ms:.0f}",
+            f"{fit.native_fit_ms:.0f}",
+            f"{fit.speedup:.2f}x",
+            "yes" if fit.bit_identical else "NO",
+        ]
+    return format_table(
+        [
+            "training set", "iterations", "numpy ms", "native ms", "speedup",
+            "bit-identical",
+        ],
+        [row],
+        title="Native SVM training: C SMO solver vs NumPy loop (Simplified tier)",
+    )
+
+
+def _adaptive_units(ctx: StudyContext) -> list[UnitSpec]:
+    from repro.adaptive.engine import AdaptiveTimeline
+
+    def run(ctx: StudyContext) -> dict[str, AdaptiveTimeline]:
+        from repro.experiments.adaptive import run_adaptive_policies
+
+        return run_adaptive_policies(ctx.config.seed, ctx.config.scenario_seed)
+
+    return [
+        UnitSpec(
+            name="policies",
+            params={
+                "study": "adaptive",
+                "seed": ctx.config.seed,
+                "scenario_seed": ctx.config.scenario_seed,
+            },
+            run=run,
+            returns=dict[str, AdaptiveTimeline],
         )
+    ]
+
+
+def _adaptive_render(ctx: StudyContext, results: dict[str, Any]) -> dict[str, str]:
+    from repro.experiments.adaptive import format_adaptive_policies
+
+    return {"adaptive_policies": format_adaptive_policies(results["policies"])}
+
+
+def _dataplane_units(ctx: StudyContext) -> list[UnitSpec]:
+    from repro.experiments.dataplane import (
+        AcquisitionResult,
+        FanoutResult,
+        measure_acquisition,
+        measure_fanout,
+    )
+
+    return [
+        UnitSpec(
+            name="acquisition",
+            params=_params(ctx, "dataplane", unit="acquisition"),
+            run=lambda ctx: measure_acquisition(ctx.config),
+            returns=AcquisitionResult,
+        ),
+        UnitSpec(
+            name="fanout",
+            params=_params(ctx, "dataplane", unit="fanout"),
+            run=lambda ctx: measure_fanout(ctx.config),
+            returns=FanoutResult,
+        ),
+    ]
+
+
+def _dataplane_render(ctx: StudyContext, results: dict[str, Any]) -> dict[str, str]:
+    from repro.experiments.dataplane import format_acquisition, format_fanout
+
+    return {
+        "dataplane_acquisition": format_acquisition(results["acquisition"]),
+        "dataplane_fanout": format_fanout(results["fanout"]),
     }
 
 
@@ -661,6 +839,15 @@ _MID_COHORT = ExperimentConfig(
 _ROBUSTNESS_COHORT = ExperimentConfig(
     n_subjects=6,
     train_duration_s=300.0,
+    test_duration_s=120.0,
+    n_train_donors=3,
+    n_test_donors=2,
+)
+#: The dataset-plane cohort: long training records, so there is a
+#: working set worth sharing.
+_DATAPLANE_COHORT = ExperimentConfig(
+    n_subjects=6,
+    train_duration_s=600.0,
     test_duration_s=120.0,
     n_train_donors=3,
     n_test_donors=2,
@@ -682,6 +869,11 @@ def build_registry() -> dict[str, StudyDefinition]:
         StudyDefinition("gateway", _gateway_units, _gateway_render),
         StudyDefinition("chaos", _chaos_units, _chaos_render),
         StudyDefinition("native", _native_units, _native_render),
+        StudyDefinition("adaptive", _adaptive_units, _adaptive_render),
+        # Last: its measurements evict the experiment cache.
+        StudyDefinition(
+            "dataplane", _dataplane_units, _dataplane_render, _DATAPLANE_COHORT
+        ),
     )
     return {study.name: study for study in studies}
 

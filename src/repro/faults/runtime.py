@@ -216,7 +216,7 @@ class ChaosReport:
         return not self.violations
 
     def to_payload(self) -> dict:
-        """Flat JSON-ready summary of the run (the chaos bench's report)."""
+        """Flat JSON-ready summary of the run."""
         sup = self.report.supervisor
         stats = self.report.stats
         return {

@@ -25,11 +25,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.adaptive.degradation import DegradationState, TierSwitch
+from repro.adaptive.engine import AdaptiveTimeline
 from repro.amulet.battery import Battery
 from repro.amulet.profiler import ResourceProfile
 from repro.core.codec import decode, encode
 from repro.core.streaming import AttackEpisode, DebouncerState
 from repro.core.versions import DetectorVersion
+from repro.experiments.adaptive import format_adaptive_policies, run_adaptive_policies
+from repro.experiments.dataplane import AcquisitionResult, FanoutResult
 from repro.experiments.fig3 import (
     Fig3Result,
     format_fig3,
@@ -40,7 +43,7 @@ from repro.experiments.fig3 import (
 from repro.experiments.orchestrator import Orchestrator
 from repro.experiments.pipeline import ExperimentConfig, SubjectRunResult
 from repro.experiments.runner import CohortOutcome, TaskFaultReport
-from repro.experiments.studies import StudyContext, build_registry
+from repro.experiments.studies import SmoSpeedup, StudyContext, build_registry
 from repro.experiments.table2 import (
     Table2Result,
     Table2Row,
@@ -238,6 +241,12 @@ STRATEGIES: dict[Any, st.SearchStrategy] = {
     ChaosReport: st.builds(ChaosReport),
     RestartChaosReport: st.builds(RestartChaosReport),
     TruncationChaosReport: st.builds(TruncationChaosReport),
+    SmoSpeedup: st.builds(SmoSpeedup),
+    AcquisitionResult: st.builds(AcquisitionResult),
+    FanoutResult: st.builds(FanoutResult),
+    dict[str, AdaptiveTimeline]: st.dictionaries(
+        st.text(), st.builds(AdaptiveTimeline), max_size=3
+    ),
     list[dict[str, float]]: st.lists(st.dictionaries(st.text(), floats)),
     list[dict[str, Any]]: st.lists(
         st.dictionaries(st.text(), floats | st.integers() | st.text() | st.none())
@@ -352,7 +361,7 @@ def test_real_registry_renders_match_in_memory_formatters(tmp_path):
         quick=True,
         checkpoint_dir=tmp_path / "checkpoints",
         results_dir=tmp_path / "results",
-    ).run(studies=["table2", "table3", "fig3", "universal"], trajectory=False)
+    ).run(studies=["table2", "table3", "fig3", "universal", "adaptive"], trajectory=False)
     reports = {
         name: path.read_text()
         for study in run.studies
@@ -371,5 +380,8 @@ def test_real_registry_renders_match_in_memory_formatters(tmp_path):
             run_grid_resource_sweep(config, grids=(10, 50))
         ),
         "universal_model": format_universal_study(run_universal_study(config)),
+        "adaptive_policies": format_adaptive_policies(
+            run_adaptive_policies(config.seed, config.scenario_seed)
+        ),
     }
     assert reports == {name: text + "\n" for name, text in expected.items()}
