@@ -48,11 +48,7 @@ from repro.experiments.studies import (
     UnitSpec,
     build_registry,
 )
-from repro.experiments.trajectory import (
-    build_trajectory,
-    draw_calibration,
-    write_trajectory,
-)
+from repro.experiments.trajectory import build_trajectory, write_trajectory
 
 __all__ = [
     "CheckpointError",
@@ -174,14 +170,11 @@ class UnitOutcome:
 
 @dataclass(frozen=True)
 class StudyRun:
-    """One study's units, the report files it produced, and the machine
-    calibration draws taken immediately before and after its recomputed
-    units (none when every unit came from a checkpoint)."""
+    """One study's units plus the report files it produced."""
 
     name: str
     units: tuple[UnitOutcome, ...]
     reports: dict[str, Path] = field(default_factory=dict)
-    calibration: tuple[float, ...] = ()
 
     @property
     def wall_s(self) -> float:
@@ -290,7 +283,6 @@ class Orchestrator:
         ctx = StudyContext(config=config, quick=self.quick, jobs=self.jobs)
         existing = self.store.load(name)
         outcomes: list[UnitOutcome] = []
-        calibration: list[float] = []
         for spec in definition.build_units(ctx):
             unit_hash = config_hash(spec.params)
             record = existing.get(spec.name)
@@ -307,11 +299,7 @@ class Orchestrator:
                     f"study {name!r} unit {spec.name!r} has no checkpoint "
                     f"for hash {unit_hash} -- run without reeval first"
                 )
-            if not calibration:
-                calibration.append(draw_calibration())
             outcomes.append(self._run_unit(name, ctx, spec, unit_hash))
-        if calibration:
-            calibration.append(draw_calibration())
         reports: dict[str, Path] = {}
         results = {o.name: o.result for o in outcomes}
         for report_name, text in definition.render(ctx, results).items():
@@ -319,12 +307,7 @@ class Orchestrator:
             path = self.results_dir / f"{report_name}.txt"
             path.write_text(text + "\n")
             reports[report_name] = path
-        return StudyRun(
-            name=name,
-            units=tuple(outcomes),
-            reports=reports,
-            calibration=tuple(calibration),
-        )
+        return StudyRun(name=name, units=tuple(outcomes), reports=reports)
 
     def _run_unit(
         self, study: str, ctx: StudyContext, spec: UnitSpec, unit_hash: str

@@ -4,11 +4,10 @@ Every measured ``repro orchestrate`` pass ends as a sequence of
 :class:`~repro.experiments.orchestrator.StudyRun` and
 :func:`build_trajectory` folds them into one record: per-study
 wall-clock, windows/second, serving tail latency, experiment-cache and
-dataset-plane counter deltas, plus machine calibration constants (one
-per study and one for the record) so trajectories from different hosts
-compare.  :func:`write_trajectory` stamps it to disk and
-:func:`compare_trajectories` is the CI regression gate over two such
-records.
+dataset-plane counter deltas, plus a machine calibration constant so
+trajectories from different hosts compare.  :func:`write_trajectory`
+stamps it to disk and :func:`compare_trajectories` is the CI regression
+gate over two such records.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ __all__ = [
     "SCHEMA",
     "build_trajectory",
     "compare_trajectories",
-    "draw_calibration",
     "load_trajectory",
     "write_trajectory",
 ]
@@ -40,19 +38,17 @@ _CACHE_KEYS = ("hits", "misses", "evictions")
 _PLANE_KEYS = ("publishes", "publish_s", "attaches", "attach_s")
 
 
-def draw_calibration() -> float:
-    """One draw of the seconds this machine takes for a fixed numpy workload.
+def _calibration_s() -> float:
+    """Seconds this machine takes for a fixed numpy workload.
 
-    The orchestrator draws immediately before and after every study it
-    recomputes; the median of a study's draws is its calibration
-    constant, so two records from different hosts (or a CI runner on a
-    noisy neighbour) compare on *calibrated* wall-clock, and a host
-    slowed during one study only is calibrated for that study only.
-    Each draw is the best of five runs of a seeded matmul chain sized to
-    tens of milliseconds -- long enough that scheduler jitter doesn't
-    swing it (a noisy calibration would inject the very noise it exists
-    to remove), dominated by the same BLAS/cache machinery as the hot
-    paths it normalizes.
+    Stamped into every trajectory so two records from different hosts
+    (or a CI runner on a noisy neighbour) compare on *calibrated*
+    wall-clock: the regression gate divides each study's wall-clock by
+    its trajectory's calibration constant.  Best-of-five of a seeded
+    matmul chain sized to tens of milliseconds -- long enough that
+    scheduler jitter doesn't swing the constant (a noisy calibration
+    would inject the very noise it exists to remove), dominated by the
+    same BLAS/cache machinery as the hot paths it normalizes.
     """
     rng = np.random.default_rng(0)
     a = rng.standard_normal((384, 384))
@@ -74,9 +70,7 @@ def build_trajectory(
 
     Only recomputed units count towards a study's wall-clock, windows,
     tail latency and counter deltas (a checkpoint hit measured nothing);
-    every unit appears in ``units_detail``.  A study that recomputed
-    carries its own ``calibration_s``, the median of its draws; the
-    record-level ``calibration_s`` is the median of every draw.
+    every unit appears in ``units_detail``.
     """
     studies: dict[str, Any] = {}
     for run in runs:
@@ -87,7 +81,7 @@ def build_trajectory(
             key: sum(unit.dataplane.get(key, 0) for unit in fresh)
             for key in _PLANE_KEYS
         }
-        study: dict[str, Any] = {
+        studies[run.name] = {
             # Serving studies report a tail latency; the worst recomputed
             # unit's p99 is the study's (a sum would be meaningless).
             "p99_ms": round(max((u.p99_ms for u in fresh), default=0.0), 4),
@@ -118,17 +112,13 @@ def build_trajectory(
                 for unit in run.units
             ],
         }
-        if run.calibration:
-            study["calibration_s"] = round(float(np.median(run.calibration)), 6)
-        studies[run.name] = study
-    draws = [draw for run in runs for draw in run.calibration]
     return {
         "schema": SCHEMA,
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "quick": bool(quick),
         "jobs": int(jobs),
         "python": sys.version.split()[0],
-        "calibration_s": round(float(np.median(draws)), 6) if draws else 0.0,
+        "calibration_s": round(_calibration_s(), 6),
         "studies": studies,
     }
 
@@ -181,16 +171,14 @@ def compare_trajectories(
     slowdown inflates both.  Throughput (windows/sec) gates symmetrically
     on a drop past ``threshold``, and serving tail latency (``p99_ms``,
     recorded by the gateway study) gates like wall-clock, with its own
-    ``min_p99_ms`` noise floor.  A study is calibrated by its own
-    constant when both records stamp one, else by the record-level
-    constants.  Studies missing from either side, fully checkpoint-cached
-    on either side, or faster than ``min_wall_s`` on both sides (noise
-    floor) are reported but never gate.
+    ``min_p99_ms`` noise floor.  Studies missing from either side, fully
+    checkpoint-cached on either side, or faster than ``min_wall_s`` on
+    both sides (noise floor) are reported but never gate.
     """
     if threshold <= 0:
         raise ValueError("threshold must be positive")
-    base_record_cal = float(baseline.get("calibration_s", 0.0)) or None
-    cur_record_cal = float(current.get("calibration_s", 0.0)) or None
+    base_cal = float(baseline.get("calibration_s", 0.0)) or None
+    cur_cal = float(current.get("calibration_s", 0.0)) or None
     regressions: list[str] = []
     lines: list[str] = []
     base_studies = baseline.get("studies", {})
@@ -204,10 +192,6 @@ def compare_trajectories(
                 f"{'current' if base is None else 'baseline'} -- skipped"
             )
             continue
-        base_cal = float(base.get("calibration_s", 0.0)) or None
-        cur_cal = float(cur.get("calibration_s", 0.0)) or None
-        if not (base_cal and cur_cal):
-            base_cal, cur_cal = base_record_cal, cur_record_cal
         base_wall = float(base.get("wall_s", 0.0))
         cur_wall = float(cur.get("wall_s", 0.0))
         if not base.get("recomputed_units") or not cur.get("recomputed_units"):

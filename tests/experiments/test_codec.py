@@ -43,7 +43,8 @@ from repro.experiments.fig3 import (
 from repro.experiments.orchestrator import Orchestrator
 from repro.experiments.pipeline import ExperimentConfig, SubjectRunResult
 from repro.experiments.runner import CohortOutcome, TaskFaultReport
-from repro.experiments.studies import SmoSpeedup, StudyContext, build_registry
+from repro.experiments.native import SmoSpeedup
+from repro.experiments.studies import StudyContext, build_registry
 from repro.experiments.table2 import (
     Table2Result,
     Table2Row,
