@@ -271,7 +271,8 @@ def run_chaos_schedule(
     rates = _SCHEDULES[schedule]
     # Ordinal budget: a conservative *lower* bound on how many score
     # requests the run will actually issue (total windows over twice the
-    # batch size -- batches can close smaller on linger, never larger).
+    # batch size -- a batch holds only what is queued when the scorer is
+    # free, so it can be smaller, never larger).
     # Planning inside the bound guarantees every planned fault fires;
     # requests past it (including retries) simply run clean.
     windows_per_wearer = max(1, int(stream_s / 3.0))
@@ -447,7 +448,6 @@ def run_restart_chaos(
         return IngestionGateway(
             primary,
             batch_size=16,
-            linger_s=0.0,
             queue_windows=65536,
             max_inflight_per_session=65536,
             on_verdict=sink.append,
@@ -608,7 +608,6 @@ def run_truncation_chaos(
         return IngestionGateway(
             primary,
             batch_size=16,
-            linger_s=0.0,
             queue_windows=65536,
             max_inflight_per_session=65536,
         )

@@ -125,9 +125,11 @@ class IngestionGateway:
         Optional *template* tier controller; each session gets its own
         :meth:`~repro.adaptive.degradation.DegradationController.clone`
         so one wearer's artifacts never degrade another wearer's tier.
-    batch_size / linger_s:
-        A micro-batch closes at ``batch_size`` windows or ``linger_s``
-        seconds after its first window, whichever comes first.
+    batch_size:
+        The most windows one micro-batch may hold.  The batcher never
+        waits for a batch to fill: whenever the scorer is free it takes
+        every queued window, up to ``batch_size``, so batches stay small
+        at low load and grow toward ``batch_size`` under overload.
     queue_windows / max_inflight_per_session:
         The backpressure bounds (see the module docstring).
     on_verdict:
@@ -158,7 +160,6 @@ class IngestionGateway:
         votes_needed: int = 2,
         vote_window: int = 3,
         batch_size: int = 256,
-        linger_s: float = 0.002,
         queue_windows: int = 4096,
         max_inflight_per_session: int = 64,
         max_pending_lag: int | None = DEFAULT_MAX_PENDING_LAG,
@@ -169,8 +170,6 @@ class IngestionGateway:
     ) -> None:
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if linger_s < 0:
-            raise ValueError("linger_s must be non-negative")
         if queue_windows < 1:
             raise ValueError("queue_windows must be >= 1")
         if max_inflight_per_session < 1:
@@ -184,7 +183,6 @@ class IngestionGateway:
         self.votes_needed = int(votes_needed)
         self.vote_window = int(vote_window)
         self.batch_size = int(batch_size)
-        self.linger_s = float(linger_s)
         self.max_inflight_per_session = int(max_inflight_per_session)
         self.max_pending_lag = max_pending_lag
         self.dedup_capacity = int(dedup_capacity)
@@ -209,6 +207,9 @@ class IngestionGateway:
         self._batcher_task: asyncio.Task | None = None
         self._closing = False
         self._inflight_total = 0
+        # Set exactly when no window is queued or being scored.
+        self._idle = asyncio.Event()
+        self._idle.set()
         self.latencies_s: deque[float] = deque(maxlen=latency_window)
         self.sessions_started = 0
         self.windows_shed_queue = 0
@@ -246,8 +247,7 @@ class IngestionGateway:
 
     async def drain(self) -> None:
         """Wait until every queued window has been scored."""
-        while self._inflight_total > 0:
-            await asyncio.sleep(0)
+        await self._idle.wait()
 
     async def shutdown(self) -> None:
         """Stop intake, score everything queued, close every session.
@@ -400,6 +400,7 @@ class IngestionGateway:
             return False
         session.inflight += 1
         self._inflight_total += 1
+        self._idle.clear()
         return True
 
     # -- the batcher ----------------------------------------------------
@@ -410,15 +411,10 @@ class IngestionGateway:
             item = await self._queue.get()
             if item is _STOP:
                 break
+            # Batch whatever is already queued and score it now: windows
+            # that arrive while this batch scores form the next one.
             batch = [item]
-            deadline = time.perf_counter() + self.linger_s
-            while len(batch) < self.batch_size:
-                if self._queue.empty():
-                    if time.perf_counter() >= deadline:
-                        break
-                    # Yield so producer tasks can top the batch up.
-                    await asyncio.sleep(0)
-                    continue
+            while len(batch) < self.batch_size and not self._queue.empty():
                 nxt = self._queue.get_nowait()
                 if nxt is _STOP:
                     stop = True
@@ -507,6 +503,8 @@ class IngestionGateway:
                 self.on_verdict(verdict)
         self.batches += 1
         self.batched_windows += len(batch)
+        if self._inflight_total == 0:
+            self._idle.set()
 
     # -- snapshot/restore -----------------------------------------------
 

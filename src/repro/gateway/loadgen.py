@@ -282,7 +282,6 @@ def run_gateway_load(
     n_wearers: int = 64,
     stream_s: float = 30.0,
     batch_size: int = 256,
-    linger_s: float = 0.002,
     queue_windows: int = 4096,
     max_inflight_per_session: int = 64,
     loss_probability: float = 0.02,
@@ -362,7 +361,6 @@ def run_gateway_load(
         fallbacks=fallbacks,
         degradation=degradation,
         batch_size=batch_size,
-        linger_s=linger_s,
         queue_windows=queue_windows,
         max_inflight_per_session=max_inflight_per_session,
         on_verdict=on_verdict,

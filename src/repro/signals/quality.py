@@ -20,6 +20,7 @@ The index combines three cheap, libm-free checks per channel:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,25 +96,82 @@ class SignalQualityIndex:
 
     # -- component checks ---------------------------------------------------
 
-    def _clipping_score(self, signal: np.ndarray) -> float:
-        low, high = float(np.min(signal)), float(np.max(signal))
+    def _channel_scores(self, stack: np.ndarray) -> list[tuple[float, float]]:
+        """``(clipping, burst)`` for each row of a ``(channels, n)`` stack.
+
+        Bit-identical to scoring each channel alone through ``np.median``
+        and ``np.percentile`` (``tests/signals/oracle.py``), at a fraction
+        of the calls: one ``min``/``max``, one pinned-sample mask, one
+        ``np.diff`` and one ``np.partition`` for every row at once.
+        """
+        n = stack.shape[1]
+        lows, highs = stack.min(axis=1).tolist(), stack.max(axis=1).tolist()
+        # Thresholds are Python floats compared against the samples'
+        # own dtype, so they are rounded into it, as a scalar would be.
+        bounds = np.array(
+            [
+                (low + 0.01 * (high - low), high - 0.01 * (high - low))
+                for low, high in zip(lows, highs)
+            ],
+            dtype=stack.dtype,
+        )
+        pinned = (
+            (stack <= bounds[:, :1]) | (stack >= bounds[:, 1:])
+        ).sum(axis=1).tolist()
+
+        energy = np.diff(stack, axis=1)
+        energy *= energy
+        m = n - 1
+        half = m // 2
+        low_half = half if m % 2 else half - 1  # np.median's middle ranks
+        # np.percentile's linear method interpolates between the ranks
+        # below and above (m - 1) * 0.98.  For m == 1 it takes the one
+        # value, which is the same lerp between that value and itself.
+        position = (m - 1) * 0.98
+        below = math.floor(position)
+        above = min(below + 1, m - 1)
+        gamma = position - below
+        # The last rank is partitioned too: NaN sorts last, so a NaN
+        # there marks a row with a NaN.
+        part = np.partition(
+            energy, sorted({low_half, half, below, above, m - 1}), axis=1
+        )
+        has_nan = np.isnan(part[:, -1]).tolist()
+        if m % 2:
+            medians = part[:, half]
+        else:
+            medians = (part[:, low_half] + part[:, half]) / 2
+        # np.percentile's lerp, in the energy's dtype.
+        low_value, high_value = part[:, below], part[:, above]
+        step = high_value - low_value
+        if gamma >= 0.5:
+            p98 = high_value - step * (1 - gamma)
+        else:
+            p98 = low_value + step * gamma
+
+        return [
+            (
+                self._clipping_score(low, high, count / n),
+                0.0 if nan else self._burst_score(median, percentile),
+            )
+            for low, high, count, nan, median, percentile in zip(
+                lows, highs, pinned, has_nan, medians.tolist(), p98.tolist()
+            )
+        ]
+
+    def _clipping_score(self, low: float, high: float, pinned: float) -> float:
         if high <= low:
             return 0.0  # flatline
-        span = high - low
-        pinned = np.mean(
-            (signal <= low + 0.01 * span) | (signal >= high - 0.01 * span)
-        )
         # A healthy oscillating signal touches its extremes rarely.
-        excess = max(0.0, float(pinned) - self.clipping_tolerance)
+        excess = max(0.0, pinned - self.clipping_tolerance)
         return float(np.clip(1.0 - excess / 0.25, 0.0, 1.0))
 
-    def _burst_score(self, signal: np.ndarray) -> float:
-        diff = np.diff(signal)
-        energy = diff * diff
-        median = float(np.median(energy))
+    def _burst_score(self, median: float, p98: float) -> float:
         if median <= 0:
             return 0.0
-        ratio = float(np.percentile(energy, 98)) / median
+        ratio = p98 / median
+        if math.isnan(ratio):
+            return 0.0  # inf - inf in the statistics: unusable, like a NaN
         if ratio <= self.burst_ratio_limit:
             return 1.0
         return float(
@@ -144,12 +202,17 @@ class SignalQualityIndex:
         """Score one window; the SQI is the minimum of the channel checks.
 
         Using the minimum (not the mean) makes the gate conservative: one
-        failed check is enough to withhold a clinical decision.
+        failed check is enough to withhold a clinical decision.  A window
+        with a NaN sample is never usable.
         """
-        clipping = min(
-            self._clipping_score(window.ecg), self._clipping_score(window.abp)
-        )
-        burst = min(self._burst_score(window.ecg), self._burst_score(window.abp))
+        ecg, abp = window.ecg, window.abp
+        if ecg.dtype == abp.dtype:
+            scores = self._channel_scores(np.stack((ecg, abp)))
+        else:
+            scores = self._channel_scores(ecg[None]) + self._channel_scores(abp[None])
+        (ecg_clipping, ecg_burst), (abp_clipping, abp_burst) = scores
+        clipping = min(ecg_clipping, abp_clipping)
+        burst = min(ecg_burst, abp_burst)
         beats = self._beat_score(window)
         sqi = min(clipping, burst, beats)
         return QualityReport(

@@ -10,6 +10,8 @@ else here is the backpressure and lifecycle accounting contract.
 
 import asyncio
 import dataclasses
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ import pytest
 from repro.adaptive.degradation import DegradationController
 from repro.core.streaming import StreamingDetector
 from repro.core.versions import DetectorVersion
-from repro.gateway import IngestionGateway, window_from_slot
+from repro.gateway import IngestionGateway, InProcessBackend, window_from_slot
 from repro.signals.quality import SignalQualityIndex
 from repro.wiot.channel import DeliveredPacket
 from repro.wiot.sensor import BodySensor
@@ -84,7 +86,6 @@ class TestBitIdentity:
             votes_needed=2,
             vote_window=3,
             batch_size=5,  # not a multiple of anything: batches straddle wearers
-            linger_s=0.001,
         )
         sessions = asyncio.run(_drive(gateway, streams))
         # Micro-batching actually crossed sessions.
@@ -141,7 +142,6 @@ class TestBitIdentity:
             fallbacks=fallbacks,
             degradation=template,
             batch_size=4,
-            linger_s=0.001,
         )
         sessions = asyncio.run(_drive(gateway, streams))
 
@@ -190,7 +190,6 @@ class TestBackpressure:
             gateway = IngestionGateway(
                 detector,
                 batch_size=64,
-                linger_s=0.0,
                 queue_windows=1024,
                 max_inflight_per_session=3,
             )
@@ -229,7 +228,6 @@ class TestBackpressure:
             gateway = IngestionGateway(
                 detector,
                 batch_size=64,
-                linger_s=0.0,
                 queue_windows=2,
                 max_inflight_per_session=100,
             )
@@ -258,7 +256,7 @@ class TestBackpressure:
 
         async def run():
             gateway = IngestionGateway(
-                detector, batch_size=8, linger_s=0.0, max_inflight_per_session=5
+                detector, batch_size=8, max_inflight_per_session=5
             )
             async with gateway:
                 for delivered in deliveries:
@@ -274,13 +272,41 @@ class TestBackpressure:
         )
 
 
+class TestNonFiniteSamples:
+    def test_nan_sample_becomes_an_abstain_verdict(
+        self, trained_detectors, test_record
+    ):
+        """A NaN sample fails the SQI gate instead of raising out of
+        ``submit()``; the window is an abstain and conservation closes."""
+        detector = trained_detectors[DetectorVersion.ORIGINAL]
+        deliveries = _deliveries(test_record)
+        ecg = deliveries[2 * 4]
+        samples = ecg.packet.samples.copy()
+        samples[10] = np.nan
+        deliveries[2 * 4] = dataclasses.replace(
+            ecg, packet=dataclasses.replace(ecg.packet, samples=samples)
+        )
+        verdicts = []
+        gateway = IngestionGateway(
+            detector, quality_gate=SignalQualityIndex(), on_verdict=verdicts.append
+        )
+        asyncio.run(_drive(gateway, {"w": deliveries}))
+        abstained = [v.sequence for v in verdicts if v.abstained]
+        assert abstained == [ecg.packet.sequence]
+        assert verdicts[4].sqi == 0.0
+        stats = gateway.stats()
+        assert stats.windows_assembled == 20
+        assert stats.windows_abstained == 1
+        assert stats.verdicts + stats.windows_shed == stats.windows_assembled
+
+
 class TestLifecycle:
     def test_shutdown_leaves_zero_sessions(self, trained_detectors, test_record):
         detector = trained_detectors[DetectorVersion.SIMPLIFIED]
         streams = {
             f"w{i}": _deliveries(test_record) for i in range(3)
         }
-        gateway = IngestionGateway(detector, batch_size=16, linger_s=0.001)
+        gateway = IngestionGateway(detector, batch_size=16)
         sessions = asyncio.run(_drive(gateway, streams))
         assert gateway.active_sessions == 0
         assert all(s.closed for s in sessions.values())
@@ -310,7 +336,7 @@ class TestLifecycle:
         deliveries = _deliveries(test_record)[:8]  # 4 windows
 
         async def run():
-            gateway = IngestionGateway(detector, batch_size=64, linger_s=0.0)
+            gateway = IngestionGateway(detector, batch_size=64)
             async with gateway:
                 for delivered in deliveries:
                     gateway.submit("w", delivered)
@@ -334,7 +360,7 @@ class TestLifecycle:
         del deliveries[6 * 2 + 1]  # drop window 6's ABP half
 
         async def run():
-            gateway = IngestionGateway(detector, batch_size=8, linger_s=0.0,
+            gateway = IngestionGateway(detector, batch_size=8,
                                        max_inflight_per_session=100)
             async with gateway:
                 for delivered in deliveries:
@@ -348,12 +374,46 @@ class TestLifecycle:
         assert stats.incomplete_windows == 1
         assert stats.verdicts == 19
 
+    def test_drain_sleeps_while_the_backend_is_blocked(
+        self, trained_detectors, test_record
+    ):
+        """``drain()`` awaits the batcher going idle: waiting 0.3 s behind
+        a blocked backend costs the loop thread next to no CPU."""
+        detector = trained_detectors[DetectorVersion.SIMPLIFIED]
+        release = threading.Event()
+
+        class BlockedBackend(InProcessBackend):
+            def score(self, key, windows):
+                release.wait(10.0)
+                return super().score(key, windows)
+
+        async def run():
+            gateway = IngestionGateway(
+                detector,
+                backend=BlockedBackend({detector.version.value: detector}),
+            )
+            async with gateway:
+                for delivered in _deliveries(test_record)[:2]:
+                    gateway.submit("w", delivered)
+                timer.start()
+                cpu_s, wall_s = time.thread_time(), time.perf_counter()
+                await gateway.drain()
+                cpu_s = time.thread_time() - cpu_s
+                wall_s = time.perf_counter() - wall_s
+                assert gateway.stats().windows_scored == 1
+            return cpu_s, wall_s
+
+        timer = threading.Timer(0.3, release.set)
+        cpu_s, wall_s = asyncio.run(run())
+        timer.join(timeout=10.0)
+        assert not timer.is_alive()
+        assert wall_s >= 0.25
+        assert cpu_s < 0.05
+
     def test_validation(self, trained_detectors):
         detector = trained_detectors[DetectorVersion.SIMPLIFIED]
         with pytest.raises(ValueError):
             IngestionGateway(detector, batch_size=0)
-        with pytest.raises(ValueError):
-            IngestionGateway(detector, linger_s=-1.0)
         with pytest.raises(ValueError):
             IngestionGateway(detector, queue_windows=0)
         with pytest.raises(ValueError):

@@ -66,7 +66,7 @@ class TestRunGatewayLoad:
         records = [data.record(data.subjects[0], 60.0, purpose="test")]
 
         async def run():
-            gateway = IngestionGateway(detector, batch_size=8, linger_s=0.001)
+            gateway = IngestionGateway(detector, batch_size=8)
             stop = asyncio.Event()
 
             async def tripwire():

@@ -1,10 +1,16 @@
 """Tests for the signal-quality index."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.signals.dataset import SignalWindow
 from repro.signals.quality import QualityReport, SignalQualityIndex, assess_window
+from tests.signals import oracle
 
 
 def _window(ecg, abp, r=None, s=None, fs=360.0):
@@ -208,3 +214,106 @@ class TestGatingReducesFalsePositives:
         assert len(passed) <= len(windows)
         # The gate never *creates* false positives.
         assert gated_fp <= all_fp
+
+
+# Values that stress the partition arithmetic: ties, overflow of the
+# squared differences (in float32), infinities and NaN.
+_SPECIAL = (0.0, 1.0, -1.0, 2.5, 1e30, -1e30, np.inf, -np.inf, np.nan)
+
+
+@st.composite
+def _channel(draw, dtype, n):
+    width = 32 if dtype == np.float32 else 64
+    finite = st.floats(
+        -1e6, 1e6, allow_nan=False, allow_infinity=False, width=width
+    )
+    kind = draw(st.sampled_from(["mixed", "finite", "flat"]))
+    if kind == "flat":
+        return np.full(n, draw(st.sampled_from(_SPECIAL) | finite), dtype=dtype)
+    elements = finite if kind == "finite" else st.sampled_from(_SPECIAL) | finite
+    return draw(hnp.arrays(dtype, n, elements=elements))
+
+
+@st.composite
+def _windows(draw):
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    n = draw(st.integers(2, 64) | st.sampled_from([2, 3, 1080]))
+    peaks = np.arange(0, n, max(1, n // draw(st.integers(1, 8))), dtype=np.intp)
+    return SignalWindow(
+        ecg=draw(_channel(dtype, n)),
+        abp=draw(_channel(dtype, n)),
+        r_peaks=peaks,
+        systolic_peaks=peaks,
+        sample_rate=draw(st.sampled_from([1.0, 30.0, 360.0])),
+    )
+
+
+_GATES = st.builds(
+    SignalQualityIndex,
+    threshold=st.sampled_from([0.6, 1.0]),
+    clipping_tolerance=st.sampled_from([0.0, 0.02, 0.5]),
+    burst_ratio_limit=st.sampled_from([1.5, 400.0]),
+)
+
+
+class TestMatchesOracle:
+    """``assess`` scores both channels with one partition; the plain
+    per-channel ``np.median``/``np.percentile`` formulas are the
+    reference, compared exactly."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(window=_windows(), gate=_GATES)
+    def test_assess_equals_per_channel_oracle(self, window, gate):
+        with np.errstate(all="ignore"):
+            assert gate.assess(window) == oracle.assess(gate, window)
+
+    def test_pinned_thresholds_round_into_the_sample_dtype(self):
+        """float32 samples are compared with the extreme thresholds
+        rounded to float32, as the scalar comparison does: here the
+        rounded lower threshold (0.07 up to the next float32) pins one
+        more sample than the float64 threshold would."""
+        near_low = np.float32(0.07)
+        assert float(near_low) > 0.01 * 7.0
+        ecg = np.full(100, 3.5, dtype=np.float32)
+        ecg[:3] = (0.0, 7.0, near_low)
+        window = SignalWindow(
+            ecg=ecg,
+            abp=ecg.copy(),
+            r_peaks=np.arange(0, 100, 10),
+            systolic_peaks=np.arange(0, 100, 10),
+            sample_rate=30.0,
+        )
+        gate = SignalQualityIndex()
+        report = gate.assess(window)
+        assert report == oracle.assess(gate, window)
+        assert report.clipping_score == pytest.approx(0.96)
+
+    def test_synthetic_windows_equal_oracle(self, labeled_stream):
+        gate = SignalQualityIndex()
+        for window in labeled_stream.windows:
+            as_float32 = replace(
+                window,
+                ecg=window.ecg.astype(np.float32),
+                abp=window.abp.astype(np.float32),
+            )
+            for w in (window, as_float32):
+                assert gate.assess(w) == oracle.assess(gate, w)
+
+    def test_mixed_channel_dtypes_score_each_channel_alone(self, labeled_stream):
+        window = labeled_stream.windows[0]
+        mixed = replace(window, ecg=window.ecg.astype(np.float32))
+        gate = SignalQualityIndex()
+        assert gate.assess(mixed) == oracle.assess(gate, mixed)
+
+
+class TestNonFiniteSamples:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_sample_abstains_instead_of_raising(
+        self, labeled_stream, bad
+    ):
+        window = labeled_stream.windows[0]
+        abp = window.abp.copy()
+        abp[500] = bad
+        report = assess_window(replace(window, abp=abp))
+        assert report.sqi == 0.0
+        assert not report.usable
