@@ -15,12 +15,13 @@ Commands
     emits a ``BENCH_<stamp>.json`` perf trajectory.
 ``bench-gate``
     The CI perf-regression gate: compare two trajectory files and fail
-    when a study's calibrated wall-clock or throughput regressed past
-    the threshold.
+    when a study's calibrated wall-clock or throughput (or, for the
+    paced serving study, its p99) regressed past the threshold.
 ``gateway-bench``
     Drive a fleet of simulated wearers through the async ingestion
-    gateway and report sustained windows/sec plus p50/p99 verdict
-    latency; SIGINT drains and finalizes every session before exit.
+    gateway at real time and report the offered rate plus p50/p99
+    verdict latency from each window's due time; SIGINT drains and
+    finalizes every session before exit.
 ``chaos``
     Seeded runtime-fault schedules (scorer crash/stall/slow/poison,
     gateway kill-and-restart, snapshot truncation) against the
@@ -195,7 +196,8 @@ def build_parser() -> argparse.ArgumentParser:
     gateway = sub.add_parser(
         "gateway-bench",
         help="drive a fleet of simulated wearers through the async "
-        "ingestion gateway and report throughput + verdict latency "
+        "ingestion gateway at real time (one 3 s window per wearer every "
+        "3 s) and report verdict latency from each window's due time "
         "(SIGINT triggers an orderly drain, not a mid-batch abort)",
     )
     gateway.add_argument("--wearers", type=_positive_int, default=256,
@@ -203,8 +205,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="concurrent wearer sessions (default: 256)")
     gateway.add_argument("--stream-s", type=_positive_float, default=30.0,
                          metavar="S",
-                         help="seconds of recording each wearer streams "
-                         "(default: 30 = 10 windows/wearer)")
+                         help="seconds of recording each wearer streams, "
+                         "sent in as much wall time (default: 30 = 10 "
+                         "windows/wearer)")
     gateway.add_argument("--batch-size", type=_positive_int, default=256,
                          metavar="W",
                          help="micro-batch size (default: 256; verdicts are "
@@ -488,6 +491,13 @@ def _cmd_gateway_bench(args) -> int:
     )
     print(report.summary())
     failed = False
+    if not report.on_schedule:
+        print(
+            f"error: load not offered -- a send ran "
+            f"{report.max_lateness_s:.2f} s behind its due time",
+            file=sys.stderr,
+        )
+        failed = True
     if not report.loop_clean:
         print(
             f"error: event loop stalled {report.loop_stalls} time(s), "

@@ -366,63 +366,41 @@ def _gateway_units(ctx: StudyContext) -> list[UnitSpec]:
         "seed": ctx.config.seed,
         "sanitize_loop": True,
     }
+
+    def unit(name: str, p99: bool = False, **extra: Any) -> UnitSpec:
+        return UnitSpec(
+            name=name,
+            params={"study": "gateway", **knobs, **extra},
+            run=lambda ctx: run_gateway_load(**knobs, **extra),
+            returns=LoadReport,
+            n_windows=lambda r: r.stats.verdicts,
+            p99_ms=(lambda r: r.p99_latency_s * 1e3) if p99 else None,
+        )
+
+    # The real-time in-process unit is the only p99 reader, so the gated
+    # tail latency is its.  Beside it: the same fleet scored by a
+    # crash-isolated child (the price of isolation), and in-process at
+    # 4x real time.
     return [
-        UnitSpec(
-            name="serving",
-            params={"study": "gateway", **knobs},
-            run=lambda ctx: run_gateway_load(**knobs),
-            returns=LoadReport,
-            n_windows=lambda r: r.stats.verdicts,
-            p99_ms=lambda r: r.p99_latency_s * 1e3,
-        ),
-        # The same fleet scored by a crash-isolated child: the price of
-        # isolation, reported beside the in-process run.  It has no
-        # p99 reader, so the gated tail latency stays the in-process one.
-        UnitSpec(
-            name="serving-supervised",
-            params={"study": "gateway", "supervised": True, **knobs},
-            run=lambda ctx: run_gateway_load(supervised=True, **knobs),
-            returns=LoadReport,
-            n_windows=lambda r: r.stats.verdicts,
-        ),
+        unit("serving", p99=True, period_s=3.0),
+        unit("serving-supervised", period_s=3.0, supervised=True),
+        unit("serving-4x", period_s=0.75),
     ]
 
 
-#: ``gateway_serving`` rows: (metric, formatter over one LoadReport).
-_GATEWAY_ROWS: tuple[tuple[str, Callable[[Any], str]], ...] = (
-    ("concurrent wearers", lambda r: f"{r.n_wearers}"),
-    ("windows sent", lambda r: f"{r.windows_sent}"),
-    (
-        "verdicts",
-        lambda r: f"{r.stats.verdicts} ({r.stats.windows_scored} scored, "
-        f"{r.stats.windows_abstained} abstained)",
-    ),
-    ("windows shed", lambda r: f"{r.stats.windows_shed}"),
-    (
-        "incomplete windows",
-        lambda r: f"{r.stats.incomplete_windows} "
-        f"(+{r.windows_vanished} vanished in channel)",
-    ),
-    ("episodes closed", lambda r: f"{r.stats.episodes_closed}"),
-    ("mean batch size", lambda r: f"{r.stats.mean_batch_size:.1f}"),
-    ("throughput", lambda r: f"{r.windows_per_s:.0f} windows/s"),
-    (
-        "verdict latency",
-        lambda r: f"p50 {r.p50_latency_s * 1e3:.2f} ms, "
-        f"p99 {r.p99_latency_s * 1e3:.2f} ms",
-    ),
-    ("leaked sessions", lambda r: f"{r.leaked_sessions}"),
-)
-
-
 def _gateway_render(ctx: StudyContext, results: dict[str, Any]) -> dict[str, str]:
-    reports = (results["serving"], results["serving-supervised"])
-    rows = [[metric, *(cell(r) for r in reports)] for metric, cell in _GATEWAY_ROWS]
+    reports = [
+        dict(results[name].rows())
+        for name in ("serving", "serving-supervised", "serving-4x")
+    ]
+    metrics = dict.fromkeys(metric for report in reports for metric in report)
+    rows = [[metric, *(r.get(metric, "-") for r in reports)] for metric in metrics]
     return {
         "gateway_serving": format_table(
-            ["metric", "in-process", "supervised"],
+            ["metric", "in-process", "supervised", "in-process, 4x real time"],
             rows,
-            title="Ingestion gateway: multi-wearer serving load",
+            title="Ingestion gateway: multi-wearer serving at a paced offered "
+            "load (latency from each window's due time)",
         )
     }
 

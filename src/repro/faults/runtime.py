@@ -43,11 +43,17 @@ from pathlib import Path
 import numpy as np
 
 from repro.gateway.gateway import IngestionGateway
-from repro.gateway.loadgen import LoadReport, run_gateway_load, train_serving_detectors
+from repro.gateway.loadgen import (
+    Fleet,
+    LoadReport,
+    PacedLoad,
+    build_fleet,
+    fleet_records,
+    run_gateway_load,
+    train_serving_detectors,
+)
 from repro.gateway.session import SessionVerdict
 from repro.gateway.snapshot import SessionSnapshotStore
-from repro.wiot.channel import DeliveredPacket
-from repro.wiot.sensor import BodySensor
 
 __all__ = [
     "ChaosInvariantError",
@@ -283,6 +289,7 @@ def run_chaos_schedule(
         stream_s=stream_s,
         batch_size=batch_size,
         loss_probability=0.02,
+        period_s=0.0,
         seed=seed,
         supervised=True,
         fault_plan=plan,
@@ -362,46 +369,21 @@ def _verdict_key(verdict: SessionVerdict) -> tuple:
     )
 
 
-def _wearer_deliveries(
-    detectors_data, n_wearers: int, stream_s: float
-) -> dict[str, list[tuple[DeliveredPacket, DeliveredPacket]]]:
-    """Lossless per-wearer delivery pairs (the restart harness replays
-    from exact sequence numbers, so the channel must not drop)."""
-    data = detectors_data
-    records = [
-        data.record(subject, stream_s, purpose="test")
-        for subject in data.subjects[: min(4, len(data.subjects))]
-    ]
-    streams: dict[str, list[tuple[DeliveredPacket, DeliveredPacket]]] = {}
-    for i in range(n_wearers):
-        record = records[i % len(records)]
-        ecg = BodySensor(f"w{i}-ecg", "ecg", record)
-        abp = BodySensor(f"w{i}-abp", "abp", record)
-        streams[f"wearer-{i:05d}"] = [
-            (
-                DeliveredPacket(packet=e, arrival_time_s=e.start_time_s),
-                DeliveredPacket(packet=a, arrival_time_s=a.start_time_s),
-            )
-            for e, a in zip(ecg.packets(), abp.packets())
-        ]
-    return streams
+def _lossless_fleet(seed: int, n_wearers: int, stream_s: float):
+    """Detector plus a lossless fleet, every window due at once.
+
+    The restart harness replays from exact sequence numbers, so the
+    channel must not drop; slices of the fleet by sequence feed each
+    phase of a run.
+    """
+    data, fitted = train_serving_detectors(versions=["original"], seed=seed)
+    fleet = build_fleet(fleet_records(data, stream_s), n_wearers, period_s=0.0)
+    return next(iter(fitted.values())), fleet, int(fleet.sequence.max()) + 1
 
 
-async def _feed_windows(
-    gateway: IngestionGateway,
-    streams: dict[str, list[tuple[DeliveredPacket, DeliveredPacket]]],
-    start: int,
-    stop: int,
-) -> None:
-    """Submit window indexes ``start..stop-1`` of every wearer, round-robin."""
-    for index in range(start, stop):
-        for wearer_id, pairs in streams.items():
-            if index >= len(pairs):
-                continue
-            ecg, abp = pairs[index]
-            gateway.submit(wearer_id, ecg)
-            gateway.submit(wearer_id, abp)
-        await asyncio.sleep(0)
+async def _feed(gateway: IngestionGateway, fleet: Fleet, start: int, stop: int) -> None:
+    """Send windows ``start..stop-1`` of every wearer into ``gateway``."""
+    await PacedLoad(fleet.slice(start, stop)).send(gateway)
 
 
 def run_restart_chaos(
@@ -431,10 +413,7 @@ def run_restart_chaos(
     """
     if not 0 < snapshot_at < crash_at:
         raise ValueError("need 0 < snapshot_at < crash_at")
-    data, fitted = train_serving_detectors(versions=["original"], seed=seed)
-    primary = next(iter(fitted.values()))
-    streams = _wearer_deliveries(data, n_wearers, stream_s)
-    n_windows = min(len(pairs) for pairs in streams.values())
+    primary, fleet, n_windows = _lossless_fleet(seed, n_wearers, stream_s)
     if crash_at >= n_windows:
         raise ValueError(
             f"crash_at={crash_at} must precede end of stream ({n_windows})"
@@ -463,17 +442,17 @@ def run_restart_chaos(
         # 1. The uninterrupted reference.
         ref = _gateway(reference)
         ref.start()
-        await _feed_windows(ref, streams, 0, n_windows)
+        await _feed(ref, fleet, 0, n_windows)
         await ref.drain()
-        for wearer_id in streams:
+        for wearer_id in fleet.wearer_ids:
             episodes_ref[wearer_id] = list(ref.session(wearer_id).episodes)
         await ref.shutdown()
         # 2. The victim: snapshot, keep serving, die.
         victim = _gateway(before)
         victim.start()
-        await _feed_windows(victim, streams, 0, snapshot_at)
+        await _feed(victim, fleet, 0, snapshot_at)
         await victim.snapshot(store)
-        await _feed_windows(victim, streams, snapshot_at, crash_at)
+        await _feed(victim, fleet, snapshot_at, crash_at)
         await victim.drain()  # verdicts up to crash_at are emitted...
         await victim.abort()  # ...then the process "dies": no finalize.
         # 3. The successor: restore, replay from the resume points.
@@ -484,16 +463,16 @@ def run_restart_chaos(
             (point + 1 for point in resume_points.values()),
             default=0,
         )
-        await _feed_windows(successor, streams, resume_from, n_windows)
+        await _feed(successor, fleet, resume_from, n_windows)
         await successor.drain()
-        for wearer_id in streams:
+        for wearer_id in fleet.wearer_ids:
             episodes_got[wearer_id] = list(
                 successor.session(wearer_id).episodes
             )
         await successor.shutdown()
         if not resume_points:
             raise ChaosInvariantError("restore produced no resume points")
-        missing = set(streams) - set(resume_points)
+        missing = set(fleet.wearer_ids) - set(resume_points)
         if missing:
             raise ChaosInvariantError(
                 f"wearers lost across restart: {sorted(missing)}"
@@ -597,10 +576,7 @@ def run_truncation_chaos(
     """
     work_dir = Path(work_dir)
     work_dir.mkdir(parents=True, exist_ok=True)
-    data, fitted = train_serving_detectors(versions=["original"], seed=seed)
-    primary = next(iter(fitted.values()))
-    streams = _wearer_deliveries(data, n_wearers, stream_s)
-    n_windows = min(len(pairs) for pairs in streams.values())
+    primary, fleet, n_windows = _lossless_fleet(seed, n_wearers, stream_s)
     source = work_dir / "snapshots.jsonl"
     store = SessionSnapshotStore(source)
 
@@ -615,9 +591,9 @@ def run_truncation_chaos(
     async def _write_epochs() -> None:
         gateway = _gateway()
         gateway.start()
-        await _feed_windows(gateway, streams, 0, n_windows // 2)
+        await _feed(gateway, fleet, 0, n_windows // 2)
         await gateway.snapshot(store)
-        await _feed_windows(gateway, streams, n_windows // 2, n_windows)
+        await _feed(gateway, fleet, n_windows // 2, n_windows)
         await gateway.snapshot(store)
         await gateway.shutdown()
 

@@ -5,9 +5,9 @@ The detector studies evaluate one wearer at a time; a deployment serves
 service: per-wearer sessions (:mod:`~repro.gateway.session`) feed a
 shared micro-batching scorer (:mod:`~repro.gateway.gateway`) whose
 verdicts are bit-identical to each wearer's sequential
-:class:`~repro.core.streaming.StreamingDetector` run, and a fleet
-simulator (:mod:`~repro.gateway.loadgen`) drives it at load for
-benchmarks and smoke tests.
+:class:`~repro.core.streaming.StreamingDetector` run, and a paced
+fleet simulator (:mod:`~repro.gateway.loadgen`) offers it load at a
+known rate for benchmarks and smoke tests.
 
 The supervision layer (:mod:`~repro.gateway.supervisor`) isolates
 scoring in a watched child process -- heartbeat watchdog, per-batch
@@ -20,7 +20,8 @@ duplicating or dropping verdicts outside the restart window.
 from repro.gateway.gateway import GatewayStats, IngestionGateway
 from repro.gateway.loadgen import (
     LoadReport,
-    run_fleet,
+    PacedLoad,
+    build_fleet,
     run_gateway_load,
     train_serving_detectors,
 )
@@ -39,6 +40,7 @@ __all__ = [
     "IngestionGateway",
     "InProcessBackend",
     "LoadReport",
+    "PacedLoad",
     "ScoringBackend",
     "ScoringUnavailable",
     "SessionSnapshotStore",
@@ -46,7 +48,7 @@ __all__ = [
     "SupervisedScoringBackend",
     "SupervisorStats",
     "WearerSession",
-    "run_fleet",
+    "build_fleet",
     "run_gateway_load",
     "train_serving_detectors",
     "window_from_slot",

@@ -33,10 +33,7 @@ from __future__ import annotations
 import asyncio
 import time
 from dataclasses import dataclass
-from collections import deque
 from typing import Callable, Mapping
-
-import numpy as np
 
 from repro.adaptive.degradation import DegradationController
 from repro.core.detector import SIFTDetector
@@ -134,9 +131,9 @@ class IngestionGateway:
         The backpressure bounds (see the module docstring).
     on_verdict:
         Optional callback invoked with every :class:`SessionVerdict`
-        (the sink-integration hook; exceptions propagate).
-    latency_window:
-        How many recent verdict latencies to retain for percentiles.
+        (the sink-integration hook; exceptions propagate).  Each
+        verdict's ``latency_s`` is its enqueue-to-decision time; the
+        load generator measures end-to-end latency from the due time.
     backend:
         Where micro-batches are scored.  ``None`` (default) builds an
         :class:`~repro.gateway.supervisor.InProcessBackend` over this
@@ -165,7 +162,6 @@ class IngestionGateway:
         max_pending_lag: int | None = DEFAULT_MAX_PENDING_LAG,
         dedup_capacity: int = 1024,
         on_verdict: Callable[[SessionVerdict], None] | None = None,
-        latency_window: int = 100_000,
         backend: ScoringBackend | None = None,
     ) -> None:
         if batch_size < 1:
@@ -210,7 +206,6 @@ class IngestionGateway:
         # Set exactly when no window is queued or being scored.
         self._idle = asyncio.Event()
         self._idle.set()
-        self.latencies_s: deque[float] = deque(maxlen=latency_window)
         self.sessions_started = 0
         self.windows_shed_queue = 0
         self.windows_shed_session = 0
@@ -496,7 +491,6 @@ class IngestionGateway:
                     item.sqi,
                     latency_s,
                 )
-            self.latencies_s.append(latency_s)
             if session.ending and session.inflight == 0:
                 self._finalize(session)
             if self.on_verdict is not None:
@@ -605,15 +599,4 @@ class IngestionGateway:
             batched_windows=self.batched_windows,
             windows_unscorable=self.windows_unscorable,
             **totals,
-        )
-
-    def latency_percentiles(
-        self, percentiles: tuple[float, ...] = (50.0, 99.0)
-    ) -> tuple[float, ...]:
-        """Verdict latency percentiles, in seconds, over the recent window."""
-        if not self.latencies_s:
-            return tuple(float("nan") for _ in percentiles)
-        values = np.fromiter(self.latencies_s, dtype=np.float64)
-        return tuple(
-            float(np.percentile(values, p)) for p in percentiles
         )

@@ -64,7 +64,6 @@ from repro.signals.dataset import SignalWindow
 
 __all__ = [
     "InProcessBackend",
-    "NativeBackend",
     "ScorerFault",
     "ScoringBackend",
     "ScoringUnavailable",
@@ -119,39 +118,6 @@ class InProcessBackend:
 
     def close(self) -> None:
         return None
-
-
-class NativeBackend(InProcessBackend):
-    """In-process scoring through the generated-C hot path.
-
-    Each detector is switched to ``platform="native"`` and its extension
-    is built (or fetched from the artifact cache) eagerly at
-    construction -- *before* the gateway's event loop exists, because a
-    compiler run inside the loop would stall every wearer's intake (the
-    very thing the loop-stall sanitizer polices).  A missing toolchain
-    therefore surfaces as a one-time ``RuntimeWarning`` at build time,
-    and a detector whose build fails simply keeps scoring on the NumPy
-    path -- the parity contract makes the two indistinguishable except
-    in speed.  ``platform_by_key`` records which path each tier ended
-    up on.
-
-    Note on crash isolation: this backend runs the compiled code in the
-    gateway process.  To combine native speed *with* crash isolation,
-    ship native-platform detectors into a
-    :class:`SupervisedScoringBackend` instead -- pickling drops the
-    library handle and the supervised child rebuilds it from the artifact
-    cache on first use, so a native fault kills the child, not the
-    gateway.
-    """
-
-    def __init__(self, detectors: Mapping[str, SIFTDetector]) -> None:
-        super().__init__(detectors)
-        self.platform_by_key: dict[str, str] = {}
-        for key, detector in self.detectors.items():
-            detector.platform = "native"
-            self.platform_by_key[key] = (
-                "native" if detector.native_active else "numpy"
-            )
 
 
 @dataclass(frozen=True)

@@ -160,8 +160,8 @@ class SignalQualityIndex:
         ]
 
     def _clipping_score(self, low: float, high: float, pinned: float) -> float:
-        if high <= low:
-            return 0.0  # flatline
+        if high <= low or not math.isfinite(high - low):
+            return 0.0  # flatline, or an infinite sample: no usable range
         # A healthy oscillating signal touches its extremes rarely.
         excess = max(0.0, pinned - self.clipping_tolerance)
         return float(np.clip(1.0 - excess / 0.25, 0.0, 1.0))

@@ -419,11 +419,12 @@ class TestTrajectory:
         )
 
 
-def _study(wall_s, wps=0.0, recomputed=1):
+def _study(wall_s, wps=0.0, recomputed=1, p99_ms=0.0):
     return {
         "wall_s": wall_s,
         "recomputed_units": recomputed,
         "windows_per_s": wps,
+        "p99_ms": p99_ms,
     }
 
 
@@ -501,6 +502,32 @@ class TestRegressionGate:
         )
         assert regressions == []
         assert any("only in baseline" in line for line in lines)
+
+    def test_p99_regression_past_threshold_fails(self):
+        regressions, _ = compare_trajectories(
+            _trajectory(s=_study(10.0, p99_ms=10.0)),
+            _trajectory(s=_study(10.0, p99_ms=13.0)),
+        )
+        assert len(regressions) == 1
+        assert "p99 latency regressed x1.30" in regressions[0]
+
+    def test_p99_below_noise_floor_skipped(self):
+        regressions, lines = compare_trajectories(
+            _trajectory(s=_study(10.0, p99_ms=0.2)),
+            _trajectory(s=_study(10.0, p99_ms=0.9)),
+        )
+        assert regressions == []
+        assert any("p99" in line and "noise floor" in line for line in lines)
+
+    def test_serving_study_gates_on_p99_only(self):
+        # A paced run's schedule fixes its wall-clock and windows/s:
+        # three times the wall-clock at half the throughput, same p99.
+        regressions, lines = compare_trajectories(
+            _trajectory(s=_study(0.3, wps=900.0, p99_ms=100.0)),
+            _trajectory(s=_study(30.0, wps=450.0, p99_ms=100.0)),
+        )
+        assert regressions == []
+        assert any("gated on p99 only" in line for line in lines)
 
     def test_bad_threshold_rejected(self):
         with pytest.raises(ValueError, match="threshold"):

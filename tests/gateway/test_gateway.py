@@ -300,6 +300,43 @@ class TestNonFiniteSamples:
         assert stats.verdicts + stats.windows_shed == stats.windows_assembled
 
 
+    def test_plus_and_minus_inf_pair_abstains_and_serving_goes_on(
+        self, trained_detectors, test_record
+    ):
+        """A window with one +inf and one -inf ECG sample fails the SQI
+        gate: it is one abstain, the batcher keeps scoring, the other
+        wearer keeps every verdict, and drain() returns."""
+        detector = trained_detectors[DetectorVersion.ORIGINAL]
+        clean = _deliveries(test_record)
+        poisoned = list(clean)
+        ecg = poisoned[2 * 4]
+        samples = ecg.packet.samples.copy()
+        samples[100], samples[700] = np.inf, -np.inf
+        poisoned[2 * 4] = dataclasses.replace(
+            ecg, packet=dataclasses.replace(ecg.packet, samples=samples)
+        )
+        verdicts = []
+        gateway = IngestionGateway(
+            detector, quality_gate=SignalQualityIndex(), on_verdict=verdicts.append
+        )
+
+        async def run():
+            async with gateway:
+                for a, b in zip(clean, poisoned):
+                    gateway.submit("clean", a)
+                    gateway.submit("poisoned", b)
+                await asyncio.wait_for(gateway.drain(), timeout=30.0)
+
+        asyncio.run(run())
+        abstained = [(v.wearer_id, v.sequence) for v in verdicts if v.abstained]
+        assert abstained == [("poisoned", ecg.packet.sequence)]
+        assert sum(v.wearer_id == "clean" for v in verdicts) == 20
+        stats = gateway.stats()
+        assert stats.windows_assembled == 40
+        assert stats.verdicts == 40
+        assert stats.verdicts + stats.windows_shed == stats.windows_assembled
+
+
 class TestLifecycle:
     def test_shutdown_leaves_zero_sessions(self, trained_detectors, test_record):
         detector = trained_detectors[DetectorVersion.SIMPLIFIED]

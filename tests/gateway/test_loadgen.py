@@ -1,5 +1,6 @@
-"""Tests for the wearer fleet simulator and the gateway-bench CLI."""
+"""Tests for the paced fleet sender and the gateway-bench CLI."""
 
+import asyncio
 import os
 import signal
 import subprocess
@@ -7,23 +8,34 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.core.versions import DetectorVersion
 from repro.gateway import (
     IngestionGateway,
+    PacedLoad,
+    build_fleet,
     run_gateway_load,
     train_serving_detectors,
 )
+from repro.signals.quality import SignalQualityIndex
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
+STALL_S = 0.2
+
+
+@pytest.fixture(scope="module")
+def records(dataset):
+    """Two 21 s recordings: seven windows per wearer."""
+    return [dataset.record(s, 21.0, purpose="test") for s in dataset.subjects[:2]]
 
 
 class TestRunGatewayLoad:
     def test_small_fleet_accounting(self):
         report = run_gateway_load(
             n_wearers=6, stream_s=12.0, batch_size=8, loss_probability=0.1,
-            seed=11,
+            seed=11, period_s=0.0,
         )
         stats = report.stats
         assert stats.sessions_started == 6
@@ -51,16 +63,12 @@ class TestRunGatewayLoad:
     def test_degradation_fleet_runs(self):
         report = run_gateway_load(
             n_wearers=4, stream_s=9.0, batch_size=8, loss_probability=0.0,
-            with_degradation=True, seed=5,
+            with_degradation=True, seed=5, period_s=0.0,
         )
         assert report.leaked_sessions == 0
         assert report.stats.verdicts == report.windows_sent
 
     def test_stop_event_interrupts_cleanly(self):
-        import asyncio
-
-        from repro.gateway import run_fleet
-
         data, fitted = train_serving_detectors(versions=("simplified",), seed=9)
         detector = fitted[DetectorVersion.SIMPLIFIED]
         records = [data.record(data.subjects[0], 60.0, purpose="test")]
@@ -74,8 +82,8 @@ class TestRunGatewayLoad:
                 stop.set()
 
             task = asyncio.get_running_loop().create_task(tripwire())
-            report = await run_fleet(
-                gateway, records, n_wearers=8, stop=stop
+            report = await PacedLoad(build_fleet(records, n_wearers=8)).run(
+                gateway, stop
             )
             await task
             return report
@@ -93,16 +101,110 @@ class TestRunGatewayLoad:
             == report.windows_sent
         )
 
-    def test_validation(self):
-        import asyncio
-
-        from repro.gateway import run_fleet
-
-        data, fitted = train_serving_detectors(versions=("simplified",), seed=9)
-        detector = fitted[DetectorVersion.SIMPLIFIED]
-        gateway = IngestionGateway(detector)
+    def test_validation(self, records):
         with pytest.raises(ValueError):
-            asyncio.run(run_fleet(gateway, [], n_wearers=1))
+            build_fleet([], n_wearers=1)
+        with pytest.raises(ValueError):
+            build_fleet(records, n_wearers=0)
+        with pytest.raises(ValueError):
+            build_fleet(records, n_wearers=1, period_s=-1.0)
+
+
+class StallOnce:
+    """Quality gate that blocks the event loop once, on its n-th window."""
+
+    def __init__(self, at_call: int) -> None:
+        self.inner = SignalQualityIndex()
+        self.at_call = at_call
+        self.calls = 0
+        self.stalled: tuple[float, float] | None = None
+
+    def assess(self, window):
+        self.calls += 1
+        if self.calls == self.at_call:
+            began = time.perf_counter()
+            time.sleep(STALL_S)
+            self.stalled = (began, time.perf_counter())
+        return self.inner.assess(window)
+
+
+class TestPacedLoad:
+    def test_stall_is_charged_to_windows_due_during_it(
+        self, trained_detectors, records
+    ):
+        """No coordinated omission: latency runs from the due time, so a
+        loop stall that holds sends back shows in every window due
+        during it, and in the sender's lateness."""
+        # 64 wearers sending one window every 0.3 s each, ~213 windows/s.
+        fleet = build_fleet(records, n_wearers=64, seed=3, period_s=0.3)
+        load = PacedLoad(fleet)
+        gate = StallOnce(at_call=100)
+        gateway = IngestionGateway(
+            trained_detectors[DetectorVersion.ORIGINAL],
+            quality_gate=gate,
+            on_verdict=load.on_verdict,
+        )
+        report = asyncio.run(load.run(gateway))
+        assert report.conservation_ok and report.stats.verdicts == len(fleet.due_s)
+        assert gate.stalled is not None
+        began, ended = gate.stalled
+        due = load.t0 + fleet.due_s
+        during = np.flatnonzero((due > began) & (due < ended - 0.01))
+        assert during.size >= 10
+        latency = load.latencies_s()[during]
+        # Every window due inside the stall waits at least until it ends.
+        assert np.all(latency >= (ended - due[during]) - 1e-6)
+        assert latency.max() >= STALL_S * 0.8
+        # The sender records how late it ran.
+        assert load.lateness_s().max() >= STALL_S * 0.8
+        assert report.max_lateness_s >= STALL_S * 0.8
+
+    def test_sender_sleeps_while_nothing_is_due(self, trained_detectors, records):
+        """A sparse schedule costs the loop thread almost no CPU: the
+        sender sleeps until the next due time instead of polling."""
+        fleet = build_fleet(records, n_wearers=2, period_s=0.4).slice(0, 3)
+        load = PacedLoad(fleet)
+        gateway = IngestionGateway(
+            trained_detectors[DetectorVersion.ORIGINAL],
+            quality_gate=SignalQualityIndex(),
+            on_verdict=load.on_verdict,
+        )
+        cpu0, wall0 = time.thread_time(), time.perf_counter()
+        report = asyncio.run(load.run(gateway))
+        cpu_s, wall_s = time.thread_time() - cpu0, time.perf_counter() - wall0
+        assert report.windows_sent == 6 and report.stats.verdicts == 6
+        assert report.on_schedule
+        assert wall_s >= 0.4
+        assert cpu_s < 0.1
+
+    def test_fleet_is_a_function_of_the_seed(self, records):
+        def outcome(fleet):
+            return [d is None for pair in fleet.deliveries for d in pair]
+
+        a, b, c = (
+            build_fleet(records, 16, loss_probability=0.3, seed=s)
+            for s in (7, 7, 8)
+        )
+        assert np.array_equal(a.due_s, b.due_s)
+        assert np.array_equal(a.wearer, b.wearer)
+        assert outcome(a) == outcome(b)
+        assert not np.array_equal(a.due_s, c.due_s)
+        assert outcome(a) != outcome(c)
+
+    def test_fleet_schedule(self, records):
+        """Real time: one window per wearer per period, each wearer's
+        windows in order.  Unpaced: all due at once, round-robin."""
+        paced = build_fleet(records, 4, period_s=3.0)
+        for w in range(4):
+            mine = paced.wearer == w
+            assert list(paced.sequence[mine]) == list(range(7))
+            assert np.allclose(np.diff(paced.due_s[mine]), 3.0)
+        assert np.all(np.diff(paced.due_s) >= 0) and paced.due_s.max() < 21.0
+        unpaced = build_fleet(records, 4, period_s=0.0)
+        assert not unpaced.due_s.any()
+        assert list(unpaced.wearer[:8]) == [0, 1, 2, 3] * 2
+        assert list(unpaced.sequence[:8]) == [0] * 4 + [1] * 4
+        assert list(unpaced.slice(5, 7).sequence) == [5] * 4 + [6] * 4
 
 
 @pytest.mark.skipif(

@@ -1,5 +1,5 @@
-"""The gateway's ``platform="native"`` lane: backend wiring and verdict
-bit-identity against the NumPy fleet, in-process and supervised."""
+"""The gateway's ``platform="native"`` lane: verdict bit-identity
+against the NumPy fleet, in-process and supervised."""
 
 from __future__ import annotations
 
@@ -10,11 +10,11 @@ import pytest
 
 from repro.core.versions import DetectorVersion
 from repro.gateway.loadgen import run_gateway_load, train_serving_detectors
-from repro.gateway.supervisor import InProcessBackend, NativeBackend
 from repro.native import native_status
 
 COMMON = dict(
-    n_wearers=6, stream_s=9.0, batch_size=16, loss_probability=0.0, seed=5
+    n_wearers=6, stream_s=9.0, batch_size=16, loss_probability=0.0, seed=5,
+    period_s=0.0,
 )
 
 
@@ -27,36 +27,6 @@ def _collect(**kwargs):
     keys = [(v.wearer_id, v.sequence) for v in ordered]
     values = np.array([v.decision_value for v in ordered])
     return report, keys, values
-
-
-@pytest.fixture()
-def simplified_copy(trained_detectors):
-    """A private copy -- NativeBackend mutates its detectors' platform,
-    and the session fixtures are immutable."""
-    import copy
-
-    return copy.deepcopy(trained_detectors[DetectorVersion.SIMPLIFIED])
-
-
-class TestNativeBackend:
-    def test_is_the_scoring_backend_variant(self, simplified_copy):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            backend = NativeBackend({"simplified": simplified_copy})
-        assert isinstance(backend, InProcessBackend)
-        for detector in backend.detectors.values():
-            assert detector.platform == "native"
-
-    def test_construction_records_platform_per_key(self, simplified_copy):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            backend = NativeBackend({"simplified": simplified_copy})
-        assert set(backend.platform_by_key) == {"simplified"}
-        assert backend.platform_by_key["simplified"] in ("native", "numpy")
-
-    def test_rejects_empty_detectors(self):
-        with pytest.raises(ValueError):
-            NativeBackend({})
 
 
 class TestNativeFleetParity:

@@ -23,8 +23,8 @@ from repro.signals.quality import QualityReport, SignalQualityIndex
 
 def clipping_score(gate: SignalQualityIndex, signal: np.ndarray) -> float:
     low, high = float(np.min(signal)), float(np.max(signal))
-    if high <= low:
-        return 0.0  # flatline
+    if high <= low or not np.isfinite(high - low):
+        return 0.0  # flatline, or an infinite sample: no usable range
     span = high - low
     pinned = np.mean(
         (signal <= low + 0.01 * span) | (signal >= high - 0.01 * span)

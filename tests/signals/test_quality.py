@@ -4,11 +4,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.signals.dataset import SignalWindow
+from repro.signals.dataset import SignalWindow, SyntheticFantasia
 from repro.signals.quality import QualityReport, SignalQualityIndex, assess_window
 from tests.signals import oracle
 
@@ -256,6 +256,16 @@ _GATES = st.builds(
 )
 
 
+def _inf_pair_window() -> SignalWindow:
+    """A clean synthetic window with one +inf and one -inf ECG sample,
+    not adjacent: the min/max span is infinite, so no usable range."""
+    data = SyntheticFantasia(n_subjects=1, seed=2017)
+    window = data.record(data.subjects[0], 3.0, purpose="test").window(0, 1080)
+    ecg = window.ecg.copy()
+    ecg[100], ecg[700] = np.inf, -np.inf
+    return replace(window, ecg=ecg)
+
+
 class TestMatchesOracle:
     """``assess`` scores both channels with one partition; the plain
     per-channel ``np.median``/``np.percentile`` formulas are the
@@ -263,9 +273,14 @@ class TestMatchesOracle:
 
     @settings(max_examples=400, deadline=None)
     @given(window=_windows(), gate=_GATES)
+    @example(window=_inf_pair_window(), gate=SignalQualityIndex())
     def test_assess_equals_per_channel_oracle(self, window, gate):
         with np.errstate(all="ignore"):
-            assert gate.assess(window) == oracle.assess(gate, window)
+            report = gate.assess(window)
+            assert report == oracle.assess(gate, window)
+        # A non-finite sample anywhere leaves no usable window.
+        if not (np.isfinite(window.ecg).all() and np.isfinite(window.abp).all()):
+            assert not report.usable
 
     def test_pinned_thresholds_round_into_the_sample_dtype(self):
         """float32 samples are compared with the extreme thresholds
