@@ -315,24 +315,30 @@ class PacedLoad:
         self, gateway: IngestionGateway, stop: asyncio.Event | None = None
     ) -> None:
         """Send every window on schedule into a started gateway, until
-        ``stop`` is set; yield between bursts only while more is due."""
+        ``stop`` is set; yield between bursts only while more is due.
+        Setting ``stop`` ends a wait for the next due time at once."""
         due = self.fleet.due_s
         n = len(due)
         j = 0
+        stop = stop if stop is not None else asyncio.Event()
+        stopped = asyncio.ensure_future(stop.wait())
         self.t0 = time.perf_counter()
-        while j < n and not (stop is not None and stop.is_set()):
-            wait = self.t0 + due[j] - time.perf_counter()
-            if wait > 0:
-                await asyncio.sleep(wait)
-                continue
-            burst_end = min(n, j + SEND_BURST)
-            now = time.perf_counter()
-            while j < burst_end and self.t0 + due[j] <= now:
-                self._send(gateway, j, now)
-                j += 1
+        try:
+            while j < n and not stop.is_set():
+                wait = self.t0 + due[j] - time.perf_counter()
+                if wait > 0:
+                    await asyncio.wait((stopped,), timeout=wait)
+                    continue
+                burst_end = min(n, j + SEND_BURST)
                 now = time.perf_counter()
-            if j < n and self.t0 + due[j] <= now:
-                await asyncio.sleep(0)
+                while j < burst_end and self.t0 + due[j] <= now:
+                    self._send(gateway, j, now)
+                    j += 1
+                    now = time.perf_counter()
+                if j < n and self.t0 + due[j] <= now:
+                    await asyncio.sleep(0)
+        finally:
+            stopped.cancel()
 
     def latencies_s(self) -> np.ndarray:
         """Due time to verdict, per window (NaN: no verdict)."""

@@ -19,6 +19,7 @@ from repro.gateway import (
     run_gateway_load,
     train_serving_detectors,
 )
+from repro.gateway.loadgen import PERIOD_S
 from repro.signals.quality import SignalQualityIndex
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -78,18 +79,20 @@ class TestRunGatewayLoad:
             stop = asyncio.Event()
 
             async def tripwire():
-                await asyncio.sleep(0.01)
+                await asyncio.sleep(0.1)
                 stop.set()
 
             task = asyncio.get_running_loop().create_task(tripwire())
-            report = await PacedLoad(build_fleet(records, n_wearers=8)).run(
-                gateway, stop
-            )
+            # 8 wearers x 20 windows, one window each per 0.05 s: the stop
+            # lands with every wearer in the middle of its stream.
+            report = await PacedLoad(fleet).run(gateway, stop)
             await task
             return report
 
+        fleet = build_fleet(records, n_wearers=8, period_s=0.05)
         report = asyncio.run(run())
         assert report.interrupted
+        assert 0 < report.windows_sent < len(fleet.due_s)
         assert report.leaked_sessions == 0
         # Whatever was sent before the stop is still fully accounted.
         stats = report.stats
@@ -100,6 +103,23 @@ class TestRunGatewayLoad:
             + report.windows_vanished
             == report.windows_sent
         )
+
+    def test_stop_ends_the_wait_for_the_next_window(self, trained_detectors, records):
+        """At real time a wearer's next window is seconds away; a stop
+        set meanwhile ends the run at once, not when that window is due."""
+        fleet = build_fleet(records, n_wearers=1, period_s=PERIOD_S)
+
+        async def run():
+            gateway = IngestionGateway(trained_detectors[DetectorVersion.ORIGINAL])
+            stop = asyncio.Event()
+            asyncio.get_running_loop().call_later(0.05 + fleet.due_s[0], stop.set)
+            return await PacedLoad(fleet).run(gateway, stop)
+
+        started = time.perf_counter()
+        report = asyncio.run(run())
+        assert report.interrupted and report.windows_sent == 1
+        assert time.perf_counter() - started < fleet.due_s[0] + 1.0
+        assert report.conservation_ok
 
     def test_validation(self, records):
         with pytest.raises(ValueError):
