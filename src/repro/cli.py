@@ -4,15 +4,17 @@ Commands
 --------
 ``demo``
     The quickstart flow: train one detector, attack the stream, report.
-``table2`` / ``table3`` / ``fig3``
-    Regenerate the paper's tables and figure (``--quick`` for a reduced
-    cohort).
 ``orchestrate``
-    The checkpointed driver over the full study matrix: every completed
-    (study, config) unit is persisted as a JSONL checkpoint, re-runs skip
-    completed units, interrupted sweeps resume mid-matrix, ``--reeval``
-    re-renders every report with zero recomputation, and a completed run
-    emits a ``BENCH_<stamp>.json`` perf trajectory.
+    The one driver for every study: ``--studies table2,table3,fig3``
+    regenerates the paper's tables and figure, ``--studies fault-matrix``
+    the fault x severity robustness grid, and no ``--studies`` runs the
+    whole matrix (``--quick`` for a reduced cohort and trimmed sweeps).
+    Every completed (study, config) unit is persisted as a JSONL
+    checkpoint, re-runs skip completed units, interrupted sweeps resume
+    mid-matrix, ``--reeval`` re-renders every report with zero
+    recomputation, and a completed run emits a ``BENCH_<stamp>.json``
+    perf trajectory.  A study unit that fails (say, one subject of a
+    cohort) writes no checkpoint and the command exits non-zero.
 ``bench-gate``
     The CI perf-regression gate: compare two trajectory files and fail
     when a study's calibrated wall-clock or throughput (or, for the
@@ -27,9 +29,6 @@ Commands
     gateway kill-and-restart, snapshot truncation) against the
     supervised gateway; exits non-zero when any conservation or
     bit-identity invariant breaks.
-``fault-matrix``
-    Sweep named sensor/channel faults across severities and report
-    accuracy, coverage and abstain rate per cell.
 ``profile``
     Build one detector version, deploy it on the simulated Amulet and
     print the ARP-view pane.
@@ -68,13 +67,6 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be a non-negative integer")
-    return value
-
-
 def _unit_float(text: str) -> float:
     value = float(text)
     if not 0.0 <= value <= 1.0:
@@ -107,45 +99,11 @@ def build_parser() -> argparse.ArgumentParser:
                       "(generated-C hot path, bit-identical, falls back "
                       "to numpy with a warning if no C compiler)")
 
-    for name in ("table2", "table3", "fig3"):
-        table = sub.add_parser(name, help=f"regenerate the paper's {name}")
-        table.add_argument("--quick", action="store_true",
-                           help="reduced cohort, short training")
-        table.add_argument("--jobs", type=_positive_int, default=1, metavar="N",
-                           help="worker processes (1 = serial, the default)")
-        table.add_argument("--cache-budget-mb", type=_positive_int, default=None,
-                           metavar="MB",
-                           help="LRU byte budget of the experiment cache, per "
-                           "process (default: 128 MB; results are identical "
-                           "at any budget)")
-        if name == "table2":
-            table.add_argument("--chunk-size", type=_positive_int, default=None,
-                               metavar="W",
-                               help="windows scored per chunk in the reference "
-                               "evaluation (default: 256; scores are "
-                               "bit-identical at any chunk size)")
-            table.add_argument("--task-timeout", type=_positive_float,
-                               default=None, metavar="S",
-                               help="seconds before a hung per-subject task is "
-                               "terminated (default: wait forever)")
-            table.add_argument("--retries", type=_nonnegative_int, default=0,
-                               metavar="N",
-                               help="retries per failed per-subject task "
-                               "(default: 0 = fail fast)")
-            table.add_argument("--retry-backoff", type=_positive_float,
-                               default=0.5, metavar="S",
-                               help="base of the exponential backoff between "
-                               "retries (default: 0.5 s)")
-            table.add_argument("--no-shared-dataset", action="store_true",
-                               help="disable the zero-copy dataset plane: "
-                               "workers re-synthesize the cohort instead of "
-                               "attaching the parent's shared-memory copy "
-                               "(results are identical; diagnostic only)")
-
     orchestrate = sub.add_parser(
         "orchestrate",
-        help="checkpointed run of the full study matrix (resumable; "
-        "emits a BENCH_<stamp>.json perf trajectory)",
+        help="run the studies (the paper's tables and figure, ablations, "
+        "fault matrix, ...) as checkpointed, resumable units; emits a "
+        "BENCH_<stamp>.json perf trajectory",
     )
     orchestrate.add_argument("--quick", action="store_true",
                              help="reduced cohort, trimmed sweeps")
@@ -155,8 +113,9 @@ def build_parser() -> argparse.ArgumentParser:
                              "(results are identical at any worker count)")
     orchestrate.add_argument("--studies", type=_csv_list, default=None,
                              metavar="A,B,...",
-                             help="comma-separated study names (default: all; "
-                             "see repro.experiments.studies.study_names)")
+                             help="comma-separated study names, e.g. "
+                             "table2,table3,fig3 or fault-matrix (default: "
+                             "all; see repro.experiments.studies.study_names)")
     orchestrate.add_argument("--reeval", action="store_true",
                              help="regenerate reports from checkpoints alone "
                              "(zero recomputation; fails on any missing unit)")
@@ -255,28 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="seconds of recording per wearer (default: 12)")
     chaos.add_argument("--seed", type=int, default=2017)
 
-    matrix = sub.add_parser(
-        "fault-matrix",
-        help="fault x severity robustness grid (accuracy/coverage/abstain)",
-    )
-    matrix.add_argument("--quick", action="store_true",
-                        help="reduced cohort, short training")
-    matrix.add_argument("--faults", type=_csv_list, default=None,
-                        metavar="A,B,...",
-                        help="comma-separated fault names (default: all; see "
-                        "repro.faults.fault_names)")
-    matrix.add_argument("--severities", type=_csv_list, default=None,
-                        metavar="X,Y,...",
-                        help="comma-separated severities in [0, 1] "
-                        "(default: 0,0.25,0.5,1)")
-    matrix.add_argument("--subjects", type=_positive_int, default=None,
-                        metavar="N",
-                        help="evaluate only the first N subjects")
-    matrix.add_argument("--sqi-threshold", type=_unit_float, default=0.6,
-                        metavar="Q",
-                        help="signal-quality score below which the base "
-                        "station abstains (default: 0.6)")
-
     profile = sub.add_parser("profile", help="ARP-view pane for one build")
     profile.add_argument("--version", default="original",
                          choices=("original", "simplified", "reduced"))
@@ -302,18 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     add_lint_arguments(lint)
     return parser
-
-
-def _config(quick: bool):
-    from repro.experiments import ExperimentConfig
-
-    return ExperimentConfig.quick() if quick else ExperimentConfig()
-
-
-def _cache_bytes(args) -> int | None:
-    """The --cache-budget-mb flag in bytes (None = keep the default)."""
-    mb = getattr(args, "cache_budget_mb", None)
-    return None if mb is None else mb * 1024 * 1024
 
 
 def _print_cache_stats() -> None:
@@ -365,33 +290,6 @@ def _cmd_demo(args) -> int:
           f"{len(stream)} windows ({stream.n_altered} altered), "
           f"scored on {scored_on}")
     print(f"FP {fp:.2f}%  FN {fn:.2f}%  accuracy {acc:.2f}%  F1 {f1:.2f}%")
-    return 0
-
-
-def _cmd_table2(args) -> int:
-    from repro.experiments import format_table2, run_table2
-
-    result = run_table2(
-        _config(args.quick),
-        jobs=args.jobs,
-        chunk_size=args.chunk_size,
-        cache_bytes=_cache_bytes(args),
-        task_timeout_s=args.task_timeout,
-        max_retries=args.retries,
-        retry_backoff_s=args.retry_backoff,
-        share_dataset=not args.no_shared_dataset,
-    )
-    print(format_table2(result))
-    for failure in result.failures:
-        detail = (
-            failure.fault.describe() if failure.fault else failure.error
-        )
-        print(
-            f"warning: subject {failure.subject_id} "
-            f"({failure.version.value}) failed: {detail}",
-            file=sys.stderr,
-        )
-    _print_cache_stats()
     return 0
 
 
@@ -601,46 +499,6 @@ def _cmd_chaos(args) -> int:
     return 0
 
 
-def _cmd_fault_matrix(args) -> int:
-    from repro.experiments import fault_matrix_study, format_fault_matrix
-
-    severities = (
-        [_unit_float(s) for s in args.severities]
-        if args.severities is not None
-        else (0.0, 0.25, 0.5, 1.0)
-    )
-    rows = fault_matrix_study(
-        _config(args.quick),
-        faults=args.faults,
-        severities=severities,
-        subjects=args.subjects,
-        quality_threshold=args.sqi_threshold,
-    )
-    print(format_fault_matrix(rows))
-    _print_cache_stats()
-    return 0
-
-
-def _cmd_table3(args) -> int:
-    from repro.experiments import format_table3, run_table3
-
-    print(format_table3(run_table3(
-        _config(args.quick), jobs=args.jobs, cache_bytes=_cache_bytes(args)
-    )))
-    _print_cache_stats()
-    return 0
-
-
-def _cmd_fig3(args) -> int:
-    from repro.experiments import format_fig3, run_fig3
-
-    print(format_fig3(run_fig3(
-        _config(args.quick), jobs=args.jobs, cache_bytes=_cache_bytes(args)
-    )))
-    _print_cache_stats()
-    return 0
-
-
 def _cmd_profile(args) -> int:
     from repro.amulet import render_memory_map, render_profile
     from repro.attacks import AttackScenario, ReplacementAttack
@@ -720,14 +578,10 @@ def _cmd_lint(args) -> int:
 
 _COMMANDS = {
     "demo": _cmd_demo,
-    "table2": _cmd_table2,
-    "table3": _cmd_table3,
-    "fig3": _cmd_fig3,
     "orchestrate": _cmd_orchestrate,
     "bench-gate": _cmd_bench_gate,
     "gateway-bench": _cmd_gateway_bench,
     "chaos": _cmd_chaos,
-    "fault-matrix": _cmd_fault_matrix,
     "profile": _cmd_profile,
     "export": _cmd_export,
     "lint": _cmd_lint,

@@ -65,7 +65,6 @@ from repro.experiments.runner import (
     CohortOutcome,
     CohortRunner,
     TaskFaultReport,
-    clear_experiment_cache,
     effective_workers,
 )
 from repro.experiments.robustness import (
@@ -115,7 +114,6 @@ __all__ = [
     "cache_disabled",
     "channel_loss_study",
     "classifier_ablation",
-    "clear_experiment_cache",
     "compare_trajectories",
     "config_hash",
     "debounce_study",

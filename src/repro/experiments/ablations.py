@@ -64,13 +64,16 @@ def _mean_accuracy(
     version: DetectorVersion | str = "simplified",
     jobs: int = 1,
 ) -> dict[str, float]:
-    """Reference-pipeline average metrics over the configured cohort."""
-    from repro.experiments.runner import CohortRunner
+    """Reference-pipeline average metrics over the configured cohort.
+
+    Raises ``RuntimeError`` when any subject fails (see
+    :func:`~repro.experiments.runner.require_results`).
+    """
+    from repro.experiments.runner import CohortRunner, require_results
 
     with CohortRunner(config=config, jobs=jobs, with_device=False) as runner:
-        outcomes = runner.run_version(version)
-    reports = [o.result.reference_report for o in outcomes if o.ok]
-    mean = mean_report(reports)
+        results = require_results(runner.run_version(version))
+    mean = mean_report(r.reference_report for r in results)
     return {
         "accuracy": mean.accuracy,
         "fp_rate": mean.false_positive_rate,

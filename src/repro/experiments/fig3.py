@@ -59,23 +59,15 @@ def run_fig3(
     config: ExperimentConfig | None = None,
     version: DetectorVersion = DetectorVersion.ORIGINAL,
     periods: tuple[float, ...] = DEFAULT_PERIOD_SWEEP,
-    jobs: int = 1,
-    cache_bytes: int | None = None,
 ) -> Fig3Result:
     """Profile one build and sweep the detection-period slider.
 
-    ``jobs`` is accepted for CLI symmetry with table2/table3: the figure
-    profiles a single build (the period sweep is a closed-form rescale of
-    one profile), so there is nothing to fan out.  The run still benefits
-    from the experiment cache shared with other experiments;
-    ``cache_bytes`` rebudgets that cache.
+    The figure profiles a single build (the period sweep is a closed-form
+    rescale of one profile), so there is nothing to fan out.  The run
+    still benefits from the experiment cache shared with other
+    experiments.
     """
-    del jobs  # single-build experiment; see docstring
     config = config or ExperimentConfig()
-    if cache_bytes is not None:
-        from repro.experiments.cache import set_cache_budget
-
-        set_cache_budget(cache_bytes)
     dataset = make_dataset(config)
     subject = dataset.subjects[0]
     detector = train_detector(dataset, subject, version, config)
@@ -92,15 +84,10 @@ def _grid_sweep_task(
     config: ExperimentConfig,
     grid_n: int,
     version_name: str,
-    cache_bytes: int | None = None,
 ) -> dict[str, float]:
     """Top-level (picklable) single-grid profiling task."""
     from repro.amulet.firmware import StaticCheckError
 
-    if cache_bytes is not None:
-        from repro.experiments.cache import set_cache_budget
-
-        set_cache_budget(cache_bytes)
     dataset = make_dataset(config)
     subject = dataset.subjects[0]
     swept = replace(config, grid_n=int(grid_n))
@@ -135,7 +122,6 @@ def run_grid_resource_sweep(
     grids: tuple[int, ...] = (10, 25, 50, 100),
     version: DetectorVersion = DetectorVersion.SIMPLIFIED,
     jobs: int = 1,
-    cache_bytes: int | None = None,
 ) -> list[dict[str, float]]:
     """The other ARP-view slider: resource cost of the grid size n.
 
@@ -155,18 +141,12 @@ def run_grid_resource_sweep(
         workers = min(effective_workers(jobs), len(grids))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [
-                pool.submit(
-                    _grid_sweep_task,
-                    config,
-                    int(grid_n),
-                    version.value,
-                    cache_bytes,
-                )
+                pool.submit(_grid_sweep_task, config, int(grid_n), version.value)
                 for grid_n in grids
             ]
             return [future.result() for future in futures]
     return [
-        _grid_sweep_task(config, int(grid_n), version.value, cache_bytes)
+        _grid_sweep_task(config, int(grid_n), version.value)
         for grid_n in grids
     ]
 

@@ -301,20 +301,14 @@ def run_subject(
     version: DetectorVersion | str,
     config: ExperimentConfig | None = None,
     with_device: bool = True,
-    chunk_size: int | None = None,
 ) -> SubjectRunResult:
-    """The full per-subject protocol for one detector version.
-
-    ``chunk_size`` sets how many windows the reference evaluation scores
-    per chunk (``None`` = the detector's default); scores are
-    bit-identical at any chunk size, only peak memory changes.
-    """
+    """The full per-subject protocol for one detector version."""
     config = config or ExperimentConfig()
     if isinstance(version, str):
         version = DetectorVersion.from_name(version)
     detector = train_detector(dataset, subject, version, config)
     stream = build_stream(dataset, subject, config)
-    reference_report = detector.evaluate(stream, chunk_size=chunk_size)
+    reference_report = detector.evaluate(stream)
 
     device_report = None
     runner = None

@@ -108,8 +108,6 @@ def fault_matrix_study(
     config: ExperimentConfig,
     faults: Sequence[str] | None = None,
     severities: Sequence[float] = (0.0, 0.25, 0.5, 1.0),
-    subjects: int | None = None,
-    quality_threshold: float = 0.6,
 ) -> list[dict[str, Any]]:
     """Sweep every named fault across severities through the environment.
 
@@ -128,18 +126,11 @@ def fault_matrix_study(
     Detectors are trained once per subject (the experiment cache makes the
     repeated ``train_detector`` calls free) and reused across all cells.
     """
-    if not 0.0 <= quality_threshold <= 1.0:
-        raise ValueError("quality_threshold must be in [0, 1]")
     names = tuple(faults) if faults is not None else fault_names()
     dataset = make_dataset(config)
-    cohort = list(enumerate(dataset.subjects))
-    if subjects is not None:
-        if subjects < 1:
-            raise ValueError("subjects must be >= 1")
-        cohort = cohort[:subjects]
 
     materials = []
-    for index, subject in cohort:
+    for index, subject in enumerate(dataset.subjects):
         detector = train_detector(dataset, subject, "simplified", config)
         record, donors = _test_materials(dataset, subject, config)
         materials.append((index, detector, record, donors))
@@ -159,9 +150,7 @@ def fault_matrix_study(
                 environment = WIoTEnvironment(
                     detector,
                     channel=cell.channel,
-                    quality_gate=SignalQualityIndex(
-                        threshold=quality_threshold
-                    ),
+                    quality_gate=SignalQualityIndex(),
                 )
                 summary = environment.run(
                     record,

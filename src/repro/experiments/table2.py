@@ -14,7 +14,7 @@ from typing import Sequence
 from repro.core.versions import DetectorVersion
 from repro.experiments.pipeline import ExperimentConfig, SubjectRunResult
 from repro.experiments.reporting import format_table
-from repro.experiments.runner import CohortOutcome, CohortRunner
+from repro.experiments.runner import CohortRunner, require_results
 from repro.ml.metrics import DetectionReport, mean_report
 
 __all__ = ["Table2Result", "Table2Row", "format_table2", "run_table2"]
@@ -52,8 +52,6 @@ class Table2Result:
     rows: tuple[Table2Row, ...]
     per_subject: tuple[SubjectRunResult, ...]
     config: ExperimentConfig
-    #: Outcomes of subjects that errored (empty on a clean run).
-    failures: tuple[CohortOutcome, ...] = ()
 
     def row(self, version: DetectorVersion, platform: str) -> Table2Row:
         """Look up one (version, platform) row (KeyError if absent)."""
@@ -69,7 +67,6 @@ class Table2Result:
             rows=tuple(row for part in parts for row in part.rows),
             per_subject=tuple(s for part in parts for s in part.per_subject),
             config=parts[0].config,
-            failures=tuple(f for part in parts for f in part.failures),
         )
 
 
@@ -77,47 +74,20 @@ def run_table2(
     config: ExperimentConfig | None = None,
     versions: tuple[DetectorVersion, ...] = tuple(DetectorVersion),
     jobs: int = 1,
-    chunk_size: int | None = None,
-    cache_bytes: int | None = None,
-    task_timeout_s: float | None = None,
-    max_retries: int = 0,
-    retry_backoff_s: float = 0.5,
-    share_dataset: bool = True,
 ) -> Table2Result:
     """Run the full Table II protocol.
 
     ``jobs > 1`` fans the per-subject runs over worker processes; the
-    averages are identical to the serial run (failing subjects, if any,
-    are excluded from the means and reported in ``failures``).
-    ``chunk_size`` bounds the reference evaluation's scoring memory and
-    ``cache_bytes`` the experiment cache's LRU budget (both per worker);
-    neither changes a single reported number.  ``task_timeout_s``,
-    ``max_retries`` and ``retry_backoff_s`` are the hardened runner's
-    fault-tolerance knobs (see :class:`CohortRunner`); the defaults keep
-    the historical fail-fast behaviour.  ``share_dataset`` publishes the
-    cohort recordings once through the zero-copy dataset plane instead of
-    re-synthesizing them in every worker (results are identical either
-    way; disable only to diagnose shared-memory issues).
+    averages are identical to the serial run.  Every subject must
+    complete: a failed one raises ``RuntimeError`` naming the subject and
+    its fault, since a mean over the survivors is not the paper's number.
     """
     config = config or ExperimentConfig()
     per_subject: list[SubjectRunResult] = []
-    failures: list[CohortOutcome] = []
     rows: list[Table2Row] = []
-    with CohortRunner(
-        config=config,
-        jobs=jobs,
-        with_device=True,
-        chunk_size=chunk_size,
-        cache_bytes=cache_bytes,
-        task_timeout_s=task_timeout_s,
-        max_retries=max_retries,
-        retry_backoff_s=retry_backoff_s,
-        share_dataset=share_dataset,
-    ) as runner:
+    with CohortRunner(config=config, jobs=jobs, with_device=True) as runner:
         for version in versions:
-            outcomes = runner.run_version(version)
-            failures.extend(o for o in outcomes if not o.ok)
-            results = [o.result for o in outcomes if o.ok]
+            results = require_results(runner.run_version(version))
             per_subject.extend(results)
             rows.append(
                 Table2Row(
@@ -136,10 +106,7 @@ def run_table2(
                 )
             )
     return Table2Result(
-        rows=tuple(rows),
-        per_subject=tuple(per_subject),
-        config=config,
-        failures=tuple(failures),
+        rows=tuple(rows), per_subject=tuple(per_subject), config=config
     )
 
 

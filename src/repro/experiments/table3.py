@@ -66,13 +66,8 @@ class Table3Result:
 def _profile_version_task(
     config: ExperimentConfig,
     version_name: str,
-    cache_bytes: int | None = None,
 ) -> tuple[str, ResourceProfile]:
     """Top-level (picklable) per-version profiling task."""
-    if cache_bytes is not None:
-        from repro.experiments.cache import set_cache_budget
-
-        set_cache_budget(cache_bytes)
     dataset = make_dataset(config)
     subject = dataset.subjects[0]
     stream = build_stream(dataset, subject, config)
@@ -86,20 +81,13 @@ def run_table3(
     config: ExperimentConfig | None = None,
     versions: tuple[DetectorVersion, ...] = tuple(DetectorVersion),
     jobs: int = 1,
-    cache_bytes: int | None = None,
 ) -> Table3Result:
     """Run the Table III protocol (one subject is enough).
 
     ``jobs > 1`` profiles the versions in parallel worker processes
     (there are only three, so more than three workers is never useful).
-    ``cache_bytes`` rebudgets the experiment cache in this process and in
-    every worker.
     """
     config = config or ExperimentConfig()
-    if cache_bytes is not None:
-        from repro.experiments.cache import set_cache_budget
-
-        set_cache_budget(cache_bytes)
     profiles: dict[DetectorVersion, ResourceProfile] = {}
     if jobs > 1 and len(versions) > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -109,9 +97,7 @@ def run_table3(
         workers = min(effective_workers(jobs), len(versions))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [
-                pool.submit(
-                    _profile_version_task, config, version.value, cache_bytes
-                )
+                pool.submit(_profile_version_task, config, version.value)
                 for version in versions
             ]
             for future in futures:

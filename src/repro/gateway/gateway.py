@@ -115,7 +115,8 @@ class IngestionGateway:
         The fitted primary detector every new session starts on.
     quality_gate:
         Optional SQI gate, shared by all sessions (assessment is
-        stateless); gated windows become abstain verdicts.
+        stateless); gated windows become abstain verdicts.  Without a
+        gate only windows holding a NaN or infinite sample abstain.
     fallbacks:
         Fitted detectors for lighter tiers, keyed by version.
     degradation:

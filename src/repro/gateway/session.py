@@ -101,6 +101,12 @@ def window_from_slot(
     )
 
 
+#: The ungated verdict on a window holding a NaN or infinite sample.
+_NON_FINITE = QualityReport(
+    sqi=0.0, usable=False, clipping_score=0.0, burst_score=0.0, beat_score=0.0
+)
+
+
 class WearerSession:
     """One wearer's live serving state.
 
@@ -165,9 +171,14 @@ class WearerSession:
         Called once per assembled window, *in arrival order*, before the
         window is queued -- so the tier selected for a window reflects
         exactly the quality history a sequential run would have seen.
+        Without a gate, a window with a non-finite sample is still
+        reported unusable: the scorer refuses it, and one refused window
+        would otherwise fail its whole cross-session micro-batch.
         """
         if self.quality_gate is None:
-            return None
+            if np.isfinite(window.ecg).all() and np.isfinite(window.abp).all():
+                return None
+            return _NON_FINITE
         report = self.quality_gate.assess(window)
         if self.degradation is not None:
             self.degradation.observe(report)

@@ -42,7 +42,6 @@ from repro.experiments.fig3 import (
 )
 from repro.experiments.orchestrator import Orchestrator
 from repro.experiments.pipeline import ExperimentConfig, SubjectRunResult
-from repro.experiments.runner import CohortOutcome, TaskFaultReport
 from repro.experiments.native import SmoSpeedup
 from repro.experiments.studies import StudyContext, build_registry
 from repro.experiments.table2 import (
@@ -85,21 +84,6 @@ subject_runs = st.builds(
     reference_report=reports,
     device_report=st.none() | reports,
     n_test_windows=st.integers(),
-)
-outcomes = st.builds(
-    CohortOutcome,
-    subject_id=st.text(),
-    version=versions,
-    result=st.none() | subject_runs,
-    error=st.none() | st.text(),
-    fault=st.none()
-    | st.builds(
-        TaskFaultReport,
-        kind=st.sampled_from(["exception", "timeout", "broken-pool"]),
-        error_type=st.text(),
-        message=st.text(),
-        attempts=st.integers(),
-    ),
 )
 profiles = st.builds(
     ResourceProfile,
@@ -224,7 +208,6 @@ STRATEGIES: dict[Any, st.SearchStrategy] = {
         rows=st.lists(st.builds(Table2Row, versions, st.text(), reports)).map(tuple),
         per_subject=st.lists(subject_runs, max_size=4).map(tuple),
         config=configs,
-        failures=st.lists(outcomes, max_size=2).map(tuple),
     ),
     Table3Result: st.builds(
         Table3Result,

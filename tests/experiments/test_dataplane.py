@@ -356,37 +356,30 @@ class TestRunnerPlane:
     def test_no_leak_after_forced_worker_crash(
         self, config, monkeypatch, tmp_path
     ):
-        """The plane survives the pool rebuild (workers re-attach the same
-        segment) and is still unlinked exactly once at close."""
+        """A worker crash faults its run as broken-pool; the plane
+        survives it, the next run on the same runner succeeds on the same
+        segment (a fresh pool re-attaches it), and close unlinks it."""
         sentinel = tmp_path / "crashed-once"
         real = runner_module.run_subject
 
-        def crash_once(dataset, subject, version, cfg, with_device, chunk_size=None):
+        def crash_once(dataset, subject, version, cfg, with_device):
             if subject is dataset.subjects[1] and not sentinel.exists():
                 sentinel.write_text("crashed")
                 os._exit(17)
-            return real(
-                dataset,
-                subject,
-                version,
-                cfg,
-                with_device=with_device,
-                chunk_size=chunk_size,
-            )
+            return real(dataset, subject, version, cfg, with_device=with_device)
 
         monkeypatch.setattr(runner_module, "run_subject", crash_once)
-        with CohortRunner(
-            config=config,
-            jobs=2,
-            with_device=False,
-            max_retries=1,
-            retry_backoff_s=0.0,
-        ) as runner:
-            outcomes = runner.run_version("reduced", subjects=[0, 1])
-            assert runner.pool_rebuilds == 1
+        with CohortRunner(config=config, jobs=2, with_device=False) as runner:
+            crashed = runner.run_version("reduced", subjects=[0, 1])
             assert runner.plane is not None and runner.plane.alive
+            token = runner.plane.manifest.token
+            again = runner.run_version("reduced", subjects=[0, 1])
+            assert runner.plane.manifest.token == token
         assert sentinel.exists()
-        assert [o.ok for o in outcomes] == [True, True]
+        assert not crashed[1].ok
+        assert crashed[1].fault.kind == "broken-pool"
+        assert [o.ok for o in again] == [True, True]
+        assert runner.plane is None
         assert leaked_segments() == []
 
     def test_no_leak_after_keyboard_interrupt(self, config, monkeypatch):

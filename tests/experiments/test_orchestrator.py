@@ -245,6 +245,35 @@ class TestReeval:
             orch.run(reeval=True, fresh=True)
 
 
+class TestFailedSubject:
+    @pytest.mark.parametrize("study", ["table2", "ablations"])
+    def test_failed_subject_fails_the_unit(self, tmp_path, monkeypatch, study):
+        """A cohort unit with one failed subject raises, naming the
+        subject and its fault, instead of checkpointing a mean over the
+        survivors; no checkpoint line and no report are written."""
+        import repro.experiments.runner as runner_module
+
+        real = runner_module.run_subject
+
+        def failing(dataset, subject, version, cfg, with_device):
+            if subject is dataset.subjects[1]:
+                raise RuntimeError("synthetic failure")
+            return real(dataset, subject, version, cfg, with_device=with_device)
+
+        monkeypatch.setattr(runner_module, "run_subject", failing)
+        orch = Orchestrator(
+            quick=True,
+            checkpoint_dir=tmp_path / "checkpoints",
+            results_dir=tmp_path / "results",
+        )
+        with pytest.raises(RuntimeError, match=r"subject \S+ \(\w+\) failed: "
+                           r"\[exception\] RuntimeError: synthetic failure"):
+            orch.run_study(study)
+        checkpoint = orch.store.path(study)
+        assert not checkpoint.exists() or checkpoint.read_text() == ""
+        assert list((tmp_path / "results").glob("*.txt")) == []
+
+
 _KILLABLE_SCRIPT = """
 import sys, time
 from pathlib import Path

@@ -1,9 +1,8 @@
 """The zero-severity contract: severity 0 is the clean pipeline, bit for bit.
 
-Every fault cell at severity 0, the injector with zero-severity faults,
-the quality-gated streaming path on clean signal, and the hardened runner
-with its fault-tolerance knobs at their defaults must all reproduce the
-unfaulted pipeline exactly -- not approximately.
+Every fault cell at severity 0, the injector with zero-severity faults
+and the quality-gated streaming path on clean signal must all reproduce
+the unfaulted pipeline exactly -- not approximately.
 """
 
 from __future__ import annotations
@@ -83,29 +82,6 @@ def test_permissive_gate_matches_ungated_streaming(
     assert gated.abstain_count == 0
     assert gated.episodes == ungated.episodes
     assert gated.state.window_index == ungated.state.window_index
-
-
-def test_hardening_knobs_at_rest_change_nothing(quick_config):
-    """Retries/backoff enabled on a healthy serial cohort is a no-op."""
-    from repro.experiments import CohortRunner
-
-    with CohortRunner(
-        config=quick_config, jobs=1, with_device=False
-    ) as plain:
-        base = plain.run_version("reduced", subjects=[0])
-    with CohortRunner(
-        config=quick_config,
-        jobs=1,
-        with_device=False,
-        max_retries=3,
-        retry_backoff_s=0.0,
-    ) as hardened:
-        again = hardened.run_version("reduced", subjects=[0])
-    assert [o.ok for o in base] == [o.ok for o in again] == [True]
-    assert (
-        base[0].result.reference_report == again[0].result.reference_report
-    )
-    assert hardened.pool_rebuilds == 0
 
 
 class TestEnvironmentFaultAccounting:

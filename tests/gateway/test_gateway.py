@@ -300,11 +300,15 @@ class TestNonFiniteSamples:
         assert stats.verdicts + stats.windows_shed == stats.windows_assembled
 
 
+    @pytest.mark.parametrize(
+        "quality_gate", [SignalQualityIndex(), None], ids=["sqi-gate", "no-gate"]
+    )
     def test_plus_and_minus_inf_pair_abstains_and_serving_goes_on(
-        self, trained_detectors, test_record
+        self, trained_detectors, test_record, quality_gate
     ):
-        """A window with one +inf and one -inf ECG sample fails the SQI
-        gate: it is one abstain, the batcher keeps scoring, the other
+        """A window with one +inf and one -inf ECG sample is one abstain,
+        gated or not (it fails the SQI gate; without a gate it is
+        abstained as unscorable): the batcher keeps scoring, the other
         wearer keeps every verdict, and drain() returns."""
         detector = trained_detectors[DetectorVersion.ORIGINAL]
         clean = _deliveries(test_record)
@@ -317,7 +321,7 @@ class TestNonFiniteSamples:
         )
         verdicts = []
         gateway = IngestionGateway(
-            detector, quality_gate=SignalQualityIndex(), on_verdict=verdicts.append
+            detector, quality_gate=quality_gate, on_verdict=verdicts.append
         )
 
         async def run():
