@@ -15,10 +15,11 @@ Commands
     recomputation, and a completed run emits a ``BENCH_<stamp>.json``
     perf trajectory.  A study unit that fails (say, one subject of a
     cohort) writes no checkpoint and the command exits non-zero.
-``bench-gate``
-    The CI perf-regression gate: compare two trajectory files and fail
-    when a study's calibrated wall-clock or throughput (or, for the
-    paced serving study, its p99) regressed past the threshold.
+``bench-gate REV``
+    The CI perf-regression gate: run alternating quick orchestrate
+    passes of revision REV and of this checkout on this host, and fail
+    when a study's wall-clock or throughput (or, for the paced serving
+    study, its p99) is worse past the threshold in most pairs.
 ``gateway-bench``
     Drive a fleet of simulated wearers through the async ingestion
     gateway at real time and report the offered rate plus p50/p99
@@ -136,21 +137,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     gate = sub.add_parser(
         "bench-gate",
-        help="compare two BENCH_*.json trajectories; exit 1 on regression",
+        help="gate this checkout against a parent revision on this host "
+        "(alternating quick passes); exit 1 on regression, 2 on error",
     )
-    gate.add_argument("baseline", type=Path,
-                      help="committed baseline trajectory (a BENCH_*.json "
-                      "file, or a directory: its newest BENCH_*.json)")
-    gate.add_argument("current", type=Path,
-                      help="freshly produced trajectory to check (file or "
-                      "directory, as with the baseline)")
-    gate.add_argument("--threshold", type=_positive_float, default=0.2,
-                      metavar="R",
-                      help="allowed fractional slowdown (default: 0.2 = 20%%)")
-    gate.add_argument("--min-wall-s", type=_positive_float, default=1.0,
-                      metavar="S",
-                      help="noise floor: studies faster than this on both "
-                      "sides never gate (default: 1.0 s)")
+    gate.add_argument("rev", help="the parent revision, e.g. HEAD^1")
 
     gateway = sub.add_parser(
         "gateway-bench",
@@ -334,32 +324,14 @@ def _cmd_orchestrate(args) -> int:
     return 0
 
 
-def _resolve_trajectory(path: Path) -> Path:
-    """A trajectory file as given, or the newest ``BENCH_*.json`` inside
-    a directory.  Bench sessions stamp one file per run, so gating jobs
-    can point at the results directory instead of guessing the stamp."""
-    if not path.is_dir():
-        return path
-    candidates = sorted(
-        path.glob("BENCH_*.json"), key=lambda p: p.stat().st_mtime
-    )
-    if not candidates:
-        raise FileNotFoundError(f"no BENCH_*.json trajectory in {path}")
-    return candidates[-1]
-
-
 def _cmd_bench_gate(args) -> int:
-    from repro.experiments.trajectory import compare_trajectories, load_trajectory
+    from repro.experiments.trajectory import GateError, gate_against
 
     try:
-        baseline = load_trajectory(_resolve_trajectory(args.baseline))
-        current = load_trajectory(_resolve_trajectory(args.current))
-    except (OSError, ValueError) as exc:
+        regressions, lines = gate_against(args.rev)
+    except (GateError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    regressions, lines = compare_trajectories(
-        baseline, current, threshold=args.threshold, min_wall_s=args.min_wall_s
-    )
     for line in lines:
         print(line)
     if regressions:

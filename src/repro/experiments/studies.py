@@ -688,9 +688,6 @@ def build_registry() -> dict[str, StudyDefinition]:
         StudyDefinition(
             "dataplane", _dataplane_units, _dataplane_render, _DATAPLANE_COHORT
         ),
-        # Last: the record's calibration constant is drawn right after
-        # them, where the committed baseline's was, so a run stays
-        # comparable with it.
         StudyDefinition("gateway", _gateway_units, _gateway_render),
         StudyDefinition("chaos", _chaos_units, _chaos_render),
         StudyDefinition("native", _native_units, _native_render),

@@ -4,29 +4,35 @@ Every measured ``repro orchestrate`` pass ends as a sequence of
 :class:`~repro.experiments.orchestrator.StudyRun` and
 :func:`build_trajectory` folds them into one record: per-study
 wall-clock, windows/second, serving tail latency, experiment-cache and
-dataset-plane counter deltas, plus a machine calibration constant so
-trajectories from different hosts compare.  :func:`write_trajectory`
-stamps it to disk and :func:`compare_trajectories` is the CI regression
-gate over two such records.
+dataset-plane counter deltas.  :func:`write_trajectory` stamps it to
+disk.  :func:`gate_against` is the regression gate: it runs alternating
+quick passes of a parent revision and of this checkout on one host, and
+:func:`compare_trajectories` judges the two lists of records.
 """
 
 from __future__ import annotations
 
+import io
 import json
+import os
+import subprocess
 import sys
+import tarfile
+import tempfile
 import time
 from pathlib import Path
+from statistics import median
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
-
-import numpy as np
 
 if TYPE_CHECKING:
     from repro.experiments.orchestrator import StudyRun
 
 __all__ = [
+    "GateError",
     "SCHEMA",
     "build_trajectory",
     "compare_trajectories",
+    "gate_against",
     "load_trajectory",
     "write_trajectory",
 ]
@@ -34,31 +40,24 @@ __all__ = [
 #: Schema version stamped into every trajectory file.
 SCHEMA = 1
 
+#: A metric regresses when the change's median is worse than the
+#: parent's by more than this fraction *and* the change is worse in most
+#: pairs.
+THRESHOLD = 0.2
+#: Alternating (parent, change) pass pairs per gate run.
+PAIRS = 3
+#: Studies whose median wall-clock is below this on both sides gate on
+#: neither wall-clock nor windows/s.  On a 2-core host a quick pass reads
+#: 0.28-0.74 s for adaptive, native and universal (gated) and under
+#: 0.25 s for fig3 and table3 (not gated).
+MIN_WALL_S = 0.3
+#: A serving p99 below this on both sides never gates: quick-scale p99
+#: is host noise (3.8-25.6 ms over 90 identical quick passes on a
+#: 2-core host).
+MIN_P99_MS = 100.0
+
 _CACHE_KEYS = ("hits", "misses", "evictions")
 _PLANE_KEYS = ("publishes", "publish_s", "attaches", "attach_s")
-
-
-def _calibration_s() -> float:
-    """Seconds this machine takes for a fixed numpy workload.
-
-    Stamped into every trajectory so two records from different hosts
-    (or a CI runner on a noisy neighbour) compare on *calibrated*
-    wall-clock: the regression gate divides each study's wall-clock by
-    its trajectory's calibration constant.  Best-of-five of a seeded
-    matmul chain sized to tens of milliseconds -- long enough that
-    scheduler jitter doesn't swing the constant (a noisy calibration
-    would inject the very noise it exists to remove), dominated by the
-    same BLAS/cache machinery as the hot paths it normalizes.
-    """
-    rng = np.random.default_rng(0)
-    a = rng.standard_normal((384, 384))
-    best = float("inf")
-    for _ in range(5):
-        started = time.perf_counter()
-        for _ in range(16):
-            a @ a
-        best = min(best, time.perf_counter() - started)
-    return best
 
 
 def build_trajectory(
@@ -118,7 +117,6 @@ def build_trajectory(
         "quick": bool(quick),
         "jobs": int(jobs),
         "python": sys.version.split()[0],
-        "calibration_s": round(_calibration_s(), 6),
         "studies": studies,
     }
 
@@ -152,116 +150,126 @@ def load_trajectory(path: Path | str) -> dict[str, Any]:
     return record
 
 
-def compare_trajectories(
-    baseline: Mapping[str, Any],
-    current: Mapping[str, Any],
-    threshold: float = 0.2,
-    min_wall_s: float = 1.0,
-    min_p99_ms: float = 1.0,
-) -> tuple[list[str], list[str]]:
-    """The CI regression gate over two trajectory records.
 
-    Returns ``(regressions, lines)``: human-readable regression messages
-    (empty = gate passes) plus a per-study comparison table.  A study
-    regresses when its wall-clock grows by more than ``threshold``
-    (default 20 %) under *both* the raw and the calibration-normalized
-    ratio -- the favorable one wins, so neither a slower CI runner (raw
-    inflated, calibrated ~1) nor a noisy calibration constant (calibrated
-    inflated, raw ~1) can fail the gate by itself; a genuine same-code
-    slowdown inflates both.  Throughput (windows/sec) gates symmetrically
-    on a drop past ``threshold``.  A study that records a serving tail
-    latency (``p99_ms``, the gateway study) gates on it alone, like
-    wall-clock with its own ``min_p99_ms`` noise floor: its load is
-    paced, so the schedule, not the code, fixes its wall-clock and
-    windows/sec.  Studies missing from either side, fully
-    checkpoint-cached on either side, or faster than ``min_wall_s`` on
-    both sides (noise floor) are reported but never gate.
+
+def _regressed(
+    parent: Sequence[float], change: Sequence[float], higher_is_better: bool
+) -> tuple[float, int, bool]:
+    """Median ratio (> 1 is worse), pairs the change lost, and the verdict."""
+    if higher_is_better:
+        parent, change = change, parent
+    ratio = median(change) / median(parent) if median(parent) > 0 else float("inf")
+    worse = sum(c > p for p, c in zip(parent, change))
+    return ratio, worse, ratio > 1.0 + THRESHOLD and worse > len(parent) / 2
+
+
+def compare_trajectories(
+    parent: Sequence[Mapping[str, Any]], change: Sequence[Mapping[str, Any]]
+) -> tuple[list[str], list[str]]:
+    """The regression gate over paired records (``parent[i]``, ``change[i]``).
+
+    Returns ``(regressions, lines)``: regression messages (empty = gate
+    passes) plus a per-study comparison table.  Every metric gates by
+    :func:`_regressed`.  Wall-clock and windows/s skip a study whose
+    median wall-clock is below :data:`MIN_WALL_S` on both sides.  A study
+    that records a serving p99 (the paced gateway study) gates on it
+    alone, above :data:`MIN_P99_MS`: its schedule, not the code, fixes
+    its wall-clock and windows/s.  A study missing from any record is
+    reported but never gates.
     """
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
-    base_cal = float(baseline.get("calibration_s", 0.0)) or None
-    cur_cal = float(current.get("calibration_s", 0.0)) or None
+    if not parent or len(parent) != len(change):
+        raise ValueError("need one change record per parent record")
     regressions: list[str] = []
     lines: list[str] = []
-    base_studies = baseline.get("studies", {})
-    cur_studies = current.get("studies", {})
-    for name in sorted(set(base_studies) | set(cur_studies)):
-        base = base_studies.get(name)
-        cur = cur_studies.get(name)
-        if base is None or cur is None:
-            lines.append(
-                f"{name}: only in "
-                f"{'current' if base is None else 'baseline'} -- skipped"
-            )
+    names = {name for record in (*parent, *change) for name in record["studies"]}
+    for name in sorted(names):
+        runs = [[record["studies"].get(name) for record in side] for side in (parent, change)]
+        if None in runs[0] + runs[1]:
+            lines.append(f"{name}: not in every pass -- skipped")
             continue
-        base_wall = float(base.get("wall_s", 0.0))
-        cur_wall = float(cur.get("wall_s", 0.0))
-        if not base.get("recomputed_units") or not cur.get("recomputed_units"):
-            lines.append(f"{name}: checkpoint-cached run -- skipped")
-            continue
-        base_p99 = float(base.get("p99_ms", 0.0))
-        cur_p99 = float(cur.get("p99_ms", 0.0))
-        if base_p99 > 0 or cur_p99 > 0:
-            lines.append(
-                f"{name}: {base_wall:.2f}s -> {cur_wall:.2f}s "
-                "(paced serving study: gated on p99 only)"
-            )
-        elif base_wall < min_wall_s and cur_wall < min_wall_s:
-            lines.append(
-                f"{name}: {base_wall:.2f}s -> {cur_wall:.2f}s "
-                f"(below {min_wall_s:g}s noise floor -- skipped)"
-            )
+
+        def series(key: str) -> list[list[float]]:
+            return [[float(run.get(key, 0.0)) for run in side] for side in runs]
+
+        p99, wps = series("p99_ms"), series("windows_per_s")
+        if any(map(any, p99)):
+            metrics = [("p99 latency", "ms", MIN_P99_MS, p99, False)]
         else:
-            raw_ratio = cur_wall / base_wall if base_wall > 0 else float("inf")
-            if base_cal and cur_cal:
-                cal_ratio = (cur_wall / cur_cal) / (base_wall / base_cal)
-                ratio = min(raw_ratio, cal_ratio)
-                note = f" raw x{raw_ratio:.2f}, calibrated x{cal_ratio:.2f}"
-            else:
-                ratio = raw_ratio
-                note = f" raw x{raw_ratio:.2f}"
-            lines.append(
-                f"{name}: {base_wall:.2f}s -> {cur_wall:.2f}s [{note.strip()}]"
-            )
-            if ratio > 1.0 + threshold:
-                regressions.append(
-                    f"{name}: wall-clock regressed x{ratio:.2f} "
-                    f"(limit x{1.0 + threshold:.2f};{note})"
-                )
-            base_wps = float(base.get("windows_per_s", 0.0))
-            cur_wps = float(cur.get("windows_per_s", 0.0))
-            if base_wps > 0 and cur_wps > 0:
-                raw_wps = cur_wps / base_wps
-                if base_cal and cur_cal:
-                    cal_wps = (cur_wps * cur_cal) / (base_wps * base_cal)
-                    wps_ratio = max(raw_wps, cal_wps)
-                else:
-                    wps_ratio = raw_wps
-                if wps_ratio < 1.0 - threshold:
-                    regressions.append(
-                        f"{name}: throughput regressed x{wps_ratio:.2f} "
-                        f"({base_wps:.1f} -> {cur_wps:.1f} windows/s)"
-                    )
-        if base_p99 > 0 and cur_p99 > 0:
-            if base_p99 < min_p99_ms and cur_p99 < min_p99_ms:
-                lines.append(
-                    f"{name}: p99 {base_p99:.2f}ms -> {cur_p99:.2f}ms "
-                    f"(below {min_p99_ms:g}ms noise floor -- skipped)"
-                )
-            else:
-                raw_p99 = cur_p99 / base_p99
-                if base_cal and cur_cal:
-                    cal_p99 = (cur_p99 / cur_cal) / (base_p99 / base_cal)
-                    p99_ratio = min(raw_p99, cal_p99)
-                else:
-                    p99_ratio = raw_p99
-                lines.append(
-                    f"{name}: p99 {base_p99:.2f}ms -> {cur_p99:.2f}ms "
-                    f"[raw x{raw_p99:.2f}]"
-                )
-                if p99_ratio > 1.0 + threshold:
-                    regressions.append(
-                        f"{name}: p99 latency regressed x{p99_ratio:.2f} "
-                        f"({base_p99:.2f} -> {cur_p99:.2f} ms)"
-                    )
+            metrics = [("wall-clock", "s", MIN_WALL_S, series("wall_s"), False)]
+            if any(map(any, wps)):
+                metrics.append(("throughput", "windows/s", 0.0, wps, True))
+        for label, unit, floor, (before, after), higher_is_better in metrics:
+            values = f"{median(before):.2f} -> {median(after):.2f} {unit}"
+            if max(median(before), median(after)) < floor:
+                lines.append(f"{name}: {label} {values} (below noise floor -- skipped)")
+                break
+            ratio, worse, regressed = _regressed(before, after, higher_is_better)
+            verdict = f"{values} (x{ratio:.2f} worse, in {worse}/{len(before)} pairs)"
+            lines.append(f"{name}: {label} {verdict}")
+            if regressed:
+                regressions.append(f"{name}: {label} regressed {verdict}")
     return regressions, lines
+
+
+class GateError(RuntimeError):
+    """The gate could not measure: unknown revision or a failed pass."""
+
+
+def _export_src(rev: str, repo: Path, dest: Path) -> Path:
+    """``git archive REV src`` unpacked under ``dest``; returns its ``src``."""
+    try:
+        archive = subprocess.run(
+            ["git", "archive", rev, "src"], cwd=repo, capture_output=True, check=True
+        ).stdout
+    except (OSError, subprocess.CalledProcessError) as exc:
+        detail = (getattr(exc, "stderr", None) or b"").decode().strip() or exc
+        raise GateError(f"cannot export {rev!r}: {detail}") from exc
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest, filter="data")
+    return dest / "src"
+
+
+def _orchestrate(src: Path, work: Path, env: Mapping[str, str]) -> int:
+    """One quick, fresh orchestrate pass of the package under ``src``,
+    writing only under ``work``; returns its exit code."""
+    command = [
+        sys.executable, "-m", "repro", "orchestrate", "--quick", "--jobs", "2",
+        "--fresh", "--checkpoint-dir", str(work / "checkpoints"),
+        "--results-dir", str(work / "results"),
+    ]
+    env = {**os.environ, **env, "PYTHONPATH": str(src)}
+    return subprocess.run(command, cwd=work, env=env, stdout=subprocess.DEVNULL).returncode
+
+
+def gate_against(rev: str) -> tuple[list[str], list[str]]:
+    """Gate this checkout's ``src`` against revision ``rev`` on this host.
+
+    Runs :data:`PAIRS` pairs of quick passes, alternating which side goes
+    first, and compares them.  Each side writes and keeps its own bytecode
+    and native-build caches, so each pays its own first compile and
+    neither reads what the other wrote.  All of it lives in one temp dir,
+    removed however the gate ends.
+    """
+    change_src = Path(__file__).resolve().parents[2]
+    with tempfile.TemporaryDirectory(prefix="bench-gate-") as tmp:
+        root = Path(tmp)
+        sources = {
+            "parent": _export_src(rev, change_src.parent, root / "parent"),
+            "change": change_src,
+        }
+        records: dict[str, list[dict[str, Any]]] = {"parent": [], "change": []}
+        for pair in range(PAIRS):
+            for side in ("parent", "change")[:: 1 if pair % 2 == 0 else -1]:
+                work = root / f"{side}-{pair}"
+                work.mkdir()
+                env = {
+                    "PYTHONDONTWRITEBYTECODE": "",
+                    "PYTHONPYCACHEPREFIX": str(root / "pycache" / side),
+                    "REPRO_NATIVE_CACHE": str(root / "native" / side),
+                }
+                if _orchestrate(sources[side], work, env) != 0:
+                    raise GateError(f"the {side} pass of pair {pair + 1} failed")
+                records[side].append(
+                    load_trajectory(work / "results" / "BENCH_latest.json")
+                )
+    return compare_trajectories(records["parent"], records["change"])

@@ -114,7 +114,12 @@ class InProcessBackend:
         return None
 
     def score(self, key: str, windows: Sequence[SignalWindow]) -> np.ndarray:
-        return self.detectors[key].decision_values(windows)
+        # A detector error is this batch's, not the gateway's: surface it
+        # as the one exception the gateway abstains on.
+        try:
+            return self.detectors[key].decision_values(windows)
+        except Exception as exc:
+            raise ScoringUnavailable(f"in-process scoring failed: {exc!r}") from exc
 
     def close(self) -> None:
         return None

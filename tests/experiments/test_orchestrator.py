@@ -30,6 +30,8 @@ from repro.experiments.orchestrator import (
 )
 from repro.experiments.studies import StudyDefinition, UnitSpec
 from repro.experiments.trajectory import (
+    MIN_P99_MS,
+    MIN_WALL_S,
     build_trajectory,
     compare_trajectories,
     write_trajectory,
@@ -401,7 +403,6 @@ class TestTrajectory:
         study = record["studies"]["synthetic"]
         assert study["recomputed_units"] == 3
         assert study["n_windows"] == 30
-        assert record["calibration_s"] > 0
         assert {"hits", "misses", "evictions"} <= set(study["cache"])
         assert {"publishes", "attaches"} <= set(study["dataplane"])
 
@@ -448,102 +449,87 @@ class TestTrajectory:
         )
 
 
-def _study(wall_s, wps=0.0, recomputed=1, p99_ms=0.0):
-    return {
-        "wall_s": wall_s,
-        "recomputed_units": recomputed,
-        "windows_per_s": wps,
-        "p99_ms": p99_ms,
-    }
+def _passes(*walls, wps=0.0, p99_ms=0.0):
+    """One record per pass, each holding study ``s``; ``wps`` and
+    ``p99_ms`` are a number for every pass or one per pass."""
+    def per_pass(value):
+        return value if isinstance(value, tuple) else (value,) * len(walls)
 
-
-def _trajectory(calibration_s=1.0, **studies):
-    return {"schema": 1, "calibration_s": calibration_s, "studies": studies}
+    return [
+        {"schema": 1, "studies": {"s": {
+            "wall_s": wall, "windows_per_s": rate, "p99_ms": p99,
+        }}}
+        for wall, rate, p99 in zip(walls, per_pass(wps), per_pass(p99_ms))
+    ]
 
 
 class TestRegressionGate:
     def test_within_threshold_passes(self):
         regressions, lines = compare_trajectories(
-            _trajectory(s=_study(10.0)), _trajectory(s=_study(11.0))
+            _passes(10.0, 10.0, 10.0), _passes(11.0, 11.0, 11.0)
         )
         assert regressions == []
         assert any("s:" in line for line in lines)
 
     def test_slowdown_past_threshold_fails(self):
         regressions, _ = compare_trajectories(
-            _trajectory(s=_study(10.0)), _trajectory(s=_study(13.0))
+            _passes(10.0, 10.0, 10.0), _passes(13.0, 13.0, 13.0)
         )
         assert len(regressions) == 1
         assert "wall-clock regressed" in regressions[0]
 
-    def test_calibration_normalizes_machine_speed(self):
-        # Twice the wall-clock on a machine measured twice as slow: even.
-        regressions, _ = compare_trajectories(
-            _trajectory(calibration_s=1.0, s=_study(10.0)),
-            _trajectory(calibration_s=2.0, s=_study(20.0)),
-        )
-        assert regressions == []
-
-    def test_noisy_calibration_alone_cannot_fail_the_gate(self):
-        # Same machine, same wall-clock, but the calibration constant
-        # came out 40% low on the second run: raw ratio ~1 must win.
-        regressions, _ = compare_trajectories(
-            _trajectory(calibration_s=1.0, s=_study(10.0)),
-            _trajectory(calibration_s=0.6, s=_study(10.2)),
-        )
-        assert regressions == []
-
     def test_genuine_slowdown_inflates_both_ratios(self):
+        # A uniform 1.5x slowdown moves the median and loses every pair.
         regressions, _ = compare_trajectories(
-            _trajectory(calibration_s=1.0, s=_study(10.0)),
-            _trajectory(calibration_s=1.0, s=_study(15.0)),
+            _passes(10.0, 9.0, 11.0), _passes(15.0, 13.5, 16.5)
         )
         assert len(regressions) == 1
-        assert "raw x1.50" in regressions[0]
-        assert "calibrated x1.50" in regressions[0]
+        assert "x1.50 worse, in 3/3 pairs" in regressions[0]
+
+    def test_one_outlier_pair_passes(self):
+        # 3x in one pair, equal in two: one noisy pass is not a regression.
+        regressions, lines = compare_trajectories(
+            _passes(10.0, 10.0, 10.0), _passes(30.0, 10.0, 10.0)
+        )
+        assert regressions == []
+        assert any("in 1/3 pairs" in line for line in lines)
 
     def test_throughput_drop_fails(self):
         regressions, _ = compare_trajectories(
-            _trajectory(s=_study(10.0, wps=100.0)),
-            _trajectory(s=_study(10.0, wps=50.0)),
+            _passes(10.0, 10.0, 10.0, wps=100.0),
+            _passes(10.0, 10.0, 10.0, wps=50.0),
         )
         assert len(regressions) == 1
         assert "throughput regressed" in regressions[0]
 
     def test_noise_floor_skips_fast_studies(self):
+        fast = MIN_WALL_S / 4
         regressions, lines = compare_trajectories(
-            _trajectory(s=_study(0.1)), _trajectory(s=_study(0.9))
+            _passes(fast, fast, fast), _passes(3 * fast, 3 * fast, 3 * fast)
         )
         assert regressions == []
         assert any("noise floor" in line for line in lines)
 
-    def test_cached_runs_never_gate(self):
-        regressions, lines = compare_trajectories(
-            _trajectory(s=_study(10.0)),
-            _trajectory(s=_study(90.0, recomputed=0)),
-        )
-        assert regressions == []
-        assert any("checkpoint-cached" in line for line in lines)
-
     def test_missing_study_reported_not_gated(self):
-        regressions, lines = compare_trajectories(
-            _trajectory(s=_study(10.0)), _trajectory()
-        )
+        change = _passes(10.0, 10.0, 10.0)
+        change[1]["studies"].clear()
+        regressions, lines = compare_trajectories(_passes(10.0, 10.0, 10.0), change)
         assert regressions == []
-        assert any("only in baseline" in line for line in lines)
+        assert any("not in every pass" in line for line in lines)
 
     def test_p99_regression_past_threshold_fails(self):
         regressions, _ = compare_trajectories(
-            _trajectory(s=_study(10.0, p99_ms=10.0)),
-            _trajectory(s=_study(10.0, p99_ms=13.0)),
+            _passes(10.0, 10.0, 10.0, p99_ms=MIN_P99_MS),
+            _passes(10.0, 10.0, 10.0, p99_ms=1.3 * MIN_P99_MS),
         )
         assert len(regressions) == 1
-        assert "p99 latency regressed x1.30" in regressions[0]
+        assert "p99 latency regressed" in regressions[0]
+        assert "x1.30 worse" in regressions[0]
 
     def test_p99_below_noise_floor_skipped(self):
         regressions, lines = compare_trajectories(
-            _trajectory(s=_study(10.0, p99_ms=0.2)),
-            _trajectory(s=_study(10.0, p99_ms=0.9)),
+            _passes(10.0, 10.0, 10.0, p99_ms=0.1 * MIN_P99_MS),
+            _passes(10.0, 10.0, 10.0, p99_ms=0.9 * MIN_P99_MS),
         )
         assert regressions == []
         assert any("p99" in line and "noise floor" in line for line in lines)
@@ -552,12 +538,12 @@ class TestRegressionGate:
         # A paced run's schedule fixes its wall-clock and windows/s:
         # three times the wall-clock at half the throughput, same p99.
         regressions, lines = compare_trajectories(
-            _trajectory(s=_study(0.3, wps=900.0, p99_ms=100.0)),
-            _trajectory(s=_study(30.0, wps=450.0, p99_ms=100.0)),
+            _passes(0.3, 0.3, 0.3, wps=900.0, p99_ms=MIN_P99_MS),
+            _passes(30.0, 30.0, 30.0, wps=450.0, p99_ms=MIN_P99_MS),
         )
         assert regressions == []
-        assert any("gated on p99 only" in line for line in lines)
+        assert [line.split()[1] for line in lines] == ["p99"]
 
-    def test_bad_threshold_rejected(self):
-        with pytest.raises(ValueError, match="threshold"):
-            compare_trajectories(_trajectory(), _trajectory(), threshold=0.0)
+    def test_unpaired_records_rejected(self):
+        with pytest.raises(ValueError, match="one change record per parent"):
+            compare_trajectories(_passes(1.0, 1.0), _passes(1.0))

@@ -9,6 +9,7 @@ else here is the backpressure and lifecycle accounting contract.
 """
 
 import asyncio
+import copy
 import dataclasses
 import threading
 import time
@@ -450,6 +451,46 @@ class TestLifecycle:
         assert not timer.is_alive()
         assert wall_s >= 0.25
         assert cpu_s < 0.05
+
+    def test_detector_error_abstains_its_group_and_drain_returns(
+        self, trained_detectors, test_record
+    ):
+        """A detector that raises on one batch costs that batch's windows
+        an abstain each; the batcher keeps scoring and ``drain()``
+        returns."""
+        detector = copy.copy(trained_detectors[DetectorVersion.SIMPLIFIED])
+        batch_sizes = []
+        score = detector.decision_values
+
+        def flaky(windows):
+            batch_sizes.append(len(windows))
+            if len(batch_sizes) == 2:
+                raise ValueError("corrupt batch")
+            return score(windows)
+
+        detector.decision_values = flaky
+        gateway = IngestionGateway(detector, batch_size=4)
+
+        async def run():
+            gateway.start()
+            for a, b in zip(_deliveries(test_record), _deliveries(test_record)):
+                gateway.submit("a", a)
+                gateway.submit("b", b)
+                await asyncio.sleep(0)
+            try:
+                await asyncio.wait_for(gateway.drain(), timeout=5.0)
+            except TimeoutError:
+                return False
+            await gateway.shutdown()
+            return True
+
+        assert asyncio.run(run()), "drain() hung after a scoring error"
+        stats = gateway.stats()
+        assert len(batch_sizes) > 2
+        assert stats.windows_unscorable == batch_sizes[1]
+        assert stats.windows_abstained == batch_sizes[1]
+        assert stats.windows_assembled == 40
+        assert stats.verdicts + stats.windows_shed == stats.windows_assembled
 
     def test_validation(self, trained_detectors):
         detector = trained_detectors[DetectorVersion.SIMPLIFIED]

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -94,39 +96,57 @@ class TestNativeFlags:
         assert check_c_source(native_c, profile="native") == []
 
 
-class TestBenchGateDirectories:
-    def _trajectory(self, tmp_path, name, stamp):
-        import json
-        import os
+class TestBenchGate:
+    def _fake_passes(self, monkeypatch, fail_at=None):
+        """Stand-in export and passes; returns the recorded pass calls."""
+        from repro.experiments import trajectory
 
-        path = tmp_path / name
-        path.write_text(json.dumps({
-            "schema": 1,
-            "generated_at": "2026-01-01T00:00:00+0000",
-            "label": "bench",
-            "quick": True,
-            "jobs": 1,
-            "python": "3.11",
-            "calibration_s": 0.03,
-            "studies": {
-                "demo": {"wall_s": 1.0, "units": 1, "recomputed_units": 1,
-                          "cached_units": 0, "units_detail": []},
-            },
-        }))
-        os.utime(path, (stamp, stamp))
-        return path
+        def export(rev, repo, dest):
+            (dest / "src").mkdir(parents=True)
+            return dest / "src"
 
-    def test_directory_resolves_to_newest_stamped_file(self, tmp_path, capsys):
-        self._trajectory(tmp_path, "BENCH_20260101-000000.json", 1_000)
-        self._trajectory(tmp_path, "BENCH_20260201-000000.json", 2_000)
-        assert main([
-            "bench-gate", str(tmp_path), str(tmp_path),
-        ]) == 0
+        calls = []
+
+        def orchestrate(src, work, env):
+            side = "parent" if src.parent.name == "parent" else "change"
+            calls.append((side, work, dict(env)))
+            if len(calls) == fail_at:
+                return 1
+            (work / "results").mkdir()
+            (work / "results" / "BENCH_latest.json").write_text(json.dumps(
+                {"schema": 1, "studies": {"s": {"wall_s": 1.0}}}
+            ))
+            return 0
+
+        monkeypatch.setattr(trajectory, "_export_src", export)
+        monkeypatch.setattr(trajectory, "_orchestrate", orchestrate)
+        return calls
+
+    def test_alternating_pairs_with_per_side_caches(self, monkeypatch, capsys):
+        calls = self._fake_passes(monkeypatch)
+        assert main(["bench-gate", "HEAD^1"]) == 0
         assert "no perf regressions" in capsys.readouterr().out
+        assert [side for side, _, _ in calls] == [
+            "parent", "change", "change", "parent", "parent", "change",
+        ]
+        envs = {side: env for side, _, env in calls}
+        for side, _, env in calls:
+            assert env == envs[side]
+        for key in ("PYTHONPYCACHEPREFIX", "REPRO_NATIVE_CACHE"):
+            assert envs["parent"][key] != envs["change"][key]
+        assert len({work for _, work, _ in calls}) == 6
+        assert not calls[0][1].parent.exists()
 
-    def test_empty_directory_is_an_error(self, tmp_path, capsys):
-        assert main(["bench-gate", str(tmp_path), str(tmp_path)]) == 2
-        assert "no BENCH_*.json" in capsys.readouterr().err
+    def test_failed_pass_is_an_error_and_cleans_up(self, monkeypatch, capsys):
+        calls = self._fake_passes(monkeypatch, fail_at=3)
+        assert main(["bench-gate", "HEAD^1"]) == 2
+        assert "failed" in capsys.readouterr().err
+        assert len(calls) == 3
+        assert not calls[0][1].parent.exists()
+
+    def test_unknown_revision_is_an_error(self, capsys):
+        assert main(["bench-gate", "no-such-revision"]) == 2
+        assert "cannot export" in capsys.readouterr().err
 
 
 class TestOrchestrateOutputs:
