@@ -450,16 +450,12 @@ class TestTrajectory:
 
 
 def _passes(*walls, wps=0.0, p99_ms=0.0):
-    """One record per pass, each holding study ``s``; ``wps`` and
-    ``p99_ms`` are a number for every pass or one per pass."""
-    def per_pass(value):
-        return value if isinstance(value, tuple) else (value,) * len(walls)
-
+    """One record per pass wall-clock, each holding study ``s``."""
     return [
         {"schema": 1, "studies": {"s": {
-            "wall_s": wall, "windows_per_s": rate, "p99_ms": p99,
+            "wall_s": wall, "windows_per_s": wps, "p99_ms": p99_ms,
         }}}
-        for wall, rate, p99 in zip(walls, per_pass(wps), per_pass(p99_ms))
+        for wall in walls
     ]
 
 
