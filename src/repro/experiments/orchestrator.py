@@ -48,7 +48,12 @@ from repro.experiments.studies import (
     UnitSpec,
     build_registry,
 )
-from repro.experiments.trajectory import build_trajectory, write_trajectory
+from repro.experiments.trajectory import (
+    CACHE_KEYS,
+    PLANE_KEYS,
+    build_trajectory,
+    write_trajectory,
+)
 
 __all__ = [
     "CheckpointError",
@@ -329,11 +334,11 @@ class Orchestrator:
             "p99_ms": float(spec.p99_ms(result)) if spec.p99_ms else 0.0,
             "cache": {
                 key: int(cache_after[key]) - int(cache_before[key])
-                for key in ("hits", "misses", "evictions")
+                for key in CACHE_KEYS
             },
             "dataplane": {
                 key: round(plane_after[key] - plane_before[key], 6)
-                for key in ("publishes", "publish_s", "attaches", "attach_s")
+                for key in PLANE_KEYS
             },
             "completed_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         }

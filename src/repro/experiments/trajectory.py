@@ -56,8 +56,10 @@ MIN_WALL_S = 0.3
 #: 2-core host).
 MIN_P99_MS = 100.0
 
-_CACHE_KEYS = ("hits", "misses", "evictions")
-_PLANE_KEYS = ("publishes", "publish_s", "attaches", "attach_s")
+#: The experiment-cache and dataplane counters a checkpoint line records
+#: as per-unit deltas and a trajectory sums per study.
+CACHE_KEYS = ("hits", "misses", "evictions")
+PLANE_KEYS = ("publishes", "publish_s", "attaches", "attach_s")
 
 
 def build_trajectory(
@@ -78,7 +80,7 @@ def build_trajectory(
         n_windows = run.n_windows
         plane = {
             key: sum(unit.dataplane.get(key, 0) for unit in fresh)
-            for key in _PLANE_KEYS
+            for key in PLANE_KEYS
         }
         studies[run.name] = {
             # Serving studies report a tail latency; the worst recomputed
@@ -94,7 +96,7 @@ def build_trajectory(
             ),
             "cache": {
                 key: sum(int(unit.cache.get(key, 0)) for unit in fresh)
-                for key in _CACHE_KEYS
+                for key in CACHE_KEYS
             },
             "dataplane": {
                 "publishes": int(plane["publishes"]),

@@ -10,8 +10,8 @@ request ordinal, built from an explicit seed -- so a chaos run is a
 regression test, not a dice roll.
 
 Three runners cover the fault surface, each asserting its invariants and
-returning a structured report the orchestrator's ``chaos`` study lands
-in ``BENCH_*.json``:
+returning a typed report dataclass (the orchestrator's ``chaos`` study
+checkpoints them and renders ``chaos_matrix``):
 
 * :func:`run_chaos_schedule` -- drives a wearer fleet through a
   supervised gateway while the plan injects scorer crash / stall / slow
@@ -170,7 +170,6 @@ _CHAOS_SUPERVISOR_KNOBS = {
     "batch_timeout_s": 0.9,
     "max_retries": 2,
     "backoff_base_s": 0.01,
-    "backoff_cap_s": 0.05,
     "breaker_threshold": 2,
     "breaker_cooldown_batches": 4,
 }
@@ -220,34 +219,6 @@ class ChaosReport:
     @property
     def ok(self) -> bool:
         return not self.violations
-
-    def to_payload(self) -> dict:
-        """Flat JSON-ready summary of the run."""
-        sup = self.report.supervisor
-        stats = self.report.stats
-        return {
-            "schedule": self.schedule,
-            "seed": self.seed,
-            "planned_faults": self.planned_faults,
-            "windows_sent": self.report.windows_sent,
-            "verdicts": stats.verdicts,
-            "windows_shed": stats.windows_shed,
-            "incomplete_windows": stats.incomplete_windows,
-            "windows_vanished": self.report.windows_vanished,
-            "windows_unscorable": stats.windows_unscorable,
-            "conservation_ok": self.report.conservation_ok,
-            "faults_detected": sup.faults,
-            "crashes": sup.crashes,
-            "stalls": sup.stalls,
-            "timeouts": sup.timeouts,
-            "poisons": sup.poisons,
-            "restarts": sup.restarts,
-            "breaker_trips": sup.breaker_trips,
-            "windows_degraded": sup.windows_degraded,
-            "mean_recovery_ms": sup.mean_recovery_s * 1e3,
-            "ok": self.ok,
-            "violations": list(self.violations),
-        }
 
 
 def run_chaos_schedule(

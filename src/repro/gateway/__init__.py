@@ -11,7 +11,7 @@ known rate for benchmarks and smoke tests.
 
 The supervision layer (:mod:`~repro.gateway.supervisor`) isolates
 scoring in a watched child process -- heartbeat watchdog, per-batch
-timeout, jittered-backoff restarts, circuit breaker -- and
+timeout, restarts with exponential backoff, circuit breaker -- and
 :mod:`~repro.gateway.snapshot` persists crash-consistent per-wearer
 session state so a restarted gateway resumes every wearer without
 duplicating or dropping verdicts outside the restart window.

@@ -31,15 +31,15 @@ debouncer never sees it.  All latency timing uses
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import time
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import TYPE_CHECKING, Callable, Mapping
 
 from repro.adaptive.degradation import DegradationController
 from repro.core.detector import SIFTDetector
 from repro.core.versions import DetectorVersion
 from repro.gateway.session import SessionVerdict, WearerSession
-from repro.gateway.snapshot import GatewayState, SessionSnapshotStore
 from repro.gateway.supervisor import (
     InProcessBackend,
     ScoringBackend,
@@ -47,8 +47,10 @@ from repro.gateway.supervisor import (
 )
 from repro.signals.dataset import SignalWindow
 from repro.signals.quality import SignalQualityIndex
-from repro.wiot.assembly import DEFAULT_MAX_PENDING_LAG
 from repro.wiot.channel import DeliveredPacket
+
+if TYPE_CHECKING:
+    from repro.gateway.snapshot import SessionSnapshotStore
 
 __all__ = ["GatewayStats", "IngestionGateway"]
 
@@ -69,23 +71,30 @@ class _PendingWindow:
     enqueued_at: float  # perf_counter timestamp
 
 
-@dataclass(frozen=True)
+@dataclass
 class GatewayStats:
-    """Aggregate accounting across live and closed sessions."""
+    """Aggregate accounting across live and closed sessions.
 
-    sessions_started: int
-    sessions_active: int
-    windows_assembled: int
-    windows_scored: int
-    windows_abstained: int
-    windows_shed_queue: int
-    windows_shed_session: int
-    incomplete_windows: int
-    duplicate_packets: int
-    corrupted_packets: int
-    episodes_closed: int
-    batches: int
-    batched_windows: int
+    The gateway keeps one of these as its live record: its own counters
+    plus the summed counts of every finalized session, with
+    ``sessions_active`` left at zero.  :meth:`IngestionGateway.stats`
+    returns a copy with the live sessions added and ``sessions_active``
+    filled in; a snapshot epoch persists the record itself.
+    """
+
+    sessions_started: int = 0
+    sessions_active: int = 0
+    windows_assembled: int = 0
+    windows_scored: int = 0
+    windows_abstained: int = 0
+    windows_shed_queue: int = 0
+    windows_shed_session: int = 0
+    incomplete_windows: int = 0
+    duplicate_packets: int = 0
+    corrupted_packets: int = 0
+    episodes_closed: int = 0
+    batches: int = 0
+    batched_windows: int = 0
     #: Windows abstained because no scoring backend could score them
     #: (supervision exhausted its whole ladder).  A subset of
     #: ``windows_abstained`` -- they are real verdicts, so conservation
@@ -104,6 +113,17 @@ class GatewayStats:
     @property
     def mean_batch_size(self) -> float:
         return self.batched_windows / self.batches if self.batches else 0.0
+
+
+def _add_session(stats: GatewayStats, session: WearerSession) -> None:
+    """Add one session's own counts to ``stats``."""
+    stats.windows_assembled += session.windows_assembled
+    stats.windows_scored += session.windows_scored
+    stats.windows_abstained += session.windows_abstained
+    stats.incomplete_windows += session.assembler.incomplete_windows
+    stats.duplicate_packets += session.assembler.duplicate_packets
+    stats.corrupted_packets += session.assembler.corrupted_packets
+    stats.episodes_closed += len(session.episodes)
 
 
 class IngestionGateway:
@@ -155,13 +175,9 @@ class IngestionGateway:
         quality_gate: SignalQualityIndex | None = None,
         fallbacks: Mapping[DetectorVersion, SIFTDetector] | None = None,
         degradation: DegradationController | None = None,
-        votes_needed: int = 2,
-        vote_window: int = 3,
         batch_size: int = 256,
         queue_windows: int = 4096,
         max_inflight_per_session: int = 64,
-        max_pending_lag: int | None = DEFAULT_MAX_PENDING_LAG,
-        dedup_capacity: int = 1024,
         on_verdict: Callable[[SessionVerdict], None] | None = None,
         backend: ScoringBackend | None = None,
     ) -> None:
@@ -177,12 +193,8 @@ class IngestionGateway:
         self.quality_gate = quality_gate
         self.fallbacks = dict(fallbacks) if fallbacks else {}
         self.degradation = degradation
-        self.votes_needed = int(votes_needed)
-        self.vote_window = int(vote_window)
         self.batch_size = int(batch_size)
         self.max_inflight_per_session = int(max_inflight_per_session)
-        self.max_pending_lag = max_pending_lag
-        self.dedup_capacity = int(dedup_capacity)
         self.on_verdict = on_verdict
         # Detectors by tier key (version string): the vocabulary every
         # ScoringBackend speaks.  All fitted instances the sessions can
@@ -198,7 +210,7 @@ class IngestionGateway:
         self.backend: ScoringBackend = (
             backend if backend is not None else InProcessBackend(self._detectors_by_key)
         )
-        self.windows_unscorable = 0
+        self._stats = GatewayStats()
         self._queue: asyncio.Queue = asyncio.Queue(maxsize=queue_windows)
         self._sessions: dict[str, WearerSession] = {}
         self._batcher_task: asyncio.Task | None = None
@@ -207,21 +219,6 @@ class IngestionGateway:
         # Set exactly when no window is queued or being scored.
         self._idle = asyncio.Event()
         self._idle.set()
-        self.sessions_started = 0
-        self.windows_shed_queue = 0
-        self.windows_shed_session = 0
-        self.batches = 0
-        self.batched_windows = 0
-        # Totals carried over from finalized (ended) sessions.
-        self._closed_totals = {
-            "windows_assembled": 0,
-            "windows_scored": 0,
-            "windows_abstained": 0,
-            "incomplete_windows": 0,
-            "duplicate_packets": 0,
-            "corrupted_packets": 0,
-            "episodes_closed": 0,
-        }
 
     # -- lifecycle ------------------------------------------------------
 
@@ -303,13 +300,9 @@ class IngestionGateway:
                     if self.degradation is not None
                     else None
                 ),
-                votes_needed=self.votes_needed,
-                vote_window=self.vote_window,
-                max_pending_lag=self.max_pending_lag,
-                dedup_capacity=self.dedup_capacity,
             )
             self._sessions[wearer_id] = session
-            self.sessions_started += 1
+            self._stats.sessions_started += 1
         return session
 
     def end_session(self, wearer_id: str) -> WearerSession:
@@ -329,14 +322,7 @@ class IngestionGateway:
 
     def _finalize(self, session: WearerSession) -> None:
         session.finalize()
-        totals = self._closed_totals
-        totals["windows_assembled"] += session.windows_assembled
-        totals["windows_scored"] += session.windows_scored
-        totals["windows_abstained"] += session.windows_abstained
-        totals["incomplete_windows"] += session.assembler.incomplete_windows
-        totals["duplicate_packets"] += session.assembler.duplicate_packets
-        totals["corrupted_packets"] += session.assembler.corrupted_packets
-        totals["episodes_closed"] += len(session.episodes)
+        _add_session(self._stats, session)
 
     # -- intake ---------------------------------------------------------
 
@@ -386,13 +372,13 @@ class IngestionGateway:
         # itself), then the shared queue bound.
         if session.inflight >= self.max_inflight_per_session:
             session.windows_shed += 1
-            self.windows_shed_session += 1
+            self._stats.windows_shed_session += 1
             return False
         try:
             self._queue.put_nowait(item)
         except asyncio.QueueFull:
             session.windows_shed += 1
-            self.windows_shed_queue += 1
+            self._stats.windows_shed_queue += 1
             return False
         session.inflight += 1
         self._inflight_total += 1
@@ -435,7 +421,7 @@ class IngestionGateway:
         selected; each group is one :meth:`ScoringBackend.score` call
         (the in-process backend makes that exactly PR 7's batched
         ``decision_values``).  Touches no session or gateway state
-        except the ``windows_unscorable`` counter -- all bookkeeping
+        except the ``windows_unscorable`` count -- all bookkeeping
         happens loop-side in :meth:`_apply_batch`.  A group whose
         backend exhausts the whole supervision ladder
         (:class:`ScoringUnavailable`) is marked unscorable so the loop
@@ -455,7 +441,7 @@ class IngestionGateway:
             except ScoringUnavailable:
                 for it in items:
                     unscorable.add(id(it))
-                self.windows_unscorable += len(items)
+                self._stats.windows_unscorable += len(items)
                 continue
             for it, value in zip(items, values):
                 scores[id(it)] = float(value)
@@ -496,8 +482,8 @@ class IngestionGateway:
                 self._finalize(session)
             if self.on_verdict is not None:
                 self.on_verdict(verdict)
-        self.batches += 1
-        self.batched_windows += len(batch)
+        self._stats.batches += 1
+        self._stats.batched_windows += len(batch)
         if self._inflight_total == 0:
             self._idle.set()
 
@@ -518,22 +504,12 @@ class IngestionGateway:
         ]
         # write_epoch commits with flush+fsync -- storage-speed work that
         # must not stall every wearer's verdict stream (ASYNC001).  State
-        # is exported above, on the loop, so the epoch is still the
-        # quiescent post-drain picture; only the serialization and the
-        # durable write happen off-loop.
+        # is exported above, on the loop (the record as a copy: intake
+        # stays open), so the epoch is still the quiescent post-drain
+        # picture; only the serialization and the durable write happen
+        # off-loop.
         return await asyncio.to_thread(
-            store.write_epoch, self._export_gateway_state(), sessions
-        )
-
-    def _export_gateway_state(self) -> GatewayState:
-        return GatewayState(
-            sessions_started=self.sessions_started,
-            windows_shed_queue=self.windows_shed_queue,
-            windows_shed_session=self.windows_shed_session,
-            batches=self.batches,
-            batched_windows=self.batched_windows,
-            windows_unscorable=self.windows_unscorable,
-            closed_totals=dict(self._closed_totals),
+            store.write_epoch, dataclasses.replace(self._stats), sessions
         )
 
     def restore_sessions(self, store: SessionSnapshotStore) -> dict[str, int]:
@@ -559,7 +535,7 @@ class IngestionGateway:
         loaded = store.load()
         if loaded is None:
             return {}
-        _, gateway_state, session_states = loaded
+        _, record, session_states = loaded
         resume_points: dict[str, int] = {}
         for state in session_states:
             session = self.session(state.wearer_id)
@@ -569,35 +545,15 @@ class IngestionGateway:
             if pending_floor is not None:
                 resume = min(resume, pending_floor - 1)
             resume_points[session.wearer_id] = resume
-        self.sessions_started = gateway_state.sessions_started
-        self.windows_shed_queue = gateway_state.windows_shed_queue
-        self.windows_shed_session = gateway_state.windows_shed_session
-        self.batches = gateway_state.batches
-        self.batched_windows = gateway_state.batched_windows
-        self.windows_unscorable = gateway_state.windows_unscorable
-        self._closed_totals = dict(gateway_state.closed_totals)
+        # Last: rebuilding the sessions above counted them as started.
+        self._stats = record
         return resume_points
 
     # -- accounting -----------------------------------------------------
 
     def stats(self) -> GatewayStats:
         """Aggregate counters over live plus finalized sessions."""
-        totals = dict(self._closed_totals)
+        stats = dataclasses.replace(self._stats, sessions_active=self.active_sessions)
         for session in self._sessions.values():
-            totals["windows_assembled"] += session.windows_assembled
-            totals["windows_scored"] += session.windows_scored
-            totals["windows_abstained"] += session.windows_abstained
-            totals["incomplete_windows"] += session.assembler.incomplete_windows
-            totals["duplicate_packets"] += session.assembler.duplicate_packets
-            totals["corrupted_packets"] += session.assembler.corrupted_packets
-            totals["episodes_closed"] += len(session.episodes)
-        return GatewayStats(
-            sessions_started=self.sessions_started,
-            sessions_active=self.active_sessions,
-            windows_shed_queue=self.windows_shed_queue,
-            windows_shed_session=self.windows_shed_session,
-            batches=self.batches,
-            batched_windows=self.batched_windows,
-            windows_unscorable=self.windows_unscorable,
-            **totals,
-        )
+            _add_session(stats, session)
+        return stats

@@ -388,8 +388,6 @@ def run_gateway_load(
     stream_s: float = 30.0,
     period_s: float = PERIOD_S,
     batch_size: int = 256,
-    queue_windows: int = 4096,
-    max_inflight_per_session: int = 64,
     loss_probability: float = 0.02,
     with_degradation: bool = False,
     seed: int = 2017,
@@ -465,8 +463,6 @@ def run_gateway_load(
         fallbacks=fallbacks,
         degradation=DegradationController() if with_degradation else None,
         batch_size=batch_size,
-        queue_windows=queue_windows,
-        max_inflight_per_session=max_inflight_per_session,
         on_verdict=load.on_verdict,
         backend=backend,
     )

@@ -3,22 +3,22 @@
 A :class:`WearerSession` is everything the gateway must remember about
 one live wearer: bounded window assembly (the same
 :class:`~repro.wiot.assembly.WindowAssembler` the base station uses),
-the SQI gate verdict history, the wearer's *own* adaptive-tier
-controller, and the k-of-n alert debouncer.  Scoring is deliberately
-absent -- the gateway scores windows from many sessions in one
-cross-session micro-batch and feeds each session's results back in
-arrival order, which is why the debouncer is driven through
+the wearer's *own* adaptive-tier controller, and the k-of-n alert
+debouncer.  Scoring is deliberately absent -- the gateway scores
+windows from many sessions in one cross-session micro-batch and feeds
+each session's results back in arrival order, which is why the
+debouncer is driven through
 :meth:`~repro.core.streaming.StreamingDetector.advance_value` /
 ``abstain_window`` instead of ``process_window``.
 
 Per-session state is O(1) in stream length: assembly is bounded by
-construction, the debouncer's horizon is ``vote_window`` entries, and
-the verdict history is a fixed-size ring (counters carry the totals).
+construction, the debouncer's horizon is :data:`VOTE_WINDOW` entries,
+and counters carry the totals.  Verdicts are not kept: they leave
+through the gateway's ``on_verdict`` callback.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,10 +29,24 @@ from repro.core.streaming import DebouncerState, StreamingDetector
 from repro.core.versions import DetectorVersion
 from repro.signals.dataset import SignalWindow
 from repro.signals.quality import QualityReport, SignalQualityIndex
-from repro.wiot.assembly import AssemblerState, WindowAssembler
+from repro.wiot.assembly import (
+    DEFAULT_MAX_PENDING_LAG,
+    AssemblerState,
+    WindowAssembler,
+)
 from repro.wiot.channel import DeliveredPacket
 
 __all__ = ["SessionState", "SessionVerdict", "WearerSession", "window_from_slot"]
+
+#: The alert debouncer's k-of-n vote: an episode opens once
+#: ``VOTES_NEEDED`` of the last ``VOTE_WINDOW`` scored windows are
+#: positive.
+VOTES_NEEDED = 2
+VOTE_WINDOW = 3
+#: Resolved sequences each session's assembler remembers, so a replayed
+#: packet (a restored gateway's senders resend from the resume point) is
+#: rejected as a duplicate instead of verdicted twice.
+DEDUP_CAPACITY = 1024
 
 
 @dataclass(frozen=True)
@@ -59,14 +73,13 @@ class SessionVerdict:
 
 @dataclass(frozen=True)
 class SessionState:
-    """A :class:`WearerSession`'s snapshot: its components' states, the
-    recent-verdict ring and the per-session counters."""
+    """A :class:`WearerSession`'s snapshot: its components' states and
+    the per-session counters."""
 
     wearer_id: str
     assembler: AssemblerState
     debouncer: DebouncerState
     degradation: DegradationState | None
-    recent_verdicts: tuple[SessionVerdict, ...]
     windows_assembled: int
     windows_abstained: int
     windows_scored: int
@@ -111,9 +124,12 @@ class WearerSession:
     """One wearer's live serving state.
 
     Parameters mirror :class:`~repro.core.streaming.StreamingDetector`
-    (the sequential equivalent this session must match bit-for-bit),
-    plus the assembly bounds.  ``degradation`` must be this session's
-    *own* controller (the gateway clones its template per session).
+    (the sequential equivalent this session must match bit-for-bit,
+    voting :data:`VOTES_NEEDED` of :data:`VOTE_WINDOW`).  Assembly
+    evicts halves ``DEFAULT_MAX_PENDING_LAG`` sequences behind and
+    remembers :data:`DEDUP_CAPACITY` resolved sequences.
+    ``degradation`` must be this session's *own* controller (the gateway
+    clones its template per session).
     """
 
     def __init__(
@@ -123,11 +139,6 @@ class WearerSession:
         quality_gate: SignalQualityIndex | None = None,
         fallbacks: dict[DetectorVersion, SIFTDetector] | None = None,
         degradation: DegradationController | None = None,
-        votes_needed: int = 2,
-        vote_window: int = 3,
-        max_pending_lag: int | None = None,
-        dedup_capacity: int = 1024,
-        verdict_history: int = 64,
     ) -> None:
         if degradation is not None and quality_gate is None:
             raise ValueError("degradation requires a quality_gate")
@@ -137,12 +148,11 @@ class WearerSession:
         self.fallbacks = dict(fallbacks) if fallbacks else {}
         self.degradation = degradation
         self.assembler = WindowAssembler(
-            max_pending_lag=max_pending_lag, dedup_capacity=dedup_capacity
+            max_pending_lag=DEFAULT_MAX_PENDING_LAG, dedup_capacity=DEDUP_CAPACITY
         )
         self.debouncer = StreamingDetector(
-            detector, votes_needed=votes_needed, vote_window=vote_window
+            detector, votes_needed=VOTES_NEEDED, vote_window=VOTE_WINDOW
         )
-        self.recent_verdicts: deque[SessionVerdict] = deque(maxlen=verdict_history)
         self.windows_assembled = 0
         self.windows_abstained = 0
         self.windows_scored = 0
@@ -207,7 +217,7 @@ class WearerSession:
         """An SQI-gated window: advances the debouncer clock, casts no vote."""
         self.debouncer.abstain_window()
         self.windows_abstained += 1
-        verdict = SessionVerdict(
+        return SessionVerdict(
             wearer_id=self.wearer_id,
             sequence=sequence,
             time_s=time_s,
@@ -218,8 +228,6 @@ class WearerSession:
             sqi=sqi,
             latency_s=latency_s,
         )
-        self.recent_verdicts.append(verdict)
-        return verdict
 
     def record_score(
         self,
@@ -233,7 +241,7 @@ class WearerSession:
         """One micro-batched decision value, fed to the debouncer."""
         self.debouncer.advance_value(value)
         self.windows_scored += 1
-        verdict = SessionVerdict(
+        return SessionVerdict(
             wearer_id=self.wearer_id,
             sequence=sequence,
             time_s=time_s,
@@ -243,8 +251,6 @@ class WearerSession:
             sqi=sqi,
             latency_s=latency_s,
         )
-        self.recent_verdicts.append(verdict)
-        return verdict
 
     # -- lifecycle ------------------------------------------------------
 
@@ -289,7 +295,6 @@ class WearerSession:
             degradation=(
                 None if self.degradation is None else self.degradation.export_state()
             ),
-            recent_verdicts=tuple(self.recent_verdicts),
             windows_assembled=self.windows_assembled,
             windows_abstained=self.windows_abstained,
             windows_scored=self.windows_scored,
@@ -313,8 +318,6 @@ class WearerSession:
         self.debouncer.restore_state(state.debouncer)
         if self.degradation is not None:
             self.degradation.restore_state(state.degradation)
-        self.recent_verdicts.clear()
-        self.recent_verdicts.extend(state.recent_verdicts)
         self.windows_assembled = state.windows_assembled
         self.windows_abstained = state.windows_abstained
         self.windows_scored = state.windows_scored

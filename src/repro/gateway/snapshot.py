@@ -15,8 +15,10 @@ The file is a :class:`~repro.core.durable_log.DurableLog`, the same
 fsynced append-only JSONL log the experiment checkpoints use:
 
 * **epochs** -- a ``begin`` line, one ``session`` line per wearer, one
-  ``gateway`` line, then a ``commit`` line carrying the expected session
-  count, appended and fsynced as one group, so the epoch is durable
+  ``gateway`` line (the gateway's
+  :class:`~repro.gateway.gateway.GatewayStats` record: its own counters
+  and the totals of finalized sessions), then a ``commit`` line carrying
+  the expected session count, appended and fsynced as one group, so the epoch is durable
   exactly when its commit is.  Every line carries ``schema``;
 * **truncation tolerance** -- a torn tail leaves a partial last line;
   :meth:`SessionSnapshotStore.load` skips undecodable lines and ignores
@@ -36,32 +38,21 @@ and is rejected as a duplicate on replay.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Sequence
 
 from repro.core.codec import decode, encode
 from repro.core.durable_log import DurableLog
+from repro.gateway.gateway import GatewayStats
 from repro.gateway.session import SessionState
 
-__all__ = ["GatewayState", "SNAPSHOT_SCHEMA", "SessionSnapshotStore"]
+__all__ = ["SNAPSHOT_SCHEMA", "SessionSnapshotStore"]
 
 #: Stamped into every snapshot line.  Lines without it are the
-#: hand-encoded layout of earlier builds (schema 1).
-SNAPSHOT_SCHEMA = 2
-
-
-@dataclass(frozen=True)
-class GatewayState:
-    """The gateway-wide counters a snapshot carries next to its sessions."""
-
-    sessions_started: int
-    windows_shed_queue: int
-    windows_shed_session: int
-    batches: int
-    batched_windows: int
-    windows_unscorable: int
-    closed_totals: dict[str, int]
+#: hand-encoded layout of earlier builds (schema 1); schema 2 epochs
+#: carried a separate gateway-state layout and a recent-verdict ring
+#: per session.
+SNAPSHOT_SCHEMA = 3
 
 
 class SessionSnapshotStore:
@@ -88,7 +79,7 @@ class SessionSnapshotStore:
             default=0,
         )
 
-    def write_epoch(self, gateway: GatewayState, sessions: Sequence[SessionState]) -> int:
+    def write_epoch(self, gateway: GatewayStats, sessions: Sequence[SessionState]) -> int:
         """Append one complete snapshot epoch; returns its number."""
         epoch = self._next_epoch
         head = {"schema": SNAPSHOT_SCHEMA, "epoch": epoch}
@@ -127,7 +118,7 @@ class SessionSnapshotStore:
                 return epoch, epochs[epoch]
         return None
 
-    def load(self) -> tuple[int, GatewayState, list[SessionState]] | None:
+    def load(self) -> tuple[int, GatewayStats, list[SessionState]] | None:
         """The newest committed epoch, decoded, or ``None`` if there is
         none (missing file, empty file, or nothing ever committed).
 
@@ -148,7 +139,7 @@ class SessionSnapshotStore:
         sessions = [r["state"] for r in records if r.get("kind") == "session"]
         return (
             epoch,
-            decode(GatewayState, gateway),
+            decode(GatewayStats, gateway),
             [decode(SessionState, state) for state in sessions],
         )
 

@@ -18,23 +18,21 @@ two implementations:
     GIL-holding native spin never answers, but it also never beats);
   - a **per-batch timeout** (``batch_timeout_s``): a batch that beats but
     never finishes is declared *timed out*;
-  - **bounded retry with jittered exponential backoff**: every failure
-    kills and restarts the child, sleeping through the same
-    :class:`~repro.core.backoff.JitteredBackoff` helper the hardened
-    cohort runner uses, so a fleet of supervisors does not hammer a
-    shared failing resource in lockstep;
+  - **bounded retry with exponential backoff**: every failure kills
+    and restarts the child, sleeping ``backoff_base_s`` doubled per
+    attempt (capped at :data:`BACKOFF_CAP_S`) before the respawn;
   - a **circuit breaker**: ``breaker_threshold`` consecutive batch
     failures trip it open; while open, batches route straight to the
     degraded in-process backend for ``breaker_cooldown_batches`` batches
     (counted, not timed -- deterministic under test), then a half-open
     probe decides between closing it and re-opening.
 
-Every shed, retried, and degraded batch is explicitly counted in
-:class:`SupervisorStats`, and a batch the supervisor ultimately cannot
-score raises :class:`ScoringUnavailable` -- the gateway converts those
-windows to abstain verdicts, so the conservation invariant
-``verdicts + shed + incomplete + vanished == sent`` closes under *any*
-fault schedule.
+The backend keeps one live :class:`SupervisorStats` record and counts
+every retried, degraded and unscorable batch in it.  A batch the
+degraded leg cannot score either raises :class:`ScoringUnavailable`
+-- the gateway converts those windows to abstain verdicts, so the
+conservation invariant ``verdicts + shed + incomplete + vanished ==
+sent`` closes under *any* fault schedule.
 
 Determinism: the same fitted detectors produce bit-identical decision
 values in the child and in the parent (same arrays, same BLAS), and
@@ -48,6 +46,7 @@ retries (fresh ordinals) are not re-poisoned unless the plan says so.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import threading
 import time
@@ -58,11 +57,11 @@ from typing import Mapping, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
-from repro.core.backoff import JitteredBackoff
 from repro.core.detector import SIFTDetector
 from repro.signals.dataset import SignalWindow
 
 __all__ = [
+    "BACKOFF_CAP_S",
     "InProcessBackend",
     "ScorerFault",
     "ScoringBackend",
@@ -72,11 +71,24 @@ __all__ = [
 ]
 
 
+#: Longest sleep before a child respawn: the backoff doubles
+#: ``backoff_base_s`` per attempt up to this.
+BACKOFF_CAP_S = 2.0
+
+#: The :class:`SupervisorStats` counter each detected fault kind moves.
+_FAULT_COUNTER = {
+    "crash": "crashes",
+    "stall": "stalls",
+    "timeout": "timeouts",
+    "poison": "poisons",
+}
+
+
 class ScoringUnavailable(RuntimeError):
     """No backend could score the batch; the caller must abstain.
 
     Raised only after the whole escalation ladder -- retries, restarts,
-    the degraded backend -- has been exhausted, so every window in the
+    the degraded in-process leg -- has failed, so every window in the
     batch still gets an explicit (abstain) verdict and conservation
     closes.
     """
@@ -125,38 +137,40 @@ class InProcessBackend:
         return None
 
 
-@dataclass(frozen=True)
+@dataclass
 class SupervisorStats:
     """Counters of everything the supervision layer did.
 
-    ``crashes``/``stalls``/``timeouts``/``poisons`` classify detected
-    faults by signal (process death, heartbeat silence, batch deadline,
-    child-reported exception).  ``retries`` counts re-submissions,
-    ``restarts`` child respawns, ``breaker_trips`` closed->open
-    transitions.  ``batches_degraded``/``windows_degraded`` count work
-    the degraded backend absorbed; ``batches_unscorable`` /
-    ``windows_unscorable`` count work nothing could score (surfaced to
-    the gateway as abstains).  ``recovery_s_total`` sums kill+respawn
-    time per restart (perf_counter-based, one sample per restart, the
-    deliberate backoff sleep excluded) over ``recoveries``.
+    The backend's own live record; :meth:`SupervisedScoringBackend
+    .stats` hands out a copy.  ``crashes``/``stalls``/``timeouts``/
+    ``poisons`` classify detected faults by signal (process death,
+    heartbeat silence, batch deadline, child-reported exception).
+    ``retries`` counts re-submissions, ``restarts`` child respawns,
+    ``breaker_trips`` closed->open transitions.  Every batch ends in
+    exactly one of three ways: scored in the child (``scored_isolated``
+    counts its windows), scored by the degraded in-process leg
+    (``batches_degraded``/``windows_degraded``), or by nothing
+    (``batches_unscorable``/``windows_unscorable``, surfaced to the
+    gateway as abstains).  ``recovery_s_total`` sums kill+respawn time
+    per restart (perf_counter-based, the deliberate backoff sleep
+    excluded).
     """
 
-    requests: int
-    scored_isolated: int
-    crashes: int
-    stalls: int
-    timeouts: int
-    poisons: int
-    retries: int
-    restarts: int
-    breaker_trips: int
-    breaker_state: str
-    batches_degraded: int
-    windows_degraded: int
-    batches_unscorable: int
-    windows_unscorable: int
-    recoveries: int
-    recovery_s_total: float
+    requests: int = 0
+    scored_isolated: int = 0
+    crashes: int = 0
+    stalls: int = 0
+    timeouts: int = 0
+    poisons: int = 0
+    retries: int = 0
+    restarts: int = 0
+    breaker_trips: int = 0
+    breaker_state: str = "closed"
+    batches_degraded: int = 0
+    windows_degraded: int = 0
+    batches_unscorable: int = 0
+    windows_unscorable: int = 0
+    recovery_s_total: float = 0.0
 
     @property
     def faults(self) -> int:
@@ -164,7 +178,7 @@ class SupervisorStats:
 
     @property
     def mean_recovery_s(self) -> float:
-        return self.recovery_s_total / self.recoveries if self.recoveries else 0.0
+        return self.recovery_s_total / self.restarts if self.restarts else 0.0
 
 
 class ScorerFault(RuntimeError):
@@ -176,7 +190,7 @@ class ScorerFault(RuntimeError):
     """
 
     def __init__(self, kind: str, detail: str) -> None:
-        if kind not in ("crash", "stall", "timeout", "poison"):
+        if kind not in _FAULT_COUNTER:
             raise ValueError(f"unknown fault kind: {kind!r}")
         super().__init__(f"[{kind}] {detail}")
         self.kind = kind
@@ -269,18 +283,16 @@ def _scorer_child_main(
 class SupervisedScoringBackend:
     """Crash-isolated scoring with watchdog, retry, and circuit breaker.
 
+    When isolation is unhealthy, batches route to the *degraded* leg: an
+    :class:`InProcessBackend` over the same detectors, so degraded
+    scores stay bit-identical and only the isolation property is lost.
+
     Parameters
     ----------
     detectors:
         Fitted detectors by key (version string).  They are shipped to
         the child once at start (fork inheritance or pickle) -- batches
         only carry windows, never models.
-    degraded:
-        The backend batches route to when isolation is unhealthy.  The
-        default builds an :class:`InProcessBackend` over the same
-        detectors, so degraded scores stay bit-identical and only the
-        isolation property is lost.  Pass ``None`` to abstain instead
-        (every degraded batch then raises :class:`ScoringUnavailable`).
     heartbeat_interval_s / heartbeat_timeout_s:
         Child beat period and the silence after which it is declared
         stalled.
@@ -289,8 +301,9 @@ class SupervisedScoringBackend:
     max_retries:
         Re-submissions allowed per batch after a failed attempt; each
         retry restarts the child first.
-    backoff_base_s / backoff_jitter / backoff_seed:
-        The restart backoff (shared :class:`JitteredBackoff` policy).
+    backoff_base_s:
+        Sleep before the first retry's respawn; it doubles per attempt,
+        up to :data:`BACKOFF_CAP_S`.
     breaker_threshold:
         Consecutive *batch* failures (after retries) that trip the
         breaker open.
@@ -306,15 +319,11 @@ class SupervisedScoringBackend:
     def __init__(
         self,
         detectors: Mapping[str, SIFTDetector],
-        degraded: ScoringBackend | None | str = "in-process",
         heartbeat_interval_s: float = 0.02,
         heartbeat_timeout_s: float = 1.0,
         batch_timeout_s: float = 10.0,
         max_retries: int = 2,
         backoff_base_s: float = 0.05,
-        backoff_cap_s: float = 2.0,
-        backoff_jitter: float = 0.5,
-        backoff_seed: int = 0,
         breaker_threshold: int = 3,
         breaker_cooldown_batches: int = 8,
         fault_plan: object | None = None,
@@ -329,24 +338,19 @@ class SupervisedScoringBackend:
             raise ValueError("batch_timeout_s must be positive")
         if max_retries < 0:
             raise ValueError("max_retries must be >= 0")
+        if backoff_base_s < 0:
+            raise ValueError("backoff_base_s must be >= 0")
         if breaker_threshold < 1:
             raise ValueError("breaker_threshold must be >= 1")
         if breaker_cooldown_batches < 1:
             raise ValueError("breaker_cooldown_batches must be >= 1")
         self.detectors = dict(detectors)
-        if degraded == "in-process":
-            degraded = InProcessBackend(self.detectors)
-        self.degraded = degraded
+        self.degraded = InProcessBackend(self.detectors)
         self.heartbeat_interval_s = float(heartbeat_interval_s)
         self.heartbeat_timeout_s = float(heartbeat_timeout_s)
         self.batch_timeout_s = float(batch_timeout_s)
         self.max_retries = int(max_retries)
-        self.backoff = JitteredBackoff(
-            backoff_base_s,
-            cap_s=backoff_cap_s,
-            jitter=backoff_jitter,
-            seed=backoff_seed,
-        )
+        self.backoff_base_s = float(backoff_base_s)
         self.breaker_threshold = int(breaker_threshold)
         self.breaker_cooldown_batches = int(breaker_cooldown_batches)
         self.fault_plan = fault_plan
@@ -354,27 +358,12 @@ class SupervisedScoringBackend:
         self._process = None
         self._conn: Connection | None = None
         self._started = False
-        # Breaker state machine: "closed" | "open" | "half-open".
-        self._breaker = "closed"
+        # The breaker state machine ("closed" | "open" | "half-open")
+        # lives in the stats record's ``breaker_state``.
+        self._stats = SupervisorStats()
         self._cooldown_left = 0
         self._consecutive_failures = 0
-        # Counters (see SupervisorStats).
         self.requests_sent = 0  # global request ordinal (fault-plan key)
-        self.requests = 0
-        self.scored_isolated = 0
-        self.crashes = 0
-        self.stalls = 0
-        self.timeouts = 0
-        self.poisons = 0
-        self.retries = 0
-        self.restarts = 0
-        self.breaker_trips = 0
-        self.batches_degraded = 0
-        self.windows_degraded = 0
-        self.batches_unscorable = 0
-        self.windows_unscorable = 0
-        self.recoveries = 0
-        self.recovery_s_total = 0.0
 
     # -- lifecycle ------------------------------------------------------
 
@@ -389,7 +378,7 @@ class SupervisedScoringBackend:
         # thread, so a restart attempt can race close()/abort() -- a
         # child spawned after close() would leak.  The thread's next
         # _request then fails as a crash and the ladder falls through to
-        # the degraded leg (or ScoringUnavailable) instead.
+        # the degraded leg instead.
         if not self._started:
             return
         parent_conn, child_conn = self._ctx.Pipe()
@@ -433,16 +422,15 @@ class SupervisedScoringBackend:
         self._kill_child()
         kill_s = time.perf_counter() - kill_began
         if attempt is not None:
-            self.backoff.sleep(attempt)
+            time.sleep(min(BACKOFF_CAP_S, self.backoff_base_s * 2 ** (attempt - 1)))
         spawn_began = time.perf_counter()
         self._spawn()
         spawn_s = time.perf_counter() - spawn_began
-        self.restarts += 1
-        self.recoveries += 1
-        self.recovery_s_total += kill_s + spawn_s
+        self._stats.restarts += 1
+        self._stats.recovery_s_total += kill_s + spawn_s
 
     def close(self) -> None:
-        """Stop the child (politely, then by force) and the degraded leg."""
+        """Stop the child (politely, then by force)."""
         conn = self._conn
         if conn is not None:
             try:
@@ -451,8 +439,6 @@ class SupervisedScoringBackend:
                 pass
         self._kill_child()
         self._started = False
-        if self.degraded is not None:
-            self.degraded.close()
 
     @property
     def child_pid(self) -> int | None:
@@ -470,44 +456,43 @@ class SupervisedScoringBackend:
         """
         if not self._started:
             raise RuntimeError("backend not started")
-        self.requests += 1
-        if self._breaker == "open":
+        stats = self._stats
+        stats.requests += 1
+        if stats.breaker_state == "open":
             if self._cooldown_left > 0:
                 self._cooldown_left -= 1
                 return self._score_degraded(windows, key)
-            self._breaker = "half-open"
+            stats.breaker_state = "half-open"
         try:
             values = self._score_isolated(key, windows)
         except ScorerFault:
             self._consecutive_failures += 1
-            if self._breaker == "half-open" or (
-                self._breaker == "closed"
+            if stats.breaker_state == "half-open" or (
+                stats.breaker_state == "closed"
                 and self._consecutive_failures >= self.breaker_threshold
             ):
                 self._trip_breaker()
             return self._score_degraded(windows, key)
         self._consecutive_failures = 0
-        if self._breaker == "half-open":
-            self._breaker = "closed"
-        self.scored_isolated += len(windows)
+        stats.breaker_state = "closed"
+        stats.scored_isolated += len(windows)
         return values
 
     def _trip_breaker(self) -> None:
-        self._breaker = "open"
+        self._stats.breaker_state = "open"
         self._cooldown_left = self.breaker_cooldown_batches
-        self.breaker_trips += 1
+        self._stats.breaker_trips += 1
 
     def _score_degraded(self, windows: Sequence[SignalWindow], key: str) -> np.ndarray:
-        if self.degraded is None:
-            self.batches_unscorable += 1
-            self.windows_unscorable += len(windows)
-            raise ScoringUnavailable(
-                f"isolated scorer unhealthy and no degraded backend "
-                f"({len(windows)} windows abstain)"
-            )
-        self.batches_degraded += 1
-        self.windows_degraded += len(windows)
-        return self.degraded.score(key, windows)
+        try:
+            values = self.degraded.score(key, windows)
+        except ScoringUnavailable:
+            self._stats.batches_unscorable += 1
+            self._stats.windows_unscorable += len(windows)
+            raise
+        self._stats.batches_degraded += 1
+        self._stats.windows_degraded += len(windows)
+        return values
 
     def _score_isolated(
         self, key: str, windows: Sequence[SignalWindow]
@@ -519,25 +504,16 @@ class SupervisedScoringBackend:
             try:
                 return self._request(key, windows)
             except ScorerFault as fault:
-                self._count_fault(fault)
+                counter = _FAULT_COUNTER[fault.kind]
+                setattr(self._stats, counter, getattr(self._stats, counter) + 1)
                 if attempt > self.max_retries:
                     # Final attempt: respawn without backoff so the next
                     # batch finds a live child; report up so the breaker
                     # and degraded leg take over this batch.
                     self._restart(None)
                     raise
-                self.retries += 1
+                self._stats.retries += 1
                 self._restart(attempt)
-
-    def _count_fault(self, fault: ScorerFault) -> None:
-        if fault.kind == "crash":
-            self.crashes += 1
-        elif fault.kind == "stall":
-            self.stalls += 1
-        elif fault.kind == "timeout":
-            self.timeouts += 1
-        else:
-            self.poisons += 1
 
     def _request(self, key: str, windows: Sequence[SignalWindow]) -> np.ndarray:
         """One send/receive round trip, classifying every failure mode."""
@@ -589,24 +565,7 @@ class SupervisedScoringBackend:
     # -- accounting -----------------------------------------------------
 
     def stats(self) -> SupervisorStats:
-        return SupervisorStats(
-            requests=self.requests,
-            scored_isolated=self.scored_isolated,
-            crashes=self.crashes,
-            stalls=self.stalls,
-            timeouts=self.timeouts,
-            poisons=self.poisons,
-            retries=self.retries,
-            restarts=self.restarts,
-            breaker_trips=self.breaker_trips,
-            breaker_state=self._breaker,
-            batches_degraded=self.batches_degraded,
-            windows_degraded=self.windows_degraded,
-            batches_unscorable=self.batches_unscorable,
-            windows_unscorable=self.windows_unscorable,
-            recoveries=self.recoveries,
-            recovery_s_total=self.recovery_s_total,
-        )
+        return dataclasses.replace(self._stats)
 
 
 def _start_methods() -> list[str]:

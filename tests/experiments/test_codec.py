@@ -58,9 +58,9 @@ from repro.experiments.universal import (
     run_universal_study,
 )
 from repro.faults.runtime import ChaosReport, RestartChaosReport, TruncationChaosReport
+from repro.gateway.gateway import GatewayStats
 from repro.gateway.loadgen import LoadReport
 from repro.gateway.session import SessionState, SessionVerdict
-from repro.gateway.snapshot import GatewayState
 from repro.ml.metrics import DetectionReport
 from repro.wiot.assembly import AssemblerState
 from repro.wiot.channel import DeliveredPacket
@@ -178,7 +178,6 @@ session_states = st.builds(
     assembler=assembler_states,
     debouncer=debouncer_states,
     degradation=st.none() | degradation_states,
-    recent_verdicts=st.lists(verdicts, max_size=4).map(tuple),
     windows_assembled=st.integers(),
     windows_abstained=st.integers(),
     windows_scored=st.integers(),
@@ -186,19 +185,14 @@ session_states = st.builds(
     ending=st.booleans(),
     closed=st.booleans(),
 )
-gateway_states = st.builds(
-    GatewayState,
-    sessions_started=st.integers(),
-    windows_shed_queue=st.integers(),
-    windows_shed_session=st.integers(),
-    batches=st.integers(),
-    batched_windows=st.integers(),
-    windows_unscorable=st.integers(),
-    closed_totals=st.dictionaries(st.text(), st.integers()),
+# Every field defaults to zero, so name them all: builds() would
+# otherwise leave them at the default.
+gateway_stats = st.builds(
+    GatewayStats, **{f.name: st.integers() for f in dataclasses.fields(GatewayStats)}
 )
 
 #: The roots of a session snapshot epoch.
-SNAPSHOT_ROOTS = (SessionState, GatewayState)
+SNAPSHOT_ROOTS = (SessionState, GatewayStats)
 
 #: One strategy per result type a registered unit returns, and per state
 #: dataclass a session snapshot holds.
@@ -221,7 +215,7 @@ STRATEGIES: dict[Any, st.SearchStrategy] = {
         period_sweep=st.dictionaries(floats, floats),
     ),
     UniversalStudyResult: st.builds(UniversalStudyResult),
-    LoadReport: st.builds(LoadReport, max_loop_stall_s=floats),
+    LoadReport: st.builds(LoadReport, stats=gateway_stats, max_loop_stall_s=floats),
     ChaosReport: st.builds(ChaosReport),
     RestartChaosReport: st.builds(RestartChaosReport),
     TruncationChaosReport: st.builds(TruncationChaosReport),
@@ -236,7 +230,7 @@ STRATEGIES: dict[Any, st.SearchStrategy] = {
         st.dictionaries(st.text(), floats | st.integers() | st.text() | st.none())
     ),
     SessionState: session_states,
-    GatewayState: gateway_states,
+    GatewayStats: gateway_stats,
     AssemblerState: assembler_states,
     DebouncerState: debouncer_states,
     DegradationState: degradation_states,

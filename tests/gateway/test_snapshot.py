@@ -12,7 +12,6 @@ epoch without raising, and an epoch in another schema is refused.
 import asyncio
 import dataclasses
 import json
-import math
 import os
 import stat
 
@@ -24,22 +23,20 @@ from hypothesis import strategies as st
 from repro.adaptive.degradation import DegradationController
 from repro.core.codec import decode, encode
 from repro.core.versions import DetectorVersion
-from repro.gateway import IngestionGateway, SessionSnapshotStore, WearerSession
+from repro.gateway import (
+    GatewayStats,
+    IngestionGateway,
+    SessionSnapshotStore,
+    WearerSession,
+)
 from repro.gateway.session import SessionState
-from repro.gateway.snapshot import GatewayState
 from repro.wiot.assembly import AssemblerState, WindowAssembler
 from repro.wiot.channel import DeliveredPacket
 from repro.wiot.sensor import BodySensor
 
 
 def _session(detector, wearer_id="w0"):
-    return WearerSession(
-        wearer_id,
-        detector,
-        votes_needed=2,
-        vote_window=3,
-        verdict_history=16,
-    )
+    return WearerSession(wearer_id, detector)
 
 
 def _json_roundtrip(state):
@@ -48,8 +45,8 @@ def _json_roundtrip(state):
 
 
 def _gateway_state(n):
-    """A distinguishable gateway state for epoch ``n``."""
-    return GatewayState(n, 0, 0, 0, 0, 0, {})
+    """A distinguishable gateway record for epoch ``n``."""
+    return GatewayStats(sessions_started=n)
 
 
 # -- property: snapshot round-trip ---------------------------------------
@@ -228,6 +225,51 @@ class TestResumePoints:
         # highest_sequence is 3, but pending windows 1 and 3 still need
         # their ABP halves: replay must restart at sequence 1.
         assert successor.restore_sessions(store) == {"w0": 0}
+
+
+class TestGatewayCounters:
+    def test_restore_brings_back_the_gateway_counters(
+        self, tmp_path, trained_detectors, test_record
+    ):
+        """A restored gateway reports what the crashed one did: sessions
+        started, shed windows, batches, duplicates, and the totals of a
+        session that had already ended (only the gateway remembers it)."""
+        detector = trained_detectors[DetectorVersion.SIMPLIFIED]
+        pairs = zip(
+            BodySensor("s-ecg", "ecg", test_record).packets(),
+            BodySensor("s-abp", "abp", test_record).packets(),
+        )
+        deliveries = [
+            DeliveredPacket(packet=packet, arrival_time_s=packet.start_time_s)
+            for pair in pairs
+            for packet in pair
+        ][:16]
+        store = SessionSnapshotStore(tmp_path / "s.jsonl")
+
+        def gateway():
+            return IngestionGateway(detector, batch_size=2, max_inflight_per_session=3)
+
+        async def _run():
+            victim = gateway()
+            victim.start()
+            for wearer_id in ("a", "b", "c"):
+                # No yield while submitting: past 3 in flight, windows shed.
+                for delivered in deliveries:
+                    victim.submit(wearer_id, delivered)
+                victim.submit(wearer_id, deliveries[0])  # a replay
+                await victim.drain()
+            victim.end_session("c")
+            await victim.snapshot(store)
+            stats = victim.stats()
+            await victim.abort()
+            return stats
+
+        stats = asyncio.run(_run())
+        assert (stats.sessions_started, stats.sessions_active) == (3, 2)
+        assert (stats.windows_shed_session, stats.duplicate_packets) == (15, 3)
+        successor = gateway()
+        successor.restore_sessions(store)
+        assert successor.stats() == stats
 
 
 class TestPacketCodec:
@@ -425,36 +467,63 @@ class TestSnapshotStore:
         # Epoch numbering keeps climbing after compaction.
         assert SessionSnapshotStore(path).write_epoch(_gateway_state(4), []) == 4
 
-    def test_nan_decision_values_round_trip(self, tmp_path, trained_detectors):
-        """Abstained verdicts carry NaN; the store must not corrupt
-        them (json allows NaN literals by default -- pin that)."""
+    def test_nan_samples_round_trip(self, tmp_path, trained_detectors, test_record):
+        """A sensor dropout leaves NaN samples in a half still waiting
+        for its partner; the store must not corrupt them (json allows
+        NaN literals by default -- pin that)."""
         detector = trained_detectors[DetectorVersion.SIMPLIFIED]
+        ecg = next(iter(BodySensor("s-ecg", "ecg", test_record).packets()))
+        samples = ecg.samples.copy()
+        samples[3] = np.nan
         session = _session(detector)
-        session.record_abstain(0, 0.0, 0.05, 0.0)
+        session.assemble(
+            DeliveredPacket(
+                packet=dataclasses.replace(ecg, samples=samples), arrival_time_s=0.0
+            )
+        )
         store = SessionSnapshotStore(tmp_path / "s.jsonl")
         store.write_epoch(_gateway_state(0), [session.export_state()])
         _, _, sessions = store.load()
-        value = sessions[0].recent_verdicts[0].decision_value
-        assert math.isnan(value)
+        restored = sessions[0].assembler.pending[ecg.sequence]["ecg"].packet.samples
+        assert restored.dtype == samples.dtype
+        assert np.isnan(restored[3])
+        finite = ~np.isnan(samples)
+        assert restored[finite].tobytes() == samples[finite].tobytes()
 
     def test_old_format_epoch_is_refused(self, tmp_path, trained_detectors):
-        """An epoch in the hand-encoded layout of earlier builds (no
-        ``schema`` field) is refused by name, never silently misread."""
-        path = tmp_path / "s.jsonl"
-        legacy = [
-            {"kind": "begin", "epoch": 1},
-            {"kind": "gateway", "epoch": 1, "state": {"sessions_started": 0}},
-            {"kind": "commit", "epoch": 1, "n_sessions": 0},
-        ]
-        path.write_text("".join(json.dumps(record) + "\n" for record in legacy))
-        with pytest.raises(ValueError, match="schema 1.*reads schema 2"):
-            SessionSnapshotStore(path).load()
-        # A newer epoch in the current schema supersedes it.
+        """An epoch in an earlier layout is refused by name, never
+        silently misread: the hand-encoded one without a ``schema``
+        field (schema 1), and schema 2, whose gateway line held a
+        separate state layout."""
+        legacy_gateway = {
+            1: {"sessions_started": 0},
+            2: {
+                "sessions_started": 0,
+                "windows_shed_queue": 0,
+                "windows_shed_session": 0,
+                "batches": 0,
+                "batched_windows": 0,
+                "windows_unscorable": 0,
+                "closed_totals": {"windows_scored": 0},
+            },
+        }
         detector = trained_detectors[DetectorVersion.SIMPLIFIED]
-        store = SessionSnapshotStore(path)
-        assert store.write_epoch(_gateway_state(2), [self._epoch(detector, [0.1])]) == 2
-        epoch, gateway_state, _ = store.load()
-        assert (epoch, gateway_state) == (2, _gateway_state(2))
+        for schema, state in legacy_gateway.items():
+            path = tmp_path / f"schema{schema}.jsonl"
+            head = {"epoch": 1} if schema == 1 else {"schema": schema, "epoch": 1}
+            legacy = [
+                {**head, "kind": "begin"},
+                {**head, "kind": "gateway", "state": state},
+                {**head, "kind": "commit", "n_sessions": 0},
+            ]
+            path.write_text("".join(json.dumps(record) + "\n" for record in legacy))
+            with pytest.raises(ValueError, match=f"schema {schema}.*reads schema 3"):
+                SessionSnapshotStore(path).load()
+            # A newer epoch in the current schema supersedes it.
+            store = SessionSnapshotStore(path)
+            assert store.write_epoch(_gateway_state(2), [self._epoch(detector, [0.1])]) == 2
+            epoch, gateway_state, _ = store.load()
+            assert (epoch, gateway_state) == (2, _gateway_state(2))
 
     def test_new_file_and_compact_fsync_the_directory(
         self, tmp_path, trained_detectors, monkeypatch
