@@ -30,16 +30,15 @@ This package proves them at source level, before anything runs:
 * :mod:`~repro.analysis.sanitizer` -- the runtime twin of ASYNC001: a
   :class:`~repro.analysis.sanitizer.LoopStallSanitizer` that times every
   asyncio callback and fails tests on event-loop stalls;
-* :mod:`~repro.analysis.engine` / :mod:`~repro.analysis.baseline` /
-  :mod:`~repro.analysis.rules` -- the pluggable framework: a ``Rule``
-  protocol, per-file ``Finding`` diagnostics, ``# lint: allow`` pragmas
-  and a baseline file for grandfathered findings.
+* :mod:`~repro.analysis.engine` / :mod:`~repro.analysis.rules` -- the
+  pluggable framework: a ``Rule`` protocol, per-file ``Finding``
+  diagnostics and ``# lint: allow`` pragmas (with a reason) as the one
+  way to accept a finding.
 
 ``python -m repro lint`` runs the whole set and is wired into CI as a
 gate; see ``docs/ARCHITECTURE.md`` for the workflow.
 """
 
-from repro.analysis.baseline import Baseline, fingerprint
 from repro.analysis.c_checker import (
     LIBM_C_FUNCTIONS,
     MAX_IDENTIFIER_LENGTH,
@@ -88,7 +87,6 @@ __all__ = [
     "Analyzer",
     "AsyncBlockingCallRule",
     "AsyncTaskLeakRule",
-    "Baseline",
     "CrossContextRaceRule",
     "DEVICE_PACKAGES",
     "DeterminismRule",
@@ -113,7 +111,6 @@ __all__ = [
     "all_rules",
     "analyze_model",
     "check_c_source",
-    "fingerprint",
     "module_name_for_path",
     "quantize_range",
     "register_rule",

@@ -2,29 +2,20 @@
 
 Kept separate from :mod:`repro.cli` so the argparse surface there stays a
 thin dispatcher.  The exit code contract is what CI keys off: 0 when the
-tree is clean (or every finding is baselined), 1 when new findings exist,
-2 on usage or I/O errors (unknown rule, missing path, unreadable file,
-git failure under ``--changed-only``) -- a wrapper script can therefore
-tell "the tree is dirty" from "the lint run itself is broken".
-
-``--changed-only [REF]`` is the incremental path for pre-commit hooks
-and CI: only files that differ from the git ref (default ``HEAD``),
-plus untracked files, are linted -- the rule set is per-file, so the
-subset's findings are exactly what a full run would report for those
-files.
+tree is clean, 1 when there are findings, 2 on usage or I/O errors
+(unknown rule, missing path, unreadable file) -- a wrapper script can
+therefore tell "the tree is dirty" from "the lint run itself is broken".
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import subprocess
 import sys
 from pathlib import Path
 from typing import Sequence, TextIO
 
 import repro
-from repro.analysis.baseline import Baseline
 from repro.analysis.c_checker import C_CHECK_PROFILES, check_c_source
 from repro.analysis.engine import Analyzer
 from repro.analysis.findings import Finding
@@ -59,18 +50,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         help="comma-separated rule codes to run (default: all)",
     )
     parser.add_argument(
-        "--baseline",
-        type=Path,
-        default=None,
-        metavar="FILE",
-        help="baseline JSON of grandfathered findings to subtract",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="write the current findings to --baseline and exit 0",
-    )
-    parser.add_argument(
         "--check-c",
         type=Path,
         default=None,
@@ -90,66 +69,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         help="list registered rules and exit",
     )
-    parser.add_argument(
-        "--changed-only",
-        nargs="?",
-        const="HEAD",
-        default=None,
-        metavar="REF",
-        help="lint only files differing from a git ref (default: HEAD), "
-        "plus untracked files; exits 2 if git fails",
-    )
-
-
-def _git_changed_files(ref: str) -> list[Path] | None:
-    """Python files changed vs ``ref`` plus untracked ones, absolute.
-
-    Returns ``None`` when git itself fails (not a repository, unknown
-    ref) -- the caller maps that to exit code 2, not to "no findings".
-    """
-    try:
-        top = subprocess.run(
-            ["git", "rev-parse", "--show-toplevel"],
-            capture_output=True,
-            text=True,
-            check=True,
-        ).stdout.strip()
-        changed = subprocess.run(
-            ["git", "diff", "--name-only", ref, "--", "*.py"],
-            capture_output=True,
-            text=True,
-            check=True,
-        ).stdout.splitlines()
-        untracked = subprocess.run(
-            ["git", "ls-files", "--others", "--exclude-standard", "--", "*.py"],
-            capture_output=True,
-            text=True,
-            check=True,
-        ).stdout.splitlines()
-    except (OSError, subprocess.CalledProcessError) as error:
-        detail = getattr(error, "stderr", "") or str(error)
-        print(f"error: --changed-only: git failed: {detail.strip()}", file=sys.stderr)
-        return None
-    root = Path(top)
-    files = {root / name for name in changed + untracked if name.strip()}
-    return sorted(path for path in files if path.exists())
-
-
-def _restrict_to_changed(paths: list[Path], ref: str) -> list[Path] | None:
-    """The subset of ``paths`` (files, or files under directories) that
-    git says changed vs ``ref``; ``None`` on git failure."""
-    changed = _git_changed_files(ref)
-    if changed is None:
-        return None
-    roots = [path.resolve() for path in paths]
-    selected: list[Path] = []
-    for file in changed:
-        resolved = file.resolve()
-        for root in roots:
-            if resolved == root or root in resolved.parents:
-                selected.append(file)
-                break
-    return selected
 
 
 def _render_text(findings: Sequence[Finding], stream: TextIO) -> None:
@@ -159,15 +78,12 @@ def _render_text(findings: Sequence[Finding], stream: TextIO) -> None:
             print(f"    {finding.source_line}", file=stream)
 
 
-def _render_json(
-    findings: Sequence[Finding], baselined: int, stream: TextIO
-) -> None:
+def _render_json(findings: Sequence[Finding], stream: TextIO) -> None:
     payload = {
         "version": 1,
         "tool": "repro-lint",
         "findings": [finding.as_dict() for finding in findings],
         "count": len(findings),
-        "baselined": baselined,
     }
     json.dump(payload, stream, indent=2)
     stream.write("\n")
@@ -200,12 +116,6 @@ def run_lint(args: argparse.Namespace, stream: TextIO | None = None) -> int:
             print(f"error: no such path: {path}", file=sys.stderr)
         return 2
 
-    if getattr(args, "changed_only", None) is not None:
-        restricted = _restrict_to_changed(paths, args.changed_only)
-        if restricted is None:
-            return 2
-        paths = restricted
-
     analyzer = Analyzer(rules)
     try:
         findings = analyzer.lint_paths(paths)
@@ -225,32 +135,12 @@ def run_lint(args: argparse.Namespace, stream: TextIO | None = None) -> int:
             )
         )
 
-    if args.write_baseline:
-        if args.baseline is None:
-            print("error: --write-baseline requires --baseline FILE", file=sys.stderr)
-            return 2
-        Baseline.from_findings(findings).save(args.baseline)
-        print(
-            f"wrote baseline with {len(findings)} finding(s) to {args.baseline}",
-            file=stream,
-        )
-        return 0
-
-    baselined = 0
-    if args.baseline is not None and args.baseline.exists():
-        baseline = Baseline.load(args.baseline)
-        fresh = baseline.filter_new(findings)
-        baselined = len(findings) - len(fresh)
-        findings = fresh
-
     if args.format == "json":
-        _render_json(findings, baselined, stream)
+        _render_json(findings, stream)
     else:
         _render_text(findings, stream)
-        suffix = f" ({baselined} baselined)" if baselined else ""
         print(
-            f"repro-lint: {len(findings)} finding(s) in "
-            f"{len(paths)} path(s){suffix}",
+            f"repro-lint: {len(findings)} finding(s) in {len(paths)} path(s)",
             file=stream,
         )
     return 1 if findings else 0

@@ -2,8 +2,8 @@
 
 A :class:`Finding` is one diagnostic: a rule code, a severity, a source
 span and a human-readable message.  Findings are plain data -- the engine
-collects them, the baseline filters them, and the CLI renders them as
-text or JSON -- so rules never need to know how their output is consumed.
+collects them and the CLI renders them as text or JSON -- so rules never
+need to know how their output is consumed.
 """
 
 from __future__ import annotations
@@ -57,8 +57,8 @@ class Finding:
     severity:
         See :class:`Severity`.
     source_line:
-        The stripped text of the offending line, used for baseline
-        fingerprinting and text rendering (empty when unavailable).
+        The stripped text of the offending line, used for text
+        rendering (empty when unavailable).
     """
 
     path: str

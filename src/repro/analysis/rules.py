@@ -3,8 +3,8 @@
 A rule is any object with a ``code``, a ``description`` and a ``check``
 method that maps a :class:`LintContext` (one parsed file) to findings.
 Rules register themselves at import time through :func:`register_rule`,
-so adding a rule is one module with one decorator -- the engine, the CLI
-and the baseline machinery pick it up automatically.
+so adding a rule is one module with one decorator -- the engine and the
+CLI pick it up automatically.
 
 Suppression works the way the Amulet firmware toolchain's own pragmas do:
 a trailing ``# lint: allow CODE[,CODE...] -- reason`` comment silences

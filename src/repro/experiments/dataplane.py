@@ -15,16 +15,16 @@ The plane fixes that with a publish/attach split:
   serialize every record's four arrays into a single
   ``multiprocessing.shared_memory`` segment.  When shared memory is
   unavailable (no ``/dev/shm``, exotic platforms, permission failures)
-  the plane degrades to an on-disk ``.npz`` artifact.
+  the publish raises one of :data:`PUBLISH_ERRORS`; the
+  :class:`~repro.experiments.runner.CohortRunner` then logs the cause
+  and lets each worker synthesize its own records.
 * **Attach** (workers): map the segment and rebuild each :class:`Record`
   as zero-copy NumPy views into it, then seed the worker's process-local
   :data:`~repro.experiments.cache.EXPERIMENT_CACHE` under the exact keys
   the pipeline's ``_record`` helper would use -- so ``run_subject``
   finds every recording already "synthesized".  Shared views are billed
   to the cache at a nominal cost: the bytes exist once machine-wide, not
-  once per worker.  The ``.npz`` fallback copies each array once per
-  worker at attach time (still one synthesis total instead of one per
-  worker) and is billed at its real size.
+  once per worker.
 
 Cleanup guarantees
 ------------------
@@ -42,10 +42,8 @@ while they still hold views.
 
 from __future__ import annotations
 
-import logging
 import os
 import secrets
-import tempfile
 import time
 import weakref
 from dataclasses import dataclass
@@ -80,8 +78,6 @@ __all__ = [
     "seed_worker_cache",
 ]
 
-logger = logging.getLogger(__name__)
-
 #: Errors a shared-memory publish can legitimately fail with at runtime:
 #: no ``/dev/shm`` or exhausted names/permissions/space (``OSError``
 #: covers ``FileExistsError``/``FileNotFoundError``/``PermissionError``),
@@ -91,15 +87,15 @@ logger = logging.getLogger(__name__)
 #: else is a bug and must propagate.
 PUBLISH_ERRORS = (OSError, ImportError, MemoryError, BufferError, ValueError)
 
-#: Process-local perf accounting of the plane's publish/attach work,
-#: cumulative since process start.  Counters cover *this* process only
-#: (each pool worker keeps its own copy); the orchestrator snapshots
-#: parent-side deltas around every study unit for the perf trajectory.
-_PERF = {"publishes": 0, "publish_s": 0.0, "attaches": 0, "attach_s": 0.0}
+#: Process-local perf accounting of the plane's publishes, cumulative
+#: since process start.  Publishing happens in the parent only, so the
+#: orchestrator's parent-side deltas around every study unit see it all;
+#: attaching happens in the workers, whose counters no parent could read.
+_PERF = {"publishes": 0, "publish_s": 0.0}
 
 
 def perf_stats() -> dict[str, float]:
-    """A snapshot of this process's publish/attach perf counters."""
+    """A snapshot of this process's publish perf counters."""
     return dict(_PERF)
 
 #: Shared-memory segment name prefix; the CI leak check and the tests
@@ -122,8 +118,7 @@ class RecordBlock:
     """Layout of one record inside the plane.
 
     ``fields`` maps each array of :data:`_FIELDS` to ``(offset, count,
-    dtype_str)``; offsets index the shared segment (the ``.npz`` backend
-    addresses members by name instead and ignores them).
+    dtype_str)``; offsets index the shared segment.
     """
 
     cache_key: tuple
@@ -136,21 +131,14 @@ class RecordBlock:
 class PlaneManifest:
     """Everything a worker needs to attach: picklable, arrays excluded.
 
-    ``token`` identifies the published segment instance; workers memoize
-    attachments by it, so re-submitted tasks (retries, rebuilt pools)
-    attach at most once per process.
+    ``token`` is the shared-memory segment's name; workers memoize
+    attachments by it, so tasks of later runs (and rebuilt pools) attach
+    at most once per process.
     """
 
     token: str
-    backend: str  # "shm" | "npz"
-    name: str | None  # shared-memory segment name (shm backend)
-    path: str | None  # artifact path (npz backend)
     total_bytes: int
     blocks: tuple[RecordBlock, ...]
-
-    def __post_init__(self) -> None:
-        if self.backend not in ("shm", "npz"):
-            raise ValueError(f"unknown plane backend: {self.backend!r}")
 
 
 def _layout(records: Mapping[Hashable, Record]) -> tuple[list[RecordBlock], int]:
@@ -175,22 +163,16 @@ def _layout(records: Mapping[Hashable, Record]) -> tuple[list[RecordBlock], int]
     return blocks, offset
 
 
-def _cleanup_segment(shm, path: str | None) -> None:
-    """Idempotent unlink of a plane's backing storage (finalizer body)."""
-    if shm is not None:
-        try:
-            shm.close()
-        except BufferError:  # stray exported views: mapping dies with us
-            pass
-        try:
-            shm.unlink()
-        except FileNotFoundError:
-            pass
-    if path is not None:
-        try:
-            os.unlink(path)
-        except FileNotFoundError:
-            pass
+def _cleanup_segment(shm) -> None:
+    """Idempotent unlink of a plane's segment (finalizer body)."""
+    try:
+        shm.close()
+    except BufferError:  # stray exported views: mapping dies with us
+        pass
+    try:
+        shm.unlink()
+    except FileNotFoundError:
+        pass
 
 
 class DatasetPlane:
@@ -202,56 +184,21 @@ class DatasetPlane:
     once.
     """
 
-    def __init__(self, manifest: PlaneManifest, shm=None, path: str | None = None):
+    def __init__(self, manifest: PlaneManifest, shm):
         self.manifest = manifest
-        self._finalizer = weakref.finalize(self, _cleanup_segment, shm, path)
+        self._finalizer = weakref.finalize(self, _cleanup_segment, shm)
 
     @classmethod
-    def publish(
-        cls,
-        records: Mapping[Hashable, Record],
-        backend: str = "auto",
-        directory: str | None = None,
-    ) -> "DatasetPlane":
-        """Serialize ``records`` once, into shared memory when possible.
+    def publish(cls, records: Mapping[Hashable, Record]) -> "DatasetPlane":
+        """Serialize ``records`` once into a new shared-memory segment.
 
-        ``backend`` is ``"auto"`` (shared memory, falling back to the
-        on-disk artifact), ``"shm"`` or ``"npz"``; ``directory`` places
-        the fallback artifact (default: the system temp dir).
+        Raises one of :data:`PUBLISH_ERRORS` when shared memory is
+        unavailable; nothing is left behind in that case.
         """
-        if backend not in ("auto", "shm", "npz"):
-            raise ValueError(f"unknown plane backend: {backend!r}")
-        started = time.perf_counter()
-        blocks, total = _layout(records)
-        plane = None
-        if backend in ("auto", "shm"):
-            try:
-                plane = cls._publish_shm(records, blocks, total)
-            except PUBLISH_ERRORS as exc:
-                if backend == "shm":
-                    raise
-                # Degrading to the .npz artifact is correct but slower
-                # (workers copy at attach time); make the cause visible
-                # instead of silently losing the zero-copy path.
-                logger.warning(
-                    "dataset-plane shared-memory publish failed; falling "
-                    "back to the .npz artifact: error=%s message=%r "
-                    "records=%d bytes=%d",
-                    type(exc).__name__,
-                    str(exc),
-                    len(records),
-                    total,
-                )
-        if plane is None:
-            plane = cls._publish_npz(records, blocks, total, directory)
-        _PERF["publishes"] += 1
-        _PERF["publish_s"] += time.perf_counter() - started
-        return plane
-
-    @classmethod
-    def _publish_shm(cls, records, blocks, total) -> "DatasetPlane":
         from multiprocessing import shared_memory
 
+        started = time.perf_counter()
+        blocks, total = _layout(records)
         shm = None
         for _ in range(3):  # name collisions are theoretical; retry anyway
             try:
@@ -272,43 +219,14 @@ class DatasetPlane:
                     view[:] = getattr(record, name)
                     del view  # drop the exported buffer before any close()
             manifest = PlaneManifest(
-                token=shm.name,
-                backend="shm",
-                name=shm.name,
-                path=None,
-                total_bytes=total,
-                blocks=tuple(blocks),
+                token=shm.name, total_bytes=total, blocks=tuple(blocks)
             )
         except BaseException:
-            _cleanup_segment(shm, None)
+            _cleanup_segment(shm)
             raise
-        return cls(manifest, shm=shm)
-
-    @classmethod
-    def _publish_npz(cls, records, blocks, total, directory) -> "DatasetPlane":
-        fd, path = tempfile.mkstemp(
-            prefix=SEGMENT_PREFIX, suffix=".npz", dir=directory
-        )
-        os.close(fd)
-        try:
-            arrays = {
-                f"b{i}_{name}": np.ascontiguousarray(getattr(record, name))
-                for i, record in enumerate(records.values())
-                for name in _FIELDS
-            }
-            np.savez(path, **arrays)
-            manifest = PlaneManifest(
-                token=os.path.basename(path),
-                backend="npz",
-                name=None,
-                path=path,
-                total_bytes=total,
-                blocks=tuple(blocks),
-            )
-        except BaseException:
-            _cleanup_segment(None, path)
-            raise
-        return cls(manifest, path=path)
+        _PERF["publishes"] += 1
+        _PERF["publish_s"] += time.perf_counter() - started
+        return cls(manifest, shm)
 
     @property
     def alive(self) -> bool:
@@ -337,8 +255,7 @@ class DatasetPlane:
 @dataclass
 class _AttachedPlane:
     records: dict[tuple, Record]
-    shm: object | None  # keeps the mapping alive while views exist
-    backend: str
+    shm: object  # keeps the mapping alive while views exist
 
 
 #: Process-local attachments, keyed by manifest token.  Bounded to the
@@ -372,38 +289,24 @@ def _detach(token: str) -> None:
     """Drop this process's attachment to one plane and unmap it."""
     plane = _ATTACHED.pop(token)
     plane.records.clear()
-    if plane.shm is not None:
-        try:
-            plane.shm.close()
-        except BufferError:
-            # A stray view still exports the buffer; the mapping is
-            # reclaimed when the process exits instead.
-            pass
+    try:
+        plane.shm.close()
+    except BufferError:
+        # A stray view still exports the buffer; the mapping is
+        # reclaimed when the process exits instead.
+        pass
 
 
 def _attach(manifest: PlaneManifest) -> _AttachedPlane:
-    if manifest.backend == "shm":
-        from multiprocessing import shared_memory
+    from multiprocessing import shared_memory
 
-        shm = shared_memory.SharedMemory(name=manifest.name)
-
-        def array_for(index: int, name: str, offset: int, count: int, dtype: str):
-            return np.frombuffer(
+    shm = shared_memory.SharedMemory(name=manifest.token)
+    records: dict[tuple, Record] = {}
+    for block in manifest.blocks:
+        arrays = {
+            name: np.frombuffer(
                 shm.buf, dtype=np.dtype(dtype), count=count, offset=offset
             )
-
-    else:
-        shm = None
-        with np.load(manifest.path) as archive:
-            members = {key: archive[key] for key in archive.files}
-
-        def array_for(index: int, name: str, offset: int, count: int, dtype: str):
-            return members[f"b{index}_{name}"]
-
-    records: dict[tuple, Record] = {}
-    for index, block in enumerate(manifest.blocks):
-        arrays = {
-            name: array_for(index, name, offset, count, dtype)
             for name, offset, count, dtype in block.fields
         }
         records[block.cache_key] = Record(
@@ -411,18 +314,15 @@ def _attach(manifest: PlaneManifest) -> _AttachedPlane:
             sample_rate=block.sample_rate,
             **arrays,
         )
-    return _AttachedPlane(records=records, shm=shm, backend=manifest.backend)
+    return _AttachedPlane(records=records, shm=shm)
 
 
 def attach_records(manifest: PlaneManifest) -> Mapping[tuple, Record]:
     """The plane's records, as zero-copy views (memoized per process)."""
     plane = _ATTACHED.get(manifest.token)
     if plane is None:
-        started = time.perf_counter()
         _evict_stale_planes(manifest.token)
         plane = _ATTACHED[manifest.token] = _attach(manifest)
-        _PERF["attaches"] += 1
-        _PERF["attach_s"] += time.perf_counter() - started
     return plane.records
 
 
@@ -433,13 +333,10 @@ def seed_worker_cache(manifest: PlaneManifest) -> None:
     entries' LRU recency, so records a tiny budget evicted mid-run come
     back before the next task instead of being re-synthesized.
     """
-    records = attach_records(manifest)
-    shared = manifest.backend == "shm"
-    for key, record in records.items():
+    for key, record in attach_records(manifest).items():
         # Shared views cost one byte: the arrays are resident once
-        # machine-wide, not once per worker.  The npz fallback's copies
-        # are real per-process memory and are billed as such.
-        EXPERIMENT_CACHE.put(key, record, cost=1 if shared else record.nbytes)
+        # machine-wide, not once per worker.
+        EXPERIMENT_CACHE.put(key, record, cost=1)
 
 
 # ----------------------------------------------------------------------
@@ -534,7 +431,7 @@ def measure_acquisition(config: ExperimentConfig) -> AcquisitionResult:
         started = time.perf_counter()
         records = realize_cohort_records(config)
         synthesis_s = time.perf_counter() - started
-    with DatasetPlane.publish(records, backend="shm") as plane:
+    with DatasetPlane.publish(records) as plane:
         started = time.perf_counter()
         attached = attach_records(plane.manifest)
         attach_s = time.perf_counter() - started

@@ -20,7 +20,8 @@ path (``jobs=1``) bit-identical to calling ``run_subject`` in a loop:
   working set once and publishes it via
   :mod:`repro.experiments.dataplane`; workers attach shared-memory views
   instead of re-synthesizing recordings per process (``share_dataset``,
-  on by default).
+  on by default).  Without usable shared memory the run logs why and
+  falls back to per-worker synthesis.
 * **Broken-pool containment** -- a crashed worker (``BrokenProcessPool``)
   kills the whole pool.  Results that finished before it died are kept,
   the run's other tasks are faulted as ``broken-pool`` (the culprit
@@ -225,11 +226,11 @@ class CohortRunner:
         Forwarded to ``run_subject``: also deploy on the simulated Amulet.
     share_dataset:
         Publish the realized cohort records once into a shared-memory
-        dataset plane (``.npz`` artifact where shared memory is
-        unavailable) and have workers attach zero-copy views instead of
-        re-synthesizing recordings per process (default).  ``False``
-        restores the historical per-worker synthesis.  Results are
-        bit-identical either way; only fan-out cost changes.
+        dataset plane and have workers attach zero-copy views instead of
+        re-synthesizing recordings per process (default).  ``False``, or
+        a publish that fails (no usable shared memory; the cause is
+        logged), leaves each worker to synthesize its own records.
+        Results are bit-identical either way; only fan-out cost changes.
 
     Each task runs once: a task that raises comes back as an
     ``"exception"`` fault, and a worker crash faults every task of that

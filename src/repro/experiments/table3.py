@@ -63,51 +63,29 @@ class Table3Result:
         )
 
 
-def _profile_version_task(
-    config: ExperimentConfig,
-    version_name: str,
-) -> tuple[str, ResourceProfile]:
-    """Top-level (picklable) per-version profiling task."""
+def _profile_version(
+    config: ExperimentConfig, version: DetectorVersion
+) -> ResourceProfile:
+    """Train, deploy and stream one version; its Amulet resource profile."""
     dataset = make_dataset(config)
     subject = dataset.subjects[0]
     stream = build_stream(dataset, subject, config)
-    detector = train_detector(dataset, subject, version_name, config)
+    detector = train_detector(dataset, subject, version.value, config)
     runner = AmuletSIFTRunner(detector, frac_bits=config.frac_bits)
     runner.run_stream(stream)
-    return version_name, runner.profile(period_s=config.window_s)
+    return runner.profile(period_s=config.window_s)
 
 
 def run_table3(
     config: ExperimentConfig | None = None,
     versions: tuple[DetectorVersion, ...] = tuple(DetectorVersion),
-    jobs: int = 1,
 ) -> Table3Result:
-    """Run the Table III protocol (one subject is enough).
-
-    ``jobs > 1`` profiles the versions in parallel worker processes
-    (there are only three, so more than three workers is never useful).
-    """
+    """Run the Table III protocol (one subject is enough)."""
     config = config or ExperimentConfig()
-    profiles: dict[DetectorVersion, ResourceProfile] = {}
-    if jobs > 1 and len(versions) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        from repro.experiments.runner import effective_workers
-
-        workers = min(effective_workers(jobs), len(versions))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_profile_version_task, config, version.value)
-                for version in versions
-            ]
-            for future in futures:
-                name, profile = future.result()
-                profiles[DetectorVersion.from_name(name)] = profile
-    else:
-        for version in versions:
-            name, profile = _profile_version_task(config, version.value)
-            profiles[DetectorVersion.from_name(name)] = profile
-    return Table3Result(profiles=profiles, config=config)
+    return Table3Result(
+        profiles={v: _profile_version(config, v) for v in versions},
+        config=config,
+    )
 
 
 def format_table3(result: Table3Result, include_paper: bool = True) -> str:

@@ -59,7 +59,7 @@ MIN_P99_MS = 100.0
 #: The experiment-cache and dataplane counters a checkpoint line records
 #: as per-unit deltas and a trajectory sums per study.
 CACHE_KEYS = ("hits", "misses", "evictions")
-PLANE_KEYS = ("publishes", "publish_s", "attaches", "attach_s")
+PLANE_KEYS = ("publishes", "publish_s")
 
 
 def build_trajectory(
@@ -101,8 +101,6 @@ def build_trajectory(
             "dataplane": {
                 "publishes": int(plane["publishes"]),
                 "publish_s": round(plane["publish_s"], 6),
-                "attaches": int(plane["attaches"]),
-                "attach_s": round(plane["attach_s"], 6),
             },
             "units_detail": [
                 {

@@ -213,6 +213,9 @@ class IngestionGateway:
         self._stats = GatewayStats()
         self._queue: asyncio.Queue = asyncio.Queue(maxsize=queue_windows)
         self._sessions: dict[str, WearerSession] = {}
+        # Detached by end_session but still awaiting queued windows: out
+        # of _sessions, not yet finalized into the record.
+        self._ending: set[WearerSession] = set()
         self._batcher_task: asyncio.Task | None = None
         self._closing = False
         self._inflight_total = 0
@@ -318,9 +321,12 @@ class IngestionGateway:
         session.ending = True
         if session.inflight == 0:
             self._finalize(session)
+        else:
+            self._ending.add(session)
         return session
 
     def _finalize(self, session: WearerSession) -> None:
+        self._ending.discard(session)
         session.finalize()
         _add_session(self._stats, session)
 
@@ -419,10 +425,11 @@ class IngestionGateway:
 
         Windows are grouped by the tier key their session's detector
         selected; each group is one :meth:`ScoringBackend.score` call
-        (the in-process backend makes that exactly PR 7's batched
-        ``decision_values``).  Touches no session or gateway state
-        except the ``windows_unscorable`` count -- all bookkeeping
-        happens loop-side in :meth:`_apply_batch`.  A group whose
+        (the in-process backend makes that exactly the batched
+        ``decision_values``).  Touches no session or gateway state --
+        all bookkeeping, counters included, happens loop-side in
+        :meth:`_apply_batch`, so :meth:`stats` never reads a record a
+        worker thread is writing.  A group whose
         backend exhausts the whole supervision ladder
         (:class:`ScoringUnavailable`) is marked unscorable so the loop
         side abstains window by window: time advances, no vote is cast,
@@ -441,7 +448,6 @@ class IngestionGateway:
             except ScoringUnavailable:
                 for it in items:
                     unscorable.add(id(it))
-                self._stats.windows_unscorable += len(items)
                 continue
             for it, value in zip(items, values):
                 scores[id(it)] = float(value)
@@ -484,6 +490,7 @@ class IngestionGateway:
                 self.on_verdict(verdict)
         self._stats.batches += 1
         self._stats.batched_windows += len(batch)
+        self._stats.windows_unscorable += len(unscorable)
         if self._inflight_total == 0:
             self._idle.set()
 
@@ -552,8 +559,8 @@ class IngestionGateway:
     # -- accounting -----------------------------------------------------
 
     def stats(self) -> GatewayStats:
-        """Aggregate counters over live plus finalized sessions."""
+        """Aggregate counters over live, ending and finalized sessions."""
         stats = dataclasses.replace(self._stats, sessions_active=self.active_sessions)
-        for session in self._sessions.values():
+        for session in (*self._sessions.values(), *self._ending):
             _add_session(stats, session)
         return stats

@@ -18,7 +18,7 @@ from repro.native.build import (
     find_compiler,
     svml_atan2_supported,
 )
-from repro.native.codegen import generate_hot_path_source, hot_path_cdef
+from repro.native.codegen import generate_hot_path_source
 
 __all__ = [
     "BuildError",
@@ -29,7 +29,6 @@ __all__ = [
     "compile_hot_path",
     "find_compiler",
     "generate_hot_path_source",
-    "hot_path_cdef",
     "native_status",
     "svml_atan2_supported",
 ]

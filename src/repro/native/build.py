@@ -13,8 +13,8 @@ supervised scoring child rebuilding its detectors after a crash -- reuses
 the cached ``.so`` without recompiling; concurrent builders race benignly
 via an atomic rename.
 
-Loading prefers cffi's ABI mode and falls back to ctypes, so the backend
-works even where cffi is absent.
+Loading uses the stdlib's ctypes only: pointer arguments are declared
+``c_void_p`` and receive each array's ``ndarray.ctypes.data`` address.
 """
 
 from __future__ import annotations
@@ -26,13 +26,11 @@ import os
 import shutil
 import subprocess
 import tempfile
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from repro.core.versions import DetectorVersion
-from repro.native.codegen import hot_path_cdef
 
 __all__ = [
     "BuildError",
@@ -173,94 +171,30 @@ def compile_hot_path(
     return artifact
 
 
-@dataclass
-class _CtypesLib:
-    lib: ctypes.CDLL
-
-    def __post_init__(self) -> None:
-        lp = ctypes.POINTER(ctypes.c_long)
-        dp = ctypes.POINTER(ctypes.c_double)
-        fn = self.lib.sift_score_windows
-        fn.restype = ctypes.c_long
-        fn.argtypes = [dp, dp, ctypes.c_long, ctypes.c_long, lp, lp, lp, lp, lp, dp]
-        if hasattr(self.lib, "sift_set_atan2"):
-            self.lib.sift_set_atan2.restype = None
-            self.lib.sift_set_atan2.argtypes = [ctypes.c_void_p]
-
-    def set_atan2(self, address: int) -> None:
-        self.lib.sift_set_atan2(ctypes.c_void_p(address))
-
-    def score_windows(self, *args) -> int:
-        def dp(a: np.ndarray):
-            return a.ctypes.data_as(ctypes.POINTER(ctypes.c_double))
-
-        def lp(a: np.ndarray):
-            return a.ctypes.data_as(ctypes.POINTER(ctypes.c_long))
-
-        ecg, abp, r_idx, r_off, s_idx, s_off, max_lag, out = args
-        return int(
-            self.lib.sift_score_windows(
-                dp(ecg), dp(abp),
-                ctypes.c_long(ecg.shape[0]), ctypes.c_long(ecg.shape[1]),
-                lp(r_idx), lp(r_off), lp(s_idx), lp(s_off), lp(max_lag),
-                dp(out),
-            )
-        )
-
-
-class _CffiLib:
-    def __init__(self, path: Path, version: DetectorVersion) -> None:
-        import cffi
-
-        self._ffi = cffi.FFI()
-        self._ffi.cdef(hot_path_cdef(version))
-        self._lib = self._ffi.dlopen(str(path))
-
-    def set_atan2(self, address: int) -> None:
-        self._lib.sift_set_atan2(self._ffi.cast("void *", address))
-
-    def score_windows(self, *args) -> int:
-        ffi = self._ffi
-
-        def dp(a: np.ndarray):
-            return ffi.cast("double *", a.ctypes.data)
-
-        def lp(a: np.ndarray):
-            return ffi.cast("long *", a.ctypes.data)
-
-        ecg, abp, r_idx, r_off, s_idx, s_off, max_lag, out = args
-        return int(
-            self._lib.sift_score_windows(
-                dp(ecg), dp(abp),
-                ecg.shape[0], ecg.shape[1],
-                lp(r_idx), lp(r_off), lp(s_idx), lp(s_off), lp(max_lag),
-                dp(out),
-            )
-        )
-
-
 class LoadedScoringLib:
-    """A compiled scoring library, bound via cffi (preferred) or ctypes."""
+    """A compiled scoring library, bound with ctypes."""
 
     def __init__(self, path: Path, version: DetectorVersion) -> None:
         self.path = Path(path)
         self.version = version
-        self.binding: str
         try:
-            self._impl = _CffiLib(self.path, version)
-            self.binding = "cffi"
-        except ImportError:
-            self._impl = _CtypesLib(ctypes.CDLL(str(self.path)))
-            self.binding = "ctypes"
+            self._lib = ctypes.CDLL(str(self.path))
         except OSError as exc:
             raise BuildError(f"cannot load {self.path}: {exc}") from exc
+        ptr, n = ctypes.c_void_p, ctypes.c_long
+        self._score = self._lib.sift_score_windows
+        self._score.restype = n
+        self._score.argtypes = [ptr, ptr, n, n, ptr, ptr, ptr, ptr, ptr, ptr]
         if version is DetectorVersion.ORIGINAL:
             address = svml_atan2_address()
             if address is None:
                 raise BuildError(
                     "numpy does not export the SVML atan2 this host build needs"
                 )
-            self._impl.set_atan2(address)
+            set_atan2 = self._lib.sift_set_atan2
+            set_atan2.restype = None
+            set_atan2.argtypes = [ptr]
+            set_atan2(address)
 
     def score_windows(
         self,
@@ -274,8 +208,11 @@ class LoadedScoringLib:
     ) -> np.ndarray:
         """Score a uniform-length batch; arrays must be C-contiguous."""
         out = np.empty(ecg.shape[0], dtype=np.float64)
-        status = self._impl.score_windows(
-            ecg, abp, r_idx, r_off, s_idx, s_off, max_lag, out
+        status = self._score(
+            ecg.ctypes.data, abp.ctypes.data, ecg.shape[0], ecg.shape[1],
+            r_idx.ctypes.data, r_off.ctypes.data,
+            s_idx.ctypes.data, s_off.ctypes.data,
+            max_lag.ctypes.data, out.ctypes.data,
         )
         if status != 0:
             raise BuildError(f"sift_score_windows failed with status {status}")

@@ -44,7 +44,7 @@ import numpy as np
 from repro.core.versions import DetectorVersion
 from repro.ml.model_codegen import c_double_literal
 
-__all__ = ["generate_hot_path_source", "hot_path_cdef", "scoring_symbols"]
+__all__ = ["generate_hot_path_source"]
 
 #: Return codes of the generated ``sift_score_windows`` entry point.
 SIFT_OK = 0
@@ -59,27 +59,6 @@ def _literal_array(name: str, values: Sequence[float]) -> str:
     return (
         f"static const double {name}[{len(items)}] = {{\n    {body}\n}};\n"
     )
-
-
-def scoring_symbols(version: DetectorVersion) -> tuple[str, ...]:
-    """Exported symbol names of the generated translation unit."""
-    if version is DetectorVersion.ORIGINAL:
-        return ("sift_score_windows", "sift_set_atan2")
-    return ("sift_score_windows",)
-
-
-def hot_path_cdef(version: DetectorVersion) -> str:
-    """The cffi ``cdef`` declarations matching the generated source."""
-    decls = [
-        "long sift_score_windows(const double *ecg, const double *abp,"
-        " long n_windows, long n_samples,"
-        " const long *r_idx, const long *r_off,"
-        " const long *s_idx, const long *s_off,"
-        " const long *max_lag, double *out);"
-    ]
-    if version is DetectorVersion.ORIGINAL:
-        decls.append("void sift_set_atan2(void *fn);")
-    return "\n".join(decls)
 
 
 _PAIRWISE_SUM = """\

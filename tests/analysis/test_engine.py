@@ -1,11 +1,11 @@
-"""Engine plumbing: registry, pragmas, module inference, baseline workflow."""
+"""Engine plumbing: registry, pragmas, module inference."""
 
 import textwrap
 from pathlib import Path
 
 import pytest
 
-from repro.analysis import Analyzer, Baseline, all_rules, fingerprint
+from repro.analysis import Analyzer, all_rules
 from repro.analysis.engine import module_name_for_path
 from repro.analysis.findings import Finding, Severity
 from repro.analysis.rules import LintContext, rules_for_codes
@@ -162,43 +162,6 @@ class TestFinding:
         data = finding.as_dict()
         assert data["code"] == "OVF001"
         assert data["severity"] == "warning"
-
-
-class TestBaseline:
-    def _finding(self, line, source_line="np.random.seed(0)"):
-        return Finding(
-            path="tests/fixture.py", line=line, col=0, code="DET001",
-            message="unseeded", severity=Severity.ERROR,
-            source_line=source_line,
-        )
-
-    def test_fingerprint_ignores_line_number(self):
-        assert fingerprint(self._finding(3)) == fingerprint(self._finding(99))
-
-    def test_fingerprint_sees_content(self):
-        assert fingerprint(self._finding(3)) != fingerprint(
-            self._finding(3, source_line="np.random.seed(1)")
-        )
-
-    def test_filter_new_absorbs_once(self):
-        baseline = Baseline.from_findings([self._finding(3)])
-        # Two identical findings against a one-slot baseline: one is new.
-        fresh = baseline.filter_new([self._finding(3), self._finding(80)])
-        assert len(fresh) == 1
-
-    def test_save_load_round_trip(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        baseline = Baseline.from_findings([self._finding(3), self._finding(4)])
-        baseline.save(path)
-        loaded = Baseline.load(path)
-        assert len(loaded) == 2
-        assert loaded.filter_new([self._finding(1)]) == []
-
-    def test_load_rejects_bad_version(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text('{"version": 99, "findings": {}}')
-        with pytest.raises(ValueError):
-            Baseline.load(path)
 
 
 class TestRepoIsClean:

@@ -1,7 +1,6 @@
 """The ``python -m repro lint`` surface: flags, formats, exit codes."""
 
 import json
-import subprocess
 import textwrap
 
 import pytest
@@ -30,7 +29,8 @@ class TestParser:
         args = build_parser().parse_args(["lint"])
         assert args.paths == []
         assert args.format == "text"
-        assert args.baseline is None
+        assert args.rules is None
+        assert args.check_c is None
 
     def test_format_choices_enforced(self):
         with pytest.raises(SystemExit):
@@ -107,72 +107,6 @@ class TestLintCommand:
         assert main(["lint", "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["count"] == 0
-
-
-class TestChangedOnly:
-    @staticmethod
-    def _git(tmp_path, *argv):
-        subprocess.run(
-            ["git", "-c", "user.name=t", "-c", "user.email=t@t", *argv],
-            cwd=tmp_path,
-            check=True,
-            capture_output=True,
-        )
-
-    @pytest.fixture()
-    def repo(self, tmp_path, monkeypatch):
-        self._git(tmp_path, "init", "-q")
-        committed = write_fixture(tmp_path, NOISY, name="committed.py")
-        self._git(tmp_path, "add", "committed.py")
-        self._git(tmp_path, "commit", "-q", "-m", "seed")
-        monkeypatch.chdir(tmp_path)
-        return tmp_path, committed
-
-    def test_untracked_file_is_linted(self, repo):
-        tmp_path, _ = repo
-        write_fixture(tmp_path, NOISY, name="fresh.py")
-        assert main(["lint", str(tmp_path), "--changed-only"]) == 1
-
-    def test_committed_unchanged_file_is_skipped(self, repo, capsys):
-        tmp_path, _ = repo
-        # committed.py has a violation, but it did not change vs HEAD.
-        assert main(["lint", str(tmp_path), "--changed-only"]) == 0
-        assert "0 path(s)" in capsys.readouterr().out
-
-    def test_modified_file_is_linted(self, repo):
-        tmp_path, committed = repo
-        committed.write_text(NOISY + "SALT = random.random()\n")
-        assert main(["lint", str(tmp_path), "--changed-only", "HEAD"]) == 1
-
-    def test_outside_git_is_usage_error(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.chdir(tmp_path)
-        monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path.parent))
-        path = write_fixture(tmp_path, CLEAN)
-        assert main(["lint", str(path), "--changed-only"]) == 2
-        assert "git failed" in capsys.readouterr().err
-
-
-class TestBaselineWorkflow:
-    def test_write_then_filter(self, tmp_path, capsys):
-        noisy = write_fixture(tmp_path, NOISY)
-        baseline = tmp_path / "baseline.json"
-        assert main(
-            ["lint", str(noisy), "--baseline", str(baseline), "--write-baseline"]
-        ) == 0
-        assert "wrote baseline with 1 finding(s)" in capsys.readouterr().out
-
-        # Grandfathered: the same violation no longer fails the gate.
-        assert main(["lint", str(noisy), "--baseline", str(baseline)]) == 0
-        assert "(1 baselined)" in capsys.readouterr().out
-
-        # A *new* violation alongside it still fails.
-        noisy.write_text(NOISY + "SALT = random.random()\n")
-        assert main(["lint", str(noisy), "--baseline", str(baseline)]) == 1
-
-    def test_write_baseline_requires_file(self, tmp_path, capsys):
-        path = write_fixture(tmp_path, NOISY)
-        assert main(["lint", str(path), "--write-baseline"]) == 2
-        assert "--baseline" in capsys.readouterr().err
 
 
 class TestCheckC:

@@ -16,10 +16,12 @@ from __future__ import annotations
 import gc
 import os
 import pickle
+from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
 
+import repro.experiments.dataplane as dataplane_module
 import repro.experiments.runner as runner_module
 from repro.experiments import ExperimentConfig
 from repro.experiments.cache import EXPERIMENT_CACHE, ExperimentCache
@@ -53,11 +55,10 @@ def _drop_attachments():
     yield
     for plane in _ATTACHED.values():
         plane.records.clear()
-        if plane.shm is not None:
-            try:
-                plane.shm.close()
-            except BufferError:
-                pass
+        try:
+            plane.shm.close()
+        except BufferError:
+            pass
     _ATTACHED.clear()
 
 
@@ -70,8 +71,7 @@ def _forbid_synthesis(monkeypatch):
 
 class TestPublishAttach:
     def test_shm_roundtrip_is_bit_identical(self, cohort_records):
-        with DatasetPlane.publish(cohort_records, backend="shm") as plane:
-            assert plane.manifest.backend == "shm"
+        with DatasetPlane.publish(cohort_records) as plane:
             attached = attach_records(plane.manifest)
             assert set(attached) == set(cohort_records)
             for key, record in cohort_records.items():
@@ -83,75 +83,33 @@ class TestPublishAttach:
                 assert attached[key].sample_rate == record.sample_rate
             EXPERIMENT_CACHE.clear()  # release the views before unlink
 
-    def test_npz_roundtrip_is_bit_identical(self, cohort_records, tmp_path):
-        with DatasetPlane.publish(
-            cohort_records, backend="npz", directory=str(tmp_path)
-        ) as plane:
-            assert plane.manifest.backend == "npz"
-            attached = attach_records(plane.manifest)
-            key = next(iter(cohort_records))
-            assert np.array_equal(attached[key].ecg, cohort_records[key].ecg)
-            # npz attachment copies eagerly: deleting the artifact is safe.
-            os.unlink(plane.manifest.path)
-            assert np.array_equal(attached[key].abp, cohort_records[key].abp)
+    def test_unexpected_publish_error_propagates(self, config, monkeypatch):
+        """Only PUBLISH_ERRORS degrade a run to per-worker synthesis; a
+        genuine bug (e.g. a TypeError) must surface."""
 
-    def test_auto_falls_back_to_npz(self, cohort_records, monkeypatch, tmp_path):
-        def refuse(cls, *args):
-            raise OSError("no shared memory here")
-
-        monkeypatch.setattr(DatasetPlane, "_publish_shm", classmethod(refuse))
-        with DatasetPlane.publish(
-            cohort_records, directory=str(tmp_path)
-        ) as plane:
-            assert plane.manifest.backend == "npz"
-        assert not os.path.exists(plane.manifest.path)
-
-    def test_fallback_logs_a_structured_warning(
-        self, cohort_records, monkeypatch, tmp_path, caplog
-    ):
-        """Regression: the shm->npz fallback used to swallow the cause
-        silently; it must now warn with the error type and message."""
-
-        def refuse(cls, *args):
-            raise OSError("no shared memory here")
-
-        monkeypatch.setattr(DatasetPlane, "_publish_shm", classmethod(refuse))
-        with caplog.at_level("WARNING", logger="repro.experiments.dataplane"):
-            with DatasetPlane.publish(
-                cohort_records, directory=str(tmp_path)
-            ) as plane:
-                assert plane.manifest.backend == "npz"
-        assert any(
-            "OSError" in rec.message and "no shared memory here" in rec.message
-            for rec in caplog.records
-        )
-
-    def test_unexpected_publish_error_propagates(
-        self, cohort_records, monkeypatch
-    ):
-        """Only PUBLISH_ERRORS may trigger the fallback; a genuine bug
-        (e.g. a TypeError) must surface, not degrade to npz."""
-
-        def broken(cls, *args):
+        def broken(*args, **kwargs):
             raise TypeError("genuine bug")
 
-        monkeypatch.setattr(DatasetPlane, "_publish_shm", classmethod(broken))
-        with pytest.raises(TypeError, match="genuine bug"):
-            DatasetPlane.publish(cohort_records)
+        monkeypatch.setattr(shared_memory, "SharedMemory", broken)
+        with CohortRunner(config=config, jobs=2, with_device=False) as runner:
+            with pytest.raises(TypeError, match="genuine bug"):
+                runner.run_version("reduced", subjects=[0, 1])
+        assert leaked_segments() == []
 
-    def test_forced_shm_backend_raises_instead_of_falling_back(
+    def test_failed_publish_raises_and_unlinks(
         self, cohort_records, monkeypatch
     ):
-        def refuse(cls, *args):
-            raise OSError("no shared memory here")
+        """A publish that fails after creating its segment raises (there
+        is no other transport to fall back to) and leaves nothing in
+        ``/dev/shm``."""
 
-        monkeypatch.setattr(DatasetPlane, "_publish_shm", classmethod(refuse))
-        with pytest.raises(OSError, match="no shared memory"):
-            DatasetPlane.publish(cohort_records, backend="shm")
+        def refuse(*args, **kwargs):
+            raise BufferError("segment buffer unavailable")
 
-    def test_unknown_backend_rejected(self, cohort_records):
-        with pytest.raises(ValueError, match="backend"):
-            DatasetPlane.publish(cohort_records, backend="mmap")
+        monkeypatch.setattr(dataplane_module.np, "frombuffer", refuse)
+        with pytest.raises(BufferError, match="segment buffer unavailable"):
+            DatasetPlane.publish(cohort_records)
+        assert leaked_segments() == []
 
     def test_manifest_pickles(self, cohort_records):
         with DatasetPlane.publish(cohort_records) as plane:
@@ -208,26 +166,11 @@ class TestWorkerCacheSeeding:
             assert stats["resident_bytes"] == len(cohort_records)
             EXPERIMENT_CACHE.clear()
 
-    def test_npz_seeding_bills_real_bytes(self, cohort_records, tmp_path):
-        with DatasetPlane.publish(
-            cohort_records, backend="npz", directory=str(tmp_path)
-        ) as plane:
-            EXPERIMENT_CACHE.clear()
-            seed_worker_cache(plane.manifest)
-            expected = sum(r.nbytes for r in cohort_records.values())
-            assert EXPERIMENT_CACHE.stats()["resident_bytes"] == expected
-            EXPERIMENT_CACHE.clear()
-
-    def test_attaching_a_new_plane_evicts_the_stale_one(
-        self, cohort_records, tmp_path
-    ):
+    def test_attaching_a_new_plane_evicts_the_stale_one(self, cohort_records):
         with DatasetPlane.publish(cohort_records) as first:
             attach_records(first.manifest)
             assert attached_plane_tokens() == (first.manifest.token,)
-            EXPERIMENT_CACHE.clear()  # release the first plane's views
-            with DatasetPlane.publish(
-                cohort_records, backend="npz", directory=str(tmp_path)
-            ) as second:
+            with DatasetPlane.publish(cohort_records) as second:
                 attach_records(second.manifest)
                 assert attached_plane_tokens() == (second.manifest.token,)
 
@@ -335,7 +278,7 @@ class TestRunnerPlane:
     def test_publish_failure_degrades_to_per_worker_synthesis(
         self, config, monkeypatch, caplog
     ):
-        def refuse(records, backend="auto", directory=None):
+        def refuse(records):
             raise OSError("plane refused")
 
         monkeypatch.setattr(
@@ -350,6 +293,28 @@ class TestRunnerPlane:
         # The degradation is no longer silent: the cause is logged.
         assert any(
             "OSError" in rec.message and "plane refused" in rec.message
+            for rec in caplog.records
+        )
+
+    def test_shared_memory_failure_degrades_to_per_worker_synthesis(
+        self, config, monkeypatch, caplog
+    ):
+        """The real publish, with no usable shared memory: the run still
+        completes (each worker synthesizes its own records), leaks
+        nothing and says why."""
+
+        def refuse(*args, **kwargs):
+            raise OSError("no shared memory here")
+
+        monkeypatch.setattr(shared_memory, "SharedMemory", refuse)
+        with caplog.at_level("WARNING", logger="repro.experiments.runner"):
+            with CohortRunner(config=config, jobs=2, with_device=False) as runner:
+                outcomes = runner.run_version("reduced", subjects=[0, 1])
+        assert [o.ok for o in outcomes] == [True, True]
+        assert runner.plane is None
+        assert leaked_segments() == []
+        assert any(
+            "OSError" in rec.message and "no shared memory here" in rec.message
             for rec in caplog.records
         )
 

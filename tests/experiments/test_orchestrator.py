@@ -404,7 +404,7 @@ class TestTrajectory:
         assert study["recomputed_units"] == 3
         assert study["n_windows"] == 30
         assert {"hits", "misses", "evictions"} <= set(study["cache"])
-        assert {"publishes", "attaches"} <= set(study["dataplane"])
+        assert set(study["dataplane"]) == {"publishes", "publish_s"}
 
     def test_fully_cached_run_writes_no_trajectory(self, tmp_path):
         """A resume that recomputed nothing measured nothing: it must not

@@ -399,6 +399,34 @@ class TestLifecycle:
         session = asyncio.run(run())
         assert session.episodes is not None  # debouncer was finished
 
+    def test_ending_session_stays_in_stats_until_finalized(
+        self, trained_detectors, test_record
+    ):
+        """A session detached with windows still queued is neither live
+        nor finalized; its counts must not vanish from stats() meanwhile."""
+        detector = trained_detectors[DetectorVersion.SIMPLIFIED]
+        deliveries = _deliveries(test_record)[:8]  # 4 windows
+        seen = []
+
+        async def run():
+            gateway = IngestionGateway(
+                detector,
+                batch_size=2,
+                on_verdict=lambda _: seen.append(gateway.stats().windows_assembled),
+            )
+            async with gateway:
+                for delivered in deliveries:
+                    gateway.submit("w", delivered)
+                before = gateway.stats().windows_assembled
+                gateway.end_session("w")
+                ending = gateway.stats().windows_assembled
+                await gateway.drain()
+                return before, ending, gateway.stats().windows_assembled
+
+        before, ending, after = asyncio.run(run())
+        assert (before, ending, after) == (4, 4, 4)
+        assert seen == [4, 4, 4, 4]
+
     def test_lost_halves_count_per_session(self, trained_detectors, test_record):
         """Dropping one half of a window surfaces as an incomplete window
         in the gateway stats, never a verdict."""
