@@ -5,12 +5,15 @@ seconds -- individually trivial, collectively a throughput problem if
 every window pays the per-call overhead of scoring it alone.  The
 gateway keeps per-wearer state in :class:`~repro.gateway.session
 .WearerSession` objects and pushes every *assembled* window into one
-shared micro-batch queue; a single batcher task drains the queue, groups
-windows by the fitted detector their session's tier selected, and scores
-each group in one :meth:`~repro.core.detector.SIFTDetector
-.decision_values` call.  Batched scores are bit-identical to scoring
-each window alone, and the queue is FIFO, so every session observes exactly the
-verdict sequence a per-wearer sequential run would have produced -- the
+shared micro-batch queue; a single batcher task drains the queue and
+hands each batch to one long-lived scorer thread, which groups windows
+by the fitted detector their session's tier selected and scores each
+group in one :meth:`~repro.core.detector.SIFTDetector.decision_values`
+call.  The result comes back to the loop with one
+``call_soon_threadsafe``, and the verdicts are applied there.  Batched
+scores are bit-identical to scoring each window alone, and batches
+retire in FIFO order, so every session observes exactly the verdict
+sequence a per-wearer sequential run would have produced -- the
 micro-batching is invisible except in throughput.
 
 Backpressure is explicit, never silent:
@@ -32,6 +35,8 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
+import queue
+import threading
 import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Mapping
@@ -113,6 +118,16 @@ class GatewayStats:
     @property
     def mean_batch_size(self) -> float:
         return self.batched_windows / self.batches if self.batches else 0.0
+
+
+def _settle(future: asyncio.Future, result: object, error: Exception | None) -> None:
+    """Resolve a scoring job's future on the loop, unless it was cancelled."""
+    if future.cancelled():
+        return
+    if error is not None:
+        future.set_exception(error)
+    else:
+        future.set_result(result)
 
 
 def _add_session(stats: GatewayStats, session: WearerSession) -> None:
@@ -217,6 +232,10 @@ class IngestionGateway:
         # of _sessions, not yet finalized into the record.
         self._ending: set[WearerSession] = set()
         self._batcher_task: asyncio.Task | None = None
+        # Batches the batcher hands to the scorer thread, each with the
+        # loop future its result settles; None stops the thread.
+        self._jobs: queue.SimpleQueue = queue.SimpleQueue()
+        self._scorer: threading.Thread | None = None
         self._closing = False
         self._inflight_total = 0
         # Set exactly when no window is queued or being scored.
@@ -226,13 +245,16 @@ class IngestionGateway:
     # -- lifecycle ------------------------------------------------------
 
     def start(self) -> None:
-        """Start the scoring backend and spawn the batcher task."""
+        """Start the scoring backend, the scorer thread and the batcher task."""
         if self._batcher_task is not None:
             raise RuntimeError("gateway already started")
+        loop = asyncio.get_running_loop()
         self.backend.start()
-        self._batcher_task = asyncio.get_running_loop().create_task(
-            self._batch_loop()
+        self._scorer = threading.Thread(
+            target=self._score_jobs, args=(loop,), name="gateway-scorer", daemon=True
         )
+        self._scorer.start()
+        self._batcher_task = loop.create_task(self._batch_loop())
 
     async def __aenter__(self) -> "IngestionGateway":
         self.start()
@@ -257,10 +279,13 @@ class IngestionGateway:
         if not self._closing:
             self._closing = True
             await self._queue.put(_STOP)
-        await self._batcher_task
+        try:
+            await self._batcher_task
+        finally:
+            await self._stop_scorer()
+            self.backend.close()
         for wearer_id in list(self._sessions):
             self.end_session(wearer_id)
-        self.backend.close()
 
     async def abort(self) -> None:
         """Simulate a crash: stop dead, *without* draining or finalizing.
@@ -281,7 +306,17 @@ class IngestionGateway:
             await self._batcher_task
         except asyncio.CancelledError:
             pass
+        # Closing the backend first fails a batch still scoring in the
+        # child over to the degraded leg, so the join below is short.
         self.backend.close()
+        await self._stop_scorer()
+
+    async def _stop_scorer(self) -> None:
+        """Stop the scorer thread after its current job; join it off-loop."""
+        scorer, self._scorer = self._scorer, None
+        if scorer is not None:
+            self._jobs.put(None)
+            await asyncio.to_thread(scorer.join)
 
     # -- sessions -------------------------------------------------------
 
@@ -409,27 +444,46 @@ class IngestionGateway:
                     break
                 batch.append(nxt)
             # Scoring is CPU/pipe work and must not hold the event loop
-            # (ASYNC001): compute off-loop, then apply the verdicts on
-            # the loop.  The single batcher task awaits each batch in
-            # turn, so batches still retire strictly in FIFO order and
-            # the bit-identity contract is untouched.
-            scores, unscorable = await asyncio.to_thread(
-                self._compute_scores, batch
-            )
+            # (ASYNC001): the scorer thread computes it, then the
+            # verdicts are applied on the loop.  The single batcher task
+            # awaits each batch in turn, so batches still retire
+            # strictly in FIFO order and the bit-identity contract is
+            # untouched.
+            future = asyncio.get_running_loop().create_future()
+            self._jobs.put((batch, future))
+            scores, unscorable = await future
             self._apply_batch(batch, scores, unscorable)
+
+    def _score_jobs(self, loop: asyncio.AbstractEventLoop) -> None:
+        """The scorer thread: score each queued batch, settle its future.
+
+        Each result (or exception) goes back with one
+        ``call_soon_threadsafe``.  A job whose loop has closed has no
+        one left to read its result, so it is dropped.
+        """
+        while (job := self._jobs.get()) is not None:
+            batch, future = job
+            try:
+                outcome = (self._compute_scores(batch), None)
+            except Exception as exc:  # surfaces from the awaiting batcher
+                outcome = (None, exc)
+            try:
+                loop.call_soon_threadsafe(_settle, future, *outcome)
+            except RuntimeError:  # the loop is closed
+                pass
 
     def _compute_scores(
         self, batch: list[_PendingWindow]
     ) -> tuple[dict[int, float], set[int]]:
-        """Score one micro-batch (runs on a worker thread, loop-free).
+        """Score one micro-batch (runs on the scorer thread, loop-free).
 
         Windows are grouped by the tier key their session's detector
         selected; each group is one :meth:`ScoringBackend.score` call
         (the in-process backend makes that exactly the batched
         ``decision_values``).  Touches no session or gateway state --
         all bookkeeping, counters included, happens loop-side in
-        :meth:`_apply_batch`, so :meth:`stats` never reads a record a
-        worker thread is writing.  A group whose
+        :meth:`_apply_batch`, so :meth:`stats` never reads a record the
+        scorer thread is writing.  A group whose
         backend exhausts the whole supervision ladder
         (:class:`ScoringUnavailable`) is marked unscorable so the loop
         side abstains window by window: time advances, no vote is cast,

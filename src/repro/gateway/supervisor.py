@@ -12,10 +12,11 @@ two implementations:
 * :class:`SupervisedScoringBackend` -- scoring in a child process,
   watched like a supervision tree watches a worker:
 
-  - a **heartbeat watchdog**: the child beats every
-    ``heartbeat_interval_s``; a silent child is declared *stalled* after
-    ``heartbeat_timeout_s`` even if the pipe is technically open (a
-    GIL-holding native spin never answers, but it also never beats);
+  - a **heartbeat watchdog**: while it scores a batch the child beats
+    every ``heartbeat_interval_s`` (an idle child is silent); a silent
+    batch is declared *stalled* after ``heartbeat_timeout_s`` even if
+    the pipe is technically open (a GIL-holding native spin never
+    answers, but it also never beats);
   - a **per-batch timeout** (``batch_timeout_s``): a batch that beats but
     never finishes is declared *timed out*;
   - **bounded retry with exponential backoff**: every failure kills
@@ -34,11 +35,17 @@ degraded leg cannot score either raises :class:`ScoringUnavailable`
 conservation invariant ``verdicts + shed + incomplete + vanished ==
 sent`` closes under *any* fault schedule.
 
+Nothing is pickled per batch.  A request carries each window's raw
+sample and peak buffers behind a small metadata header
+(:func:`_encode_windows`); the child scores ``np.frombuffer`` views of
+them, and the reply carries the decision values as raw ``float64``
+bytes.
+
 Determinism: the same fitted detectors produce bit-identical decision
-values in the child and in the parent (same arrays, same BLAS), and
-pickling ``float64`` results over the pipe is exact -- with zero
-injected faults the supervised gateway's verdict stream is bit-identical
-to the in-process one.  Fault injection for the chaos harness happens
+values in the child and in the parent (same arrays, same BLAS), and raw
+buffers cross the pipe exactly -- with zero injected faults the
+supervised gateway's verdict stream is bit-identical to the in-process
+one.  Fault injection for the chaos harness happens
 *child-side* via a ``fault_plan`` (see :mod:`repro.faults.runtime`) keyed
 by a global request ordinal, so fault schedules are reproducible and
 retries (fresh ordinals) are not re-poisoned unless the plan says so.
@@ -47,11 +54,13 @@ retries (fresh ordinals) are not re-poisoned unless the plan says so.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import os
+import struct
 import threading
 import time
 from dataclasses import dataclass
-from multiprocessing import get_context
+from multiprocessing import get_all_start_methods, get_context
 from multiprocessing.connection import Connection
 from typing import Mapping, Protocol, Sequence, runtime_checkable
 
@@ -197,25 +206,144 @@ class ScorerFault(RuntimeError):
         self.detail = detail
 
 
+# -- the wire format ----------------------------------------------------
+
+#: Every message starts with this header: a four-byte kind, an item
+#: count and the request ordinal.  It is 16 bytes, so a payload that
+#: follows it starts 8-byte aligned.
+_HEADER = struct.Struct("<4sIQ")
+#: One window's metadata in a score request: the dtype strings of its
+#: ECG, ABP, R-peak and systolic-peak arrays, ``sample_rate``, the
+#: sample count, the two peak counts, the UTF-8 length of
+#: ``subject_id`` and ``altered`` (-1 None, 0 False, 1 True).
+_WINDOW = struct.Struct("<4s4s4s4sdIIIIb")
+_KEY_LENGTH = struct.Struct("<I")
+_SCORE, _OK, _ERROR, _BEAT, _STOP = b"scor", b"ok  ", b"err ", b"beat", b"stop"
+_ALTERED_CODE = {None: -1, False: 0, True: 1}
+_ALTERED = {-1: None, 0: False, 1: True}
+
+
+def _padding(size: int) -> bytes:
+    """Zero bytes that bring ``size`` up to a multiple of 8."""
+    return bytes(-size % 8)
+
+
+@functools.lru_cache(maxsize=None)
+def _dtype(code: bytes) -> np.dtype:
+    return np.dtype(code.rstrip(b"\0").decode("ascii"))
+
+
+def _encode_windows(ordinal: int, key: str, windows: Sequence[SignalWindow]) -> bytes:
+    """The score request for ``windows``, one ``send_bytes`` message.
+
+    After the header come the length of the tier key, each window's
+    :data:`_WINDOW` metadata, the key and each ``subject_id``, then
+    every window's raw ECG, ABP, R-peak and systolic-peak buffers, each
+    padded to 8 bytes so the receiver's ``np.frombuffer`` views are
+    aligned.
+    """
+    key_bytes = key.encode("utf-8")
+    metadata = [
+        _HEADER.pack(_SCORE, len(windows), ordinal),
+        _KEY_LENGTH.pack(len(key_bytes)),
+    ]
+    texts = [key_bytes]
+    buffers: list[np.ndarray | bytes] = []
+    for window in windows:
+        arrays = [
+            np.ascontiguousarray(a)
+            for a in (window.ecg, window.abp, window.r_peaks, window.systolic_peaks)
+        ]
+        codes = [a.dtype.str.encode("ascii") for a in arrays]
+        if max(map(len, codes)) > 4:
+            raise ValueError(f"no raw wire form for window dtypes {codes}")
+        subject = window.subject_id.encode("utf-8")
+        metadata.append(
+            _WINDOW.pack(
+                *codes,
+                window.sample_rate,
+                arrays[0].size,
+                arrays[2].size,
+                arrays[3].size,
+                len(subject),
+                _ALTERED_CODE[window.altered],
+            )
+        )
+        texts.append(subject)
+        for array in arrays:
+            buffers += (array, _padding(array.nbytes))
+    size = sum(map(len, metadata)) + sum(map(len, texts))
+    return b"".join([*metadata, *texts, _padding(size), *buffers])
+
+
+def _decode_windows(data: bytes) -> tuple[int, str, list[SignalWindow]]:
+    """``(ordinal, key, windows)`` of one :func:`_encode_windows` request.
+
+    The arrays are read-only ``np.frombuffer`` views of ``data``, with
+    the dtypes, lengths and values the sender's windows had.
+    """
+    _, count, ordinal = _HEADER.unpack_from(data)
+    (key_length,) = _KEY_LENGTH.unpack_from(data, _HEADER.size)
+    text = _HEADER.size + _KEY_LENGTH.size
+    metadata = [_WINDOW.unpack_from(data, text + i * _WINDOW.size) for i in range(count)]
+    text += count * _WINDOW.size
+    key = data[text:text + key_length].decode("utf-8")
+    text += key_length
+    offset = text + sum(meta[8] for meta in metadata)
+    offset += -offset % 8
+    windows = []
+    for ecg, abp, r, sys, rate, n, n_r, n_sys, subject_length, altered in metadata:
+        subject = data[text:text + subject_length].decode("utf-8")
+        text += subject_length
+        arrays = []
+        for code, length in ((ecg, n), (abp, n), (r, n_r), (sys, n_sys)):
+            dtype = _dtype(code)
+            arrays.append(np.frombuffer(data, dtype, length, offset))
+            offset += length * dtype.itemsize
+            offset += -offset % 8
+        windows.append(
+            SignalWindow(
+                *arrays, sample_rate=rate, subject_id=subject, altered=_ALTERED[altered]
+            )
+        )
+    return ordinal, key, windows
+
+
 # -- the child ----------------------------------------------------------
 
 
-def _heartbeat_loop(
-    conn: Connection,
-    send_lock: threading.Lock,
-    interval_s: float,
-    paused: threading.Event,
-) -> None:
-    """Child-side daemon: beat until the pipe dies or a stall is staged."""
-    while True:
-        time.sleep(interval_s)
-        if paused.is_set():
-            continue
-        try:
-            with send_lock:
-                conn.send(("hb", time.time()))
-        except (BrokenPipeError, OSError):
-            return
+class _Heartbeat:
+    """Child-side beater: beats every interval while a batch is scored.
+
+    The scoring loop sets ``busy`` when a request arrives and clears it
+    in :meth:`reply`, under the send lock, so no beat follows a reply
+    and an idle child writes nothing to the pipe.  A GIL-holding spin
+    still silences the beats: the beater never gets to run.
+    """
+
+    def __init__(self, conn: Connection, interval_s: float) -> None:
+        self.conn = conn
+        self.interval_s = interval_s
+        self.busy = False
+        self._send_lock = threading.Lock()
+
+    def run(self) -> None:
+        beat = _HEADER.pack(_BEAT, 0, 0)
+        while True:
+            time.sleep(self.interval_s)
+            if not self.busy:
+                continue
+            try:
+                with self._send_lock:
+                    if self.busy:
+                        self.conn.send_bytes(beat)
+            except (BrokenPipeError, OSError):
+                return
+
+    def reply(self, message: bytes) -> None:
+        with self._send_lock:
+            self.busy = False
+            self.conn.send_bytes(message)
 
 
 def _scorer_child_main(
@@ -226,29 +354,26 @@ def _scorer_child_main(
 ) -> None:
     """Entry point of the isolated scorer process.
 
-    Protocol (parent -> child): ``("score", ordinal, key, windows)`` or
-    ``("stop",)``.  Child -> parent: ``("hb", wallclock)`` heartbeats,
-    ``("ok", ordinal, values)`` results, ``("err", ordinal, message)``
-    for batches that raised (poison).  ``fault_plan`` is consulted per
-    request ordinal to act out the chaos harness's schedule *inside*
-    the child -- where real faults would occur.
+    Protocol: every message is one ``send_bytes`` buffer that starts
+    with a :data:`_HEADER`.  Parent -> child: a score request
+    (:func:`_encode_windows`) or ``stop``.  Child -> parent: ``beat``
+    while a request is being scored, ``ok`` with the decision values as
+    raw ``float64`` bytes, or ``err`` with a UTF-8 message for a batch
+    that raised (poison).  ``fault_plan`` is consulted per request
+    ordinal to act out the chaos harness's schedule *inside* the child
+    -- where real faults would occur.
     """
-    send_lock = threading.Lock()
-    stall = threading.Event()
-    beater = threading.Thread(
-        target=_heartbeat_loop,
-        args=(conn, send_lock, heartbeat_interval_s, stall),
-        daemon=True,
-    )
-    beater.start()
+    heartbeat = _Heartbeat(conn, heartbeat_interval_s)
+    threading.Thread(target=heartbeat.run, daemon=True).start()
     while True:
         try:
-            message = conn.recv()
+            data = conn.recv_bytes()
         except (EOFError, OSError):
             return
-        if message[0] == "stop":
+        message_kind, _, ordinal = _HEADER.unpack_from(data)
+        if message_kind == _STOP:
             return
-        _, ordinal, key, windows = message
+        heartbeat.busy = True
         action = None
         if fault_plan is not None:
             action = fault_plan.action_for(ordinal)  # type: ignore[attr-defined]
@@ -259,22 +384,23 @@ def _scorer_child_main(
             if kind == "stall":
                 # A wedged process neither beats nor answers; park until
                 # the parent gives up and kills us.
-                stall.set()
+                heartbeat.busy = False
                 time.sleep(3600.0)
             if kind == "slow":
                 time.sleep(delay_s)
             if kind == "poison":
-                with send_lock:
-                    conn.send(("err", ordinal, "injected poison batch"))
+                heartbeat.reply(
+                    _HEADER.pack(_ERROR, 0, ordinal) + b"injected poison batch"
+                )
                 continue
         try:
-            values = detectors[key].decision_values(windows)
+            _, key, windows = _decode_windows(data)
+            values = np.asarray(detectors[key].decision_values(windows), np.float64)
         except Exception as exc:  # noqa: BLE001 -- reported, not raised
-            with send_lock:
-                conn.send(("err", ordinal, f"{type(exc).__name__}: {exc}"))
+            detail = f"{type(exc).__name__}: {exc}".encode("utf-8")
+            heartbeat.reply(_HEADER.pack(_ERROR, 0, ordinal) + detail)
             continue
-        with send_lock:
-            conn.send(("ok", ordinal, values))
+        heartbeat.reply(_HEADER.pack(_OK, values.size, ordinal) + values.tobytes())
 
 
 # -- the parent ---------------------------------------------------------
@@ -354,7 +480,7 @@ class SupervisedScoringBackend:
         self.breaker_threshold = int(breaker_threshold)
         self.breaker_cooldown_batches = int(breaker_cooldown_batches)
         self.fault_plan = fault_plan
-        self._ctx = get_context("fork" if "fork" in _start_methods() else "spawn")
+        self._ctx = get_context("fork" if "fork" in get_all_start_methods() else "spawn")
         self._process = None
         self._conn: Connection | None = None
         self._started = False
@@ -374,9 +500,9 @@ class SupervisedScoringBackend:
             self._spawn()
 
     def _spawn(self) -> None:
-        # Refuse to respawn once closed: scoring now runs on a worker
-        # thread, so a restart attempt can race close()/abort() -- a
-        # child spawned after close() would leak.  The thread's next
+        # Refuse to respawn once closed: scoring runs on the gateway's
+        # scorer thread, so a restart attempt can race close()/abort() --
+        # a child spawned after close() would leak.  The thread's next
         # _request then fails as a crash and the ladder falls through to
         # the degraded leg instead.
         if not self._started:
@@ -434,7 +560,7 @@ class SupervisedScoringBackend:
         conn = self._conn
         if conn is not None:
             try:
-                conn.send(("stop",))
+                conn.send_bytes(_HEADER.pack(_STOP, 0, 0))
             except (BrokenPipeError, OSError):
                 pass
         self._kill_child()
@@ -524,7 +650,7 @@ class SupervisedScoringBackend:
         self.requests_sent += 1
         ordinal = self.requests_sent
         try:
-            conn.send(("score", ordinal, key, list(windows)))
+            conn.send_bytes(_encode_windows(ordinal, key, windows))
         except (BrokenPipeError, OSError) as exc:
             raise ScorerFault("crash", f"send failed: {exc}") from None
         started = time.perf_counter()
@@ -546,29 +672,20 @@ class SupervisedScoringBackend:
                     raise ScorerFault("crash", "scorer child died mid-batch")
                 continue
             try:
-                message = conn.recv()
+                reply = conn.recv_bytes()
             except (EOFError, OSError):
                 raise ScorerFault("crash", "pipe closed mid-batch") from None
-            if message[0] == "hb":
+            kind, count, got_ordinal = _HEADER.unpack_from(reply)
+            if kind == _BEAT:
                 last_beat = time.perf_counter()
                 continue
-            if message[0] == "err":
-                _, got_ordinal, detail = message
-                if got_ordinal != ordinal:
-                    continue  # stale reply from a previous incarnation
-                raise ScorerFault("poison", detail)
-            _, got_ordinal, values = message
             if got_ordinal != ordinal:
                 continue  # stale reply from before a restart
-            return np.asarray(values, dtype=np.float64)
+            if kind == _ERROR:
+                raise ScorerFault("poison", reply[_HEADER.size:].decode("utf-8"))
+            return np.frombuffer(reply, np.float64, count, _HEADER.size).copy()
 
     # -- accounting -----------------------------------------------------
 
     def stats(self) -> SupervisorStats:
         return dataclasses.replace(self._stats)
-
-
-def _start_methods() -> list[str]:
-    import multiprocessing
-
-    return multiprocessing.get_all_start_methods()

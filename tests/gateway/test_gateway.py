@@ -11,6 +11,7 @@ else here is the backpressure and lifecycle accounting contract.
 import asyncio
 import copy
 import dataclasses
+import multiprocessing
 import threading
 import time
 
@@ -20,7 +21,12 @@ import pytest
 from repro.adaptive.degradation import DegradationController
 from repro.core.streaming import StreamingDetector
 from repro.core.versions import DetectorVersion
-from repro.gateway import IngestionGateway, InProcessBackend, window_from_slot
+from repro.gateway import (
+    IngestionGateway,
+    InProcessBackend,
+    SupervisedScoringBackend,
+    window_from_slot,
+)
 from repro.signals.quality import SignalQualityIndex
 from repro.wiot.channel import DeliveredPacket
 from repro.wiot.sensor import BodySensor
@@ -46,6 +52,15 @@ def _windows_of(deliveries):
     for e, a in zip(deliveries[0::2], deliveries[1::2]):
         windows.append(window_from_slot({"ecg": e, "abp": a}))
     return windows
+
+
+#: Millisecond-scale watchdog for the supervised lifecycle tests.
+_FAST_WATCHDOG = dict(
+    heartbeat_interval_s=0.01,
+    heartbeat_timeout_s=0.15,
+    batch_timeout_s=5.0,
+    backoff_base_s=0.01,
+)
 
 
 async def _drive(gateway, streams):
@@ -524,6 +539,149 @@ class TestLifecycle:
         assert stats.windows_abstained == batch_sizes[1]
         assert stats.windows_assembled == 40
         assert stats.verdicts + stats.windows_shed == stats.windows_assembled
+
+    def test_shutdown_stops_the_scorer_thread_and_the_child(
+        self, trained_detectors, test_record
+    ):
+        detector = trained_detectors[DetectorVersion.SIMPLIFIED]
+        backend = SupervisedScoringBackend(
+            {detector.version.value: detector}, **_FAST_WATCHDOG
+        )
+        gateway = IngestionGateway(detector, backend=backend)
+        scorers = []
+
+        async def run():
+            async with gateway:
+                scorers.append(gateway._scorer)
+                for delivered in _deliveries(test_record):
+                    gateway.submit("w", delivered)
+                    await asyncio.sleep(0)
+
+        asyncio.run(run())
+        assert not scorers[0].is_alive()
+        assert not multiprocessing.active_children()
+        assert gateway.stats().windows_scored == 20
+        assert backend.stats().scored_isolated == 20
+
+    def test_abort_mid_batch_stops_the_scorer_thread_and_the_child(
+        self, trained_detectors, test_record
+    ):
+        """``abort()`` while the scorer thread is blocked inside
+        ``backend.score``: closing the backend releases it, its late
+        result is dropped, and nothing -- thread, child, exception --
+        outlives the abort."""
+        detector = trained_detectors[DetectorVersion.SIMPLIFIED]
+        scoring, release = threading.Event(), threading.Event()
+
+        class BlockedBackend(SupervisedScoringBackend):
+            def score(self, key, windows):
+                scoring.set()
+                release.wait(10.0)
+                return super().score(key, windows)
+
+            def close(self):
+                release.set()
+                super().close()
+
+        backend = BlockedBackend(
+            {detector.version.value: detector}, **_FAST_WATCHDOG
+        )
+        verdicts = []
+        gateway = IngestionGateway(
+            detector, backend=backend, on_verdict=verdicts.append
+        )
+        scorers, loop_errors = [], []
+
+        async def run():
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: loop_errors.append(context)
+            )
+            gateway.start()
+            scorers.append(gateway._scorer)
+            for delivered in _deliveries(test_record)[:4]:
+                gateway.submit("w", delivered)
+            await asyncio.to_thread(scoring.wait, 10.0)
+            await gateway.abort()
+
+        asyncio.run(run())
+        assert scoring.is_set()
+        assert loop_errors == []
+        assert not scorers[0].is_alive()
+        assert not multiprocessing.active_children()
+        assert verdicts == []  # the aborted batch's result was dropped
+
+    def test_result_after_the_loop_closed_is_dropped(
+        self, trained_detectors, test_record
+    ):
+        """A gateway whose loop ends without shutdown: the batch still
+        scoring then finds the loop closed, and the scorer thread drops
+        the result instead of raising."""
+        detector = trained_detectors[DetectorVersion.SIMPLIFIED]
+        scoring, release, scored = (threading.Event() for _ in range(3))
+
+        class BlockedBackend(InProcessBackend):
+            def score(self, key, windows):
+                scoring.set()
+                release.wait(10.0)
+                try:
+                    return super().score(key, windows)
+                finally:
+                    scored.set()
+
+        gateway = IngestionGateway(
+            detector, backend=BlockedBackend({detector.version.value: detector})
+        )
+
+        async def run():
+            gateway.start()
+            for delivered in _deliveries(test_record)[:2]:
+                gateway.submit("w", delivered)
+            await asyncio.to_thread(scoring.wait, 10.0)
+
+        asyncio.run(run())
+        scorer = gateway._scorer
+        release.set()
+        assert scored.wait(10.0)
+        gateway._jobs.put(None)  # what shutdown() would have sent
+        scorer.join(10.0)
+        assert not scorer.is_alive()
+
+    def test_backend_error_surfaces_from_shutdown(self, trained_detectors, test_record):
+        """An exception other than ``ScoringUnavailable`` is a bug, not a
+        bad batch: it ends the batcher and ``shutdown()`` raises it, with
+        the scorer thread stopped all the same."""
+        detector = trained_detectors[DetectorVersion.SIMPLIFIED]
+
+        class BrokenBackend(InProcessBackend):
+            def score(self, key, windows):
+                raise KeyError("no such tier")
+
+        gateway = IngestionGateway(
+            detector, backend=BrokenBackend({detector.version.value: detector})
+        )
+        scorers = []
+
+        async def run():
+            gateway.start()
+            scorers.append(gateway._scorer)
+            for delivered in _deliveries(test_record)[:2]:
+                gateway.submit("w", delivered)
+            with pytest.raises(KeyError, match="no such tier"):
+                await gateway.shutdown()
+
+        asyncio.run(run())
+        assert not scorers[0].is_alive()
+
+    def test_on_verdict_error_propagates(self, trained_detectors, test_record):
+        detector = trained_detectors[DetectorVersion.SIMPLIFIED]
+
+        def sink(verdict):
+            raise ValueError("sink is down")
+
+        gateway = IngestionGateway(detector, on_verdict=sink)
+        with pytest.raises(ValueError, match="sink is down"):
+            asyncio.run(_drive(gateway, {"w": _deliveries(test_record)[:4]}))
+        assert gateway._scorer is None
 
     def test_validation(self, trained_detectors):
         detector = trained_detectors[DetectorVersion.SIMPLIFIED]

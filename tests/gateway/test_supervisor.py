@@ -7,7 +7,9 @@ poison) is detected by its own signal, retried with a child restart,
 and -- when retries run out -- absorbed by the degraded in-process
 leg, or surfaced as :class:`ScoringUnavailable` when that fails too;
 (3) the circuit breaker's closed -> open -> half-open ladder is
-deterministic (cooldown counted in batches, not seconds).
+deterministic (cooldown counted in batches, not seconds); (4) windows
+cross the pipe as raw buffers that decode to equal windows, and the
+child beats only while it scores.
 """
 
 import dataclasses
@@ -17,6 +19,9 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.core.versions import DetectorVersion
 from repro.faults.runtime import RuntimeFaultPlan
@@ -26,6 +31,8 @@ from repro.gateway import (
     SupervisedScoringBackend,
     window_from_slot,
 )
+from repro.gateway.supervisor import _decode_windows, _encode_windows
+from repro.signals.dataset import SignalWindow
 from repro.wiot.channel import DeliveredPacket
 from repro.wiot.sensor import BodySensor
 
@@ -50,6 +57,39 @@ def _windows(record):
         }
         out.append(window_from_slot(slot))
     return out
+
+
+def _mixed_batch(windows):
+    """A batch that stresses the wire format, built from real windows:
+    float32 and float64 channels mixed, a ragged (shortened) window,
+    non-contiguous views, every ``altered`` value and a non-ASCII
+    ``subject_id``."""
+
+    def shortened(w, n):
+        return dataclasses.replace(
+            w,
+            ecg=w.ecg[:n],
+            abp=w.abp[:n],
+            r_peaks=w.r_peaks[w.r_peaks < n],
+            systolic_peaks=w.systolic_peaks[w.systolic_peaks < n],
+        )
+
+    def strided(a):
+        return np.repeat(a, 2)[::2]  # equal values, not contiguous
+
+    return [
+        windows[0],
+        dataclasses.replace(windows[1], ecg=windows[1].ecg.astype(np.float64)),
+        shortened(windows[2], 700),
+        dataclasses.replace(
+            windows[3],
+            abp=strided(windows[3].abp.astype(np.float64)),
+            ecg=strided(windows[3].ecg),
+            subject_id="wearer-ü-心",
+            altered=True,
+        ),
+        dataclasses.replace(windows[4], altered=False),
+    ]
 
 
 @pytest.fixture
@@ -122,6 +162,127 @@ class TestBitIdentity:
         assert stats.crashes >= 1
         assert stats.restarts >= 1
         assert stats.batches_degraded == 0  # retry recovered it in isolation
+
+    def test_mixed_batch_matches_in_process_bitwise(
+        self, keyed, detector, test_record
+    ):
+        windows = _mixed_batch(_windows(test_record))
+        key = detector.version.value
+        reference = InProcessBackend(keyed).score(key, windows)
+        backend = SupervisedScoringBackend(keyed, **FAST)
+        backend.start()
+        try:
+            got = backend.score(key, windows)
+        finally:
+            backend.close()
+        assert got.dtype == np.float64
+        assert got.tobytes() == reference.tobytes()
+        assert backend.stats().scored_isolated == len(windows)
+
+
+@st.composite
+def _wire_window(draw):
+    """Any window the wire format carries: ragged length (0 included),
+    float32 or float64 per channel, possibly a non-contiguous view."""
+    n = draw(st.integers(0, 40))
+    channels = []
+    for _ in range(2):
+        dtype = draw(st.sampled_from([np.float32, np.float64]))
+        step = draw(st.integers(1, 3))
+        channels.append(draw(hnp.arrays(dtype, n * step))[::step])
+    peaks = [
+        draw(
+            hnp.arrays(
+                draw(st.sampled_from([np.intp, np.int32])),
+                st.integers(0, 4),
+                elements=st.integers(0, 10_000),
+            )
+        )
+        for _ in range(2)
+    ]
+    return SignalWindow(
+        ecg=channels[0],
+        abp=channels[1],
+        r_peaks=peaks[0],
+        systolic_peaks=peaks[1],
+        sample_rate=draw(st.floats(1.0, 1e4)),
+        subject_id=draw(st.text(max_size=8)),
+        altered=draw(st.sampled_from([None, True, False])),
+    )
+
+
+#: A one-window batch of one sample, with an empty peak array.
+_ONE_SAMPLE = SignalWindow(
+    ecg=np.array([1.5], dtype=np.float32),
+    abp=np.array([np.nan]),
+    r_peaks=np.array([], dtype=np.intp),
+    systolic_peaks=np.array([0]),
+    sample_rate=360.0,
+    subject_id="sujet-é",
+)
+
+
+class TestWireFormat:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        key=st.text(min_size=1, max_size=12),
+        windows=st.lists(_wire_window(), min_size=1, max_size=5),
+    )
+    @example(key="original", windows=[_ONE_SAMPLE])
+    def test_encode_decode_round_trip(self, key, windows):
+        ordinal, got_key, decoded = _decode_windows(_encode_windows(7, key, windows))
+        assert (ordinal, got_key) == (7, key)
+        assert len(decoded) == len(windows)
+        for want, got in zip(windows, decoded):
+            for name in ("ecg", "abp", "r_peaks", "systolic_peaks"):
+                a, b = getattr(want, name), getattr(got, name)
+                assert b.dtype == a.dtype
+                assert b.shape == a.shape
+                assert b.tobytes() == a.tobytes()  # bitwise, NaNs included
+                assert b.ctypes.data % 8 == 0
+            assert got.sample_rate == want.sample_rate
+            assert got.subject_id == want.subject_id
+            assert got.altered is want.altered
+
+
+class TestHeartbeat:
+    def test_idle_child_sends_nothing(self, keyed, detector, test_record):
+        """Beats come only while a batch is scored: an idle child, just
+        started or just done with a batch, leaves the pipe empty."""
+        interval = FAST["heartbeat_interval_s"]
+        backend = SupervisedScoringBackend(keyed, **FAST)
+        backend.start()
+        try:
+            time.sleep(10 * interval)
+            assert not backend._conn.poll(0)
+            backend.score(detector.version.value, _windows(test_record)[:2])
+            time.sleep(10 * interval)
+            assert not backend._conn.poll(0)
+        finally:
+            backend.close()
+
+    def test_slow_batch_under_the_heartbeat_timeout_is_no_fault(
+        self, keyed, detector, test_record
+    ):
+        """A batch that scores for several beat intervals keeps beating,
+        so it is neither a stall nor a timeout."""
+        windows = _windows(test_record)[:3]
+        key = detector.version.value
+        slow_s = 6 * FAST["heartbeat_interval_s"]
+        assert slow_s < FAST["heartbeat_timeout_s"]
+        plan = RuntimeFaultPlan(slow={1: slow_s})
+        backend = SupervisedScoringBackend(keyed, fault_plan=plan, **FAST)
+        backend.start()
+        try:
+            values = backend.score(key, windows)
+        finally:
+            backend.close()
+        stats = backend.stats()
+        assert stats.faults == 0
+        assert stats.restarts == 0
+        assert stats.scored_isolated == len(windows)
+        reference = InProcessBackend(keyed).score(key, windows)
+        assert values.tobytes() == reference.tobytes()
 
 
 class TestFaultLadder:
@@ -233,6 +394,30 @@ class TestFaultLadder:
         assert stats.windows_unscorable == len(windows)
         assert stats.batches_degraded == 0
 
+    def test_nan_in_a_mixed_batch_takes_the_same_path(
+        self, keyed, detector, test_record
+    ):
+        """A NaN in a float64 channel of a mixed, ragged batch: poisoned
+        in the child on every attempt, refused by the degraded leg,
+        surfaced as unscorable."""
+        windows = _mixed_batch(_windows(test_record))
+        abp = windows[1].abp.astype(np.float64)
+        abp[5] = np.nan
+        windows[1] = dataclasses.replace(windows[1], abp=abp)
+        key = detector.version.value
+        backend = SupervisedScoringBackend(keyed, max_retries=1, **FAST)
+        backend.start()
+        try:
+            with pytest.raises(ScoringUnavailable):
+                backend.score(key, windows)
+        finally:
+            backend.close()
+        stats = backend.stats()
+        assert stats.poisons == 2
+        assert stats.batches_unscorable == 1
+        assert stats.windows_unscorable == len(windows)
+        assert stats.batches_degraded == 0
+
 
 class TestCircuitBreaker:
     def test_trip_cooldown_probe_and_close(self, keyed, detector, test_record):
@@ -306,7 +491,7 @@ class TestCircuitBreaker:
 
 class TestShutdownRace:
     def test_spawn_after_close_does_not_leak_a_child(self, keyed):
-        """A worker-thread restart racing ``close()`` must not respawn.
+        """A scorer-thread restart racing ``close()`` must not respawn.
 
         The scoring thread calls ``_spawn`` after a fault; if ``close``
         (or ``abort``) has already run, that respawn would leak a child
