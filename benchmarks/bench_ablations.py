@@ -6,7 +6,7 @@ the suite's runtime reasonable) and saves one table per sweep; each test
 here asserts one sweep's qualitative finding on the decoded rows.
 
 The cohort-mean sweeps honour ``--jobs N``: each setting's per-subject
-runs fan over a worker pool fed by the zero-copy dataset plane, cutting
+runs fan over a forked worker pool that inherits the parent's records, cutting
 the sweep's wall-clock without changing a single number.
 """
 

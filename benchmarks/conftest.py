@@ -2,7 +2,7 @@
 
 The study benches (the paper's Tables II/III, Fig. 3, ablations,
 robustness and universal model, plus adaptive security, chaos, the
-dataset plane, the gateway and the native core) are thin: the
+gateway and the native core) are thin: the
 :func:`orchestrate` fixture runs a registered study once per session
 through the orchestrator -- always the full protocol, so its reports
 land in ``benchmarks/results/`` exactly as ``repro orchestrate`` writes

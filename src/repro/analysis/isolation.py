@@ -1,9 +1,10 @@
 """Process-isolation contracts: the fork/pickle boundary (PROC001),
 shared-resource cleanup (SHM001) and cross-context races (RACE001).
 
-The supervised scoring child, the cohort runner's ``ProcessPoolExecutor``
-and the shared-memory dataplane all cross a process boundary, and each
-crossing has an invariant the type system cannot see:
+The supervised scoring child and the cohort runner's
+``ProcessPoolExecutor`` cross a process boundary, and so does any
+shared-memory segment; each crossing has an invariant the type system
+cannot see:
 
 * **PROC001** -- everything submitted to another process is pickled.
   Lambdas and closures (functions defined inside the submitting
@@ -13,8 +14,8 @@ crossing has an invariant the type system cannot see:
   the original).  The rule flags those argument categories at the
   submit site (``.submit`` / ``.apply_async`` / ``Process(target=...,
   args=...)``), where the fix is obvious: pass module-level functions
-  and plain data, resolve handles child-side (the dataplane attaches by
-  *name* for exactly this reason).
+  and plain data, resolve handles child-side (a shared-memory segment
+  is attached by *name* for exactly this reason).
 * **SHM001** -- a ``SharedMemory(create=True)`` segment outlives its
   creator unless unlinked; a ``mkstemp``/``delete=False`` tempfile
   outlives the run unless removed.  Every create must carry cleanup

@@ -11,9 +11,9 @@
 - :mod:`~repro.experiments.ablations` -- the design-choice studies
   DESIGN.md calls out (window size, grid size, training duration, feature
   classes, classifier, fixed-point precision, attack types);
-- :mod:`~repro.experiments.dataplane` -- the zero-copy dataset plane:
-  cohort recordings serialized once into shared memory and attached
-  (not rebuilt) by :class:`CohortRunner` workers;
+- :mod:`~repro.experiments.runner` -- :class:`CohortRunner`, the
+  parallel cohort fan-out: the parent realizes the cohort's records
+  once and forked workers inherit them;
 - :mod:`~repro.experiments.orchestrator` -- the checkpointed driver over
   the whole study matrix: resumable JSONL unit checkpoints and
   zero-compute report re-evaluation;
@@ -42,12 +42,7 @@ from repro.experiments.cache import (
     entry_cost,
     set_cache_budget,
 )
-from repro.experiments.dataplane import (
-    DatasetPlane,
-    PlaneManifest,
-    leaked_segments,
-    realize_cohort_records,
-)
+from repro.experiments.dataplane import leaked_segments
 from repro.experiments.fig3 import Fig3Result, format_fig3, run_fig3
 from repro.experiments.orchestrator import (
     CheckpointStore,
@@ -58,6 +53,7 @@ from repro.experiments.pipeline import (
     ExperimentConfig,
     SubjectRunResult,
     make_dataset,
+    realize_cohort_records,
     run_subject,
 )
 from repro.experiments.reporting import format_table
@@ -97,13 +93,11 @@ __all__ = [
     "CohortOutcome",
     "CohortRunner",
     "DEFAULT_CACHE_BYTES",
-    "DatasetPlane",
     "EXPERIMENT_CACHE",
     "ExperimentCache",
     "ExperimentConfig",
     "Fig3Result",
     "Orchestrator",
-    "PlaneManifest",
     "SubjectRunResult",
     "Table2Result",
     "Table3Result",

@@ -8,7 +8,7 @@ positions as the sweet spot.
 
 The cohort-mean sweeps accept ``jobs``: each swept setting fans its
 per-subject runs over a :class:`~repro.experiments.runner.CohortRunner`
-worker pool (with the zero-copy dataset plane feeding the workers), so a
+worker pool (forked after the parent realized the records), so a
 sweep costs roughly one setting's wall-clock times the number of
 settings divided by the worker count.  Results are identical at any
 ``jobs``.

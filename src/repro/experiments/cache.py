@@ -133,12 +133,10 @@ class ExperimentCache:
     def put(self, key: Hashable, value: Any, cost: int | None = None) -> None:
         """Insert (or refresh) an entry, optionally at an explicit cost.
 
-        The dataset plane seeds worker caches with records whose arrays
-        are views into a shared-memory segment; billing those at
-        :func:`entry_cost` (their apparent ``nbytes``) would charge every
-        worker for memory that exists once machine-wide, so callers may
-        override the cost.  Re-putting an existing key replaces its value
-        and refreshes its LRU recency.  Disabled caches ignore puts.
+        ``cost`` overrides :func:`entry_cost` for values whose apparent
+        ``nbytes`` is not what they hold resident.  Re-putting an
+        existing key replaces its value and refreshes its LRU recency.
+        Disabled caches ignore puts.
         """
         if not self.enabled:
             return

@@ -7,7 +7,7 @@ registered in :mod:`repro.experiments.studies`.  This module drives them:
 * **Checkpointed units.**  Every study is decomposed into *units* -- one
   detector version of Table II, one ablation sweep, one fault of the
   fault matrix.  Each completed unit appends one JSONL line (its config
-  hash, encoded result, wall-clock, windows scored, cache and dataplane
+  hash, encoded result, wall-clock, windows scored, experiment-cache
   counter deltas) to ``benchmarks/results/checkpoints/<study>.jsonl``,
   flushed and fsynced before the next unit starts.  Re-running skips
   every unit whose checkpoint carries the current config hash, so an
@@ -39,7 +39,6 @@ from typing import Any, Callable, Mapping, Sequence
 
 from repro.core.codec import decode, encode
 from repro.core.durable_log import DurableLog
-from repro.experiments import dataplane
 from repro.experiments.cache import EXPERIMENT_CACHE
 from repro.experiments.pipeline import ExperimentConfig
 from repro.experiments.studies import (
@@ -50,7 +49,6 @@ from repro.experiments.studies import (
 )
 from repro.experiments.trajectory import (
     CACHE_KEYS,
-    PLANE_KEYS,
     build_trajectory,
     write_trajectory,
 )
@@ -118,7 +116,7 @@ class CheckpointStore:
     """One JSONL checkpoint file per study, append-only, crash-tolerant.
 
     Each line is one completed unit: ``{"schema", "unit", "config_hash",
-    "payload", "wall_s", "n_windows", "p99_ms", "cache", "dataplane",
+    "payload", "wall_s", "n_windows", "p99_ms", "cache",
     "completed_at"}``, written through the shared
     :class:`~repro.core.durable_log.DurableLog`: appends are flushed
     *and* fsynced so a unit that completed before a kill is never lost;
@@ -170,7 +168,6 @@ class UnitOutcome:
     n_windows: int = 0
     p99_ms: float = 0.0
     cache: dict[str, int] = field(default_factory=dict)
-    dataplane: dict[str, float] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -318,12 +315,10 @@ class Orchestrator:
         self, study: str, ctx: StudyContext, spec: UnitSpec, unit_hash: str
     ) -> UnitOutcome:
         cache_before = EXPERIMENT_CACHE.stats()
-        plane_before = dataplane.perf_stats()
         started = time.perf_counter()
         result = spec.run(ctx)
         wall_s = time.perf_counter() - started
         cache_after = EXPERIMENT_CACHE.stats()
-        plane_after = dataplane.perf_stats()
         record = {
             "schema": CHECKPOINT_SCHEMA,
             "unit": spec.name,
@@ -335,10 +330,6 @@ class Orchestrator:
             "cache": {
                 key: int(cache_after[key]) - int(cache_before[key])
                 for key in CACHE_KEYS
-            },
-            "dataplane": {
-                key: round(plane_after[key] - plane_before[key], 6)
-                for key in PLANE_KEYS
             },
             "completed_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         }
@@ -399,5 +390,4 @@ def _outcome(spec: UnitSpec, record: Mapping[str, Any], cached: bool) -> UnitOut
         n_windows=int(record["n_windows"]),
         p99_ms=float(record["p99_ms"]),
         cache=dict(record["cache"]),
-        dataplane=dict(record["dataplane"]),
     )

@@ -29,6 +29,7 @@ __all__ = [
     "SubjectRunResult",
     "cohort_record_specs",
     "make_dataset",
+    "realize_cohort_records",
     "realize_record",
     "record_cache_key",
     "run_subject",
@@ -118,10 +119,10 @@ def record_cache_key(
 ) -> tuple:
     """The experiment-cache key of one realized recording.
 
-    Shared between :func:`realize_record` and the dataset plane
-    (:mod:`repro.experiments.dataplane`): the plane publishes records
-    under these keys and workers look them up under the same ones, so
-    the two sides cannot drift.
+    Shared between :func:`realize_record` and
+    :func:`cohort_record_specs`: the parent realizes a cohort's records
+    under these keys before its workers fork, and the workers look them
+    up under the same ones, so the two sides cannot drift.
     """
     return (
         "record",
@@ -159,10 +160,6 @@ def realize_record(
     return EXPERIMENT_CACHE.get_or_create(key, build)
 
 
-# Backwards-compatible module-private alias (older call sites and tests).
-_record = realize_record
-
-
 def cohort_record_specs(
     config: ExperimentConfig,
     dataset: SyntheticFantasia,
@@ -195,6 +192,25 @@ def cohort_record_specs(
         for donor in test_donors:
             add(donor, config.donor_duration_s, "test")
     return specs
+
+
+def realize_cohort_records(
+    config: ExperimentConfig,
+    dataset: SyntheticFantasia,
+    subjects: "list[int] | None" = None,
+) -> dict[tuple, Record]:
+    """Realize the record working set of a cohort run, cache-backed.
+
+    Returns ``{cache_key: Record}`` for every recording :func:`run_subject`
+    would touch for the given subject indices (default: the whole
+    cohort), per :func:`cohort_record_specs`.
+    """
+    return {
+        key: realize_record(dataset, subject, duration, purpose, config)
+        for key, (subject, duration, purpose) in cohort_record_specs(
+            config, dataset, subjects
+        ).items()
+    }
 
 
 def _donor_split(
@@ -230,11 +246,11 @@ def build_stream(
 
     def build() -> LabeledStream:
         _, test_donors = _donor_split(dataset, subject, config)
-        test_record = _record(
+        test_record = realize_record(
             dataset, subject, config.test_duration_s, "test", config
         )
         donor_records = [
-            _record(dataset, donor, config.donor_duration_s, "test", config)
+            realize_record(dataset, donor, config.donor_duration_s, "test", config)
             for donor in test_donors
         ]
         scenario = AttackScenario(
@@ -268,11 +284,11 @@ def train_detector(
 
     def build() -> SIFTDetector:
         train_donors, _ = _donor_split(dataset, subject, config)
-        training_record = _record(
+        training_record = realize_record(
             dataset, subject, config.train_duration_s, "train", config
         )
         donor_records = [
-            _record(dataset, donor, config.donor_duration_s, "train", config)
+            realize_record(dataset, donor, config.donor_duration_s, "train", config)
             for donor in train_donors
         ]
         detector = SIFTDetector(

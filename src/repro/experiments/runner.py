@@ -16,12 +16,11 @@ path (``jobs=1``) bit-identical to calling ``run_subject`` in a loop:
   process-local :data:`~repro.experiments.cache.EXPERIMENT_CACHE`, so a
   worker that handles several versions of the same subject trains from
   cached records.
-* **Zero-copy dataset plane** -- the parent realizes the cohort's record
-  working set once and publishes it via
-  :mod:`repro.experiments.dataplane`; workers attach shared-memory views
-  instead of re-synthesizing recordings per process (``share_dataset``,
-  on by default).  Without usable shared memory the run logs why and
-  falls back to per-worker synthesis.
+* **Records realized once, inherited by fork** -- before a pool starts,
+  the parent realizes the record working set of the run's subjects into
+  its experiment cache; the pool's workers are forked after that and
+  inherit those records copy-on-write instead of re-synthesizing them.
+  On a host without fork, each worker synthesizes its own.
 * **Broken-pool containment** -- a crashed worker (``BrokenProcessPool``)
   kills the whole pool.  Results that finished before it died are kept,
   the run's other tasks are faulted as ``broken-pool`` (the culprit
@@ -35,7 +34,6 @@ boundary; the reports it produced travel fine.
 
 from __future__ import annotations
 
-import logging
 import multiprocessing
 import os
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
@@ -43,17 +41,11 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 from repro.core.versions import DetectorVersion
-from repro.experiments.dataplane import (
-    PUBLISH_ERRORS,
-    DatasetPlane,
-    PlaneManifest,
-    realize_cohort_records,
-    seed_worker_cache,
-)
 from repro.experiments.pipeline import (
     ExperimentConfig,
     SubjectRunResult,
     make_dataset,
+    realize_cohort_records,
     run_subject,
 )
 from repro.signals.dataset import SyntheticFantasia
@@ -65,8 +57,6 @@ __all__ = [
     "effective_workers",
     "require_results",
 ]
-
-logger = logging.getLogger(__name__)
 
 
 def effective_workers(jobs: int) -> int:
@@ -177,19 +167,13 @@ def _run_subject_task(
     subject_index: int,
     version_name: str,
     with_device: bool,
-    plane_manifest: PlaneManifest | None,
 ) -> tuple[SubjectRunResult | None, tuple[str, str] | None]:
     """Top-level (picklable) per-subject task with error capture.
 
-    ``plane_manifest`` (when given) attaches the parent's published
-    dataset plane and seeds this worker's cache with zero-copy record
-    views, so the task trains and evaluates without re-synthesizing any
-    recording.  Errors come back as ``(type_name, message)`` so the
-    parent can build a structured fault report.
+    Errors come back as ``(type_name, message)`` so the parent can build
+    a structured fault report.
     """
     try:
-        if plane_manifest is not None:
-            seed_worker_cache(plane_manifest)
         dataset = _worker_dataset(config)
         result = run_subject(
             dataset,
@@ -224,13 +208,6 @@ class CohortRunner:
         strip for pickling).
     with_device:
         Forwarded to ``run_subject``: also deploy on the simulated Amulet.
-    share_dataset:
-        Publish the realized cohort records once into a shared-memory
-        dataset plane and have workers attach zero-copy views instead of
-        re-synthesizing recordings per process (default).  ``False``, or
-        a publish that fails (no usable shared memory; the cause is
-        logged), leaves each worker to synthesize its own records.
-        Results are bit-identical either way; only fan-out cost changes.
 
     Each task runs once: a task that raises comes back as an
     ``"exception"`` fault, and a worker crash faults every task of that
@@ -240,12 +217,11 @@ class CohortRunner:
     calls (pool start-up costs more than a quick cohort); use it as a
     context manager, or call :meth:`close`, to release the workers.  A
     pool that broke is discarded and the next run builds a fresh one.
-    The dataset plane has the same lifetime as the runner: it is
-    published lazily on the first parallel run, survives a broken pool
-    (the next pool's workers re-attach it), and its segment is unlinked
-    by :meth:`close`/context exit, by any exception unwinding a run
-    (including ``KeyboardInterrupt``), or -- as a last resort -- when the
-    runner is garbage collected or the interpreter exits.
+    The parent realizes the run's records just before it starts a pool,
+    so the forked workers find them in their inherited cache.  A pool
+    that already exists is reused as it is: its workers synthesize any
+    record of a subject they were not forked with.  Results are
+    bit-identical either way.
     """
 
     def __init__(
@@ -253,18 +229,13 @@ class CohortRunner:
         config: ExperimentConfig | None = None,
         jobs: int = 1,
         with_device: bool = True,
-        share_dataset: bool = True,
     ) -> None:
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
         self.config = config or ExperimentConfig()
         self.jobs = int(jobs)
         self.with_device = bool(with_device)
-        self.share_dataset = bool(share_dataset)
         self._pool: ProcessPoolExecutor | None = None
-        self._plane: DatasetPlane | None = None
-        self._plane_subjects: set[int] = set()
-        self._plane_manifest: PlaneManifest | None = None
 
     @property
     def dataset(self) -> SyntheticFantasia:
@@ -272,66 +243,11 @@ class CohortRunner:
         # inherit the already-built dataset instead of rebuilding it.
         return _worker_dataset(self.config)
 
-    @property
-    def plane(self) -> DatasetPlane | None:
-        """The live dataset plane (``None`` before the first parallel run)."""
-        return self._plane
-
     def close(self) -> None:
-        """Shut down the worker pool and unlink the dataset plane."""
+        """Shut down the worker pool."""
         if self._pool is not None:
             self._pool.shutdown()
             self._pool = None
-        self._cleanup_plane()
-
-    def _cleanup_plane(self) -> None:
-        """Unlink the published segment (idempotent; workers' mappings
-        stay valid -- on Linux an attached segment survives unlinking)."""
-        plane, self._plane = self._plane, None
-        self._plane_manifest = None
-        self._plane_subjects = set()
-        if plane is not None:
-            plane.unlink()
-
-    def _ensure_plane(self, indices: list[int]) -> PlaneManifest | None:
-        """Publish (or extend) the dataset plane covering ``indices``.
-
-        The plane is reused across ``run_version`` calls as long as it
-        covers the requested subjects; asking for new subjects republishes
-        a segment covering the union (and unlinks the old one first).
-        Publishing failures degrade to per-worker synthesis -- the plane
-        is an optimization, never a correctness dependency -- but the
-        degradation is *logged*: every worker quietly re-synthesizing the
-        cohort is exactly the cost the plane exists to remove, so a run
-        that silently fell back would be undiagnosable from its numbers.
-        """
-        if not self.share_dataset:
-            return None
-        needed = set(indices)
-        if self._plane is not None and needed <= self._plane_subjects:
-            return self._plane_manifest
-        covered = needed | self._plane_subjects
-        self._cleanup_plane()
-        try:
-            records = realize_cohort_records(
-                self.config, dataset=self.dataset, subjects=sorted(covered)
-            )
-            self._plane = DatasetPlane.publish(records)
-        except PUBLISH_ERRORS as exc:
-            logger.warning(
-                "dataset-plane publish failed; workers will re-synthesize "
-                "the cohort per process: error=%s message=%r subjects=%d "
-                "jobs=%d",
-                type(exc).__name__,
-                str(exc),
-                len(covered),
-                self.jobs,
-            )
-            self._plane = None
-            return None
-        self._plane_subjects = covered
-        self._plane_manifest = self._plane.manifest
-        return self._plane_manifest
 
     def __enter__(self) -> "CohortRunner":
         return self
@@ -339,9 +255,14 @@ class CohortRunner:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        """One pool reused across run_version calls (pools are expensive)."""
+    def _ensure_pool(self, indices: list[int]) -> ProcessPoolExecutor:
+        """One pool reused across run_version calls (pools are expensive).
+
+        A new pool's workers fork at its first submit, after the parent
+        has realized the records of ``indices``, so they inherit them.
+        """
         if self._pool is None:
+            realize_cohort_records(self.config, dataset=self.dataset, subjects=indices)
             context = (
                 multiprocessing.get_context("fork")
                 if "fork" in multiprocessing.get_all_start_methods()
@@ -402,14 +323,7 @@ class CohortRunner:
         if self.jobs == 1 or len(tasks) <= 1:
             pairs = [self._run_serial(index, version) for index, version in tasks]
         else:
-            self._ensure_plane([index for index, _ in tasks])
-            try:
-                pairs = self._run_parallel(tasks)
-            except BaseException:
-                # Guaranteed unlink on every abnormal exit -- including
-                # KeyboardInterrupt -- before the exception propagates.
-                self._cleanup_plane()
-                raise
+            pairs = self._run_parallel(tasks)
         return [
             CohortOutcome(
                 subject_id=self.dataset.subjects[index].subject_id,
@@ -441,15 +355,10 @@ class CohortRunner:
         self, tasks: list[tuple[int, DetectorVersion]]
     ) -> list[tuple[SubjectRunResult | None, TaskFaultReport | None]]:
         """Submit every task to the pool at once; collect in cohort order."""
-        pool = self._ensure_pool()
+        pool = self._ensure_pool([index for index, _ in tasks])
         futures = [
             pool.submit(
-                _run_subject_task,
-                self.config,
-                index,
-                version.value,
-                self.with_device,
-                self._plane_manifest,
+                _run_subject_task, self.config, index, version.value, self.with_device
             )
             for index, version in tasks
         ]

@@ -609,39 +609,6 @@ def _adaptive_render(ctx: StudyContext, results: dict[str, Any]) -> dict[str, st
     return {"adaptive_policies": format_adaptive_policies(results["policies"])}
 
 
-def _dataplane_units(ctx: StudyContext) -> list[UnitSpec]:
-    from repro.experiments.dataplane import (
-        AcquisitionResult,
-        FanoutResult,
-        measure_acquisition,
-        measure_fanout,
-    )
-
-    return [
-        UnitSpec(
-            name="acquisition",
-            params=_params(ctx, "dataplane", unit="acquisition"),
-            run=lambda ctx: measure_acquisition(ctx.config),
-            returns=AcquisitionResult,
-        ),
-        UnitSpec(
-            name="fanout",
-            params=_params(ctx, "dataplane", unit="fanout"),
-            run=lambda ctx: measure_fanout(ctx.config),
-            returns=FanoutResult,
-        ),
-    ]
-
-
-def _dataplane_render(ctx: StudyContext, results: dict[str, Any]) -> dict[str, str]:
-    from repro.experiments.dataplane import format_acquisition, format_fanout
-
-    return {
-        "dataplane_acquisition": format_acquisition(results["acquisition"]),
-        "dataplane_fanout": format_fanout(results["fanout"]),
-    }
-
-
 #: The mid-size cohorts the ablation, universal-model and robustness
 #: reports use: full-length test streams on fewer subjects, enough for
 #: stable averages at a fraction of the 12-subject runtime.
@@ -655,15 +622,6 @@ _MID_COHORT = ExperimentConfig(
 _ROBUSTNESS_COHORT = ExperimentConfig(
     n_subjects=6,
     train_duration_s=300.0,
-    test_duration_s=120.0,
-    n_train_donors=3,
-    n_test_donors=2,
-)
-#: The dataset-plane cohort: long training records, so there is a
-#: working set worth sharing.
-_DATAPLANE_COHORT = ExperimentConfig(
-    n_subjects=6,
-    train_duration_s=600.0,
     test_duration_s=120.0,
     n_train_donors=3,
     n_test_donors=2,
@@ -683,11 +641,6 @@ def build_registry() -> dict[str, StudyDefinition]:
             "robustness", _robustness_units, _robustness_render, _ROBUSTNESS_COHORT
         ),
         StudyDefinition("adaptive", _adaptive_units, _adaptive_render),
-        # After every study that reads the experiment cache: its
-        # measurements evict it.
-        StudyDefinition(
-            "dataplane", _dataplane_units, _dataplane_render, _DATAPLANE_COHORT
-        ),
         StudyDefinition("gateway", _gateway_units, _gateway_render),
         StudyDefinition("chaos", _chaos_units, _chaos_render),
         StudyDefinition("native", _native_units, _native_render),

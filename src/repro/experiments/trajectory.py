@@ -3,8 +3,8 @@
 Every measured ``repro orchestrate`` pass ends as a sequence of
 :class:`~repro.experiments.orchestrator.StudyRun` and
 :func:`build_trajectory` folds them into one record: per-study
-wall-clock, windows/second, serving tail latency, experiment-cache and
-dataset-plane counter deltas.  :func:`write_trajectory` stamps it to
+wall-clock, windows/second, serving tail latency and experiment-cache
+counter deltas.  :func:`write_trajectory` stamps it to
 disk.  :func:`gate_against` is the regression gate: it runs alternating
 quick passes of a parent revision and of this checkout on one host, and
 :func:`compare_trajectories` judges the two lists of records.
@@ -56,10 +56,9 @@ MIN_WALL_S = 0.3
 #: 2-core host).
 MIN_P99_MS = 100.0
 
-#: The experiment-cache and dataplane counters a checkpoint line records
-#: as per-unit deltas and a trajectory sums per study.
+#: The experiment-cache counters a checkpoint line records as per-unit
+#: deltas and a trajectory sums per study.
 CACHE_KEYS = ("hits", "misses", "evictions")
-PLANE_KEYS = ("publishes", "publish_s")
 
 
 def build_trajectory(
@@ -78,10 +77,6 @@ def build_trajectory(
         fresh = [unit for unit in run.units if not unit.cached]
         wall_s = run.wall_s
         n_windows = run.n_windows
-        plane = {
-            key: sum(unit.dataplane.get(key, 0) for unit in fresh)
-            for key in PLANE_KEYS
-        }
         studies[run.name] = {
             # Serving studies report a tail latency; the worst recomputed
             # unit's p99 is the study's (a sum would be meaningless).
@@ -97,10 +92,6 @@ def build_trajectory(
             "cache": {
                 key: sum(int(unit.cache.get(key, 0)) for unit in fresh)
                 for key in CACHE_KEYS
-            },
-            "dataplane": {
-                "publishes": int(plane["publishes"]),
-                "publish_s": round(plane["publish_s"], 6),
             },
             "units_detail": [
                 {

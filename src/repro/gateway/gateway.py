@@ -278,7 +278,14 @@ class IngestionGateway:
             raise RuntimeError("gateway was never started")
         if not self._closing:
             self._closing = True
-            await self._queue.put(_STOP)
+            if not self._batcher_task.done():
+                # Race the put against the batcher: one that dies while
+                # the queue is full would otherwise leave it waiting.
+                put = asyncio.ensure_future(self._queue.put(_STOP))
+                await asyncio.wait(
+                    (put, self._batcher_task), return_when=asyncio.FIRST_COMPLETED
+                )
+                put.cancel()
         try:
             await self._batcher_task
         finally:

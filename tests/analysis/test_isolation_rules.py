@@ -2,10 +2,10 @@
 and RACE001 (cross-context writes to module state).
 
 Each planted violation proves the detection fires; the negatives pin
-the idioms the shipped subsystems rely on -- the dataplane's
-helper-based cleanup and ``weakref.finalize`` registration, the
-runner's module-level submit targets, the supervisor's pipe-carrying
-``Process`` spawn -- so the rules stay silent on the real tree.
+the idioms cleanup code relies on -- helper-based cleanup and
+``weakref.finalize`` registration, the runner's module-level submit
+targets, the supervisor's pipe-carrying ``Process`` spawn -- so the
+rules stay silent on the real tree.
 """
 
 import textwrap
@@ -169,8 +169,8 @@ class TestSharedResourceCleanup:
         assert findings == []
 
     def test_except_reraise_through_module_helper_is_evidence(self):
-        # The dataplane idiom: cleanup concentrated in one helper, the
-        # creating function reraises after calling it.
+        # Cleanup concentrated in one helper, the creating function
+        # reraises after calling it.
         findings = lint(
             """
             from multiprocessing.shared_memory import SharedMemory
@@ -229,12 +229,8 @@ class TestSharedResourceCleanup:
 
     def test_shipped_dataplane_and_snapshot_store_are_clean(self):
         analyzer = Analyzer(rules_for_codes(["SHM001"]))
-        findings = analyzer.lint_paths(
-            [
-                SRC_ROOT / "repro" / "experiments" / "dataplane.py",
-                SRC_ROOT / "repro" / "gateway" / "snapshot.py",
-            ]
-        )
+        # The snapshot store's file writes must stay SHM001-clean.
+        findings = analyzer.lint_paths([SRC_ROOT / "repro" / "gateway" / "snapshot.py"])
         assert findings == [], "\n".join(f.render() for f in findings)
 
 

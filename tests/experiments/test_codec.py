@@ -32,7 +32,6 @@ from repro.core.codec import decode, encode
 from repro.core.streaming import AttackEpisode, DebouncerState
 from repro.core.versions import DetectorVersion
 from repro.experiments.adaptive import format_adaptive_policies, run_adaptive_policies
-from repro.experiments.dataplane import AcquisitionResult, FanoutResult
 from repro.experiments.fig3 import (
     Fig3Result,
     format_fig3,
@@ -220,8 +219,6 @@ STRATEGIES: dict[Any, st.SearchStrategy] = {
     RestartChaosReport: st.builds(RestartChaosReport),
     TruncationChaosReport: st.builds(TruncationChaosReport),
     SmoSpeedup: st.builds(SmoSpeedup),
-    AcquisitionResult: st.builds(AcquisitionResult),
-    FanoutResult: st.builds(FanoutResult),
     dict[str, AdaptiveTimeline]: st.dictionaries(
         st.text(), st.builds(AdaptiveTimeline), max_size=3
     ),

@@ -130,9 +130,17 @@ class TestResume:
         orch = _orchestrator(tmp_path, registry)
         orch.run(trajectory=False)
         assert calls == ["alpha", "beta", "gamma"]
+        # A line as older builds wrote it, with the retired dataset-plane
+        # counters: same schema, so still a hit.
+        store = CheckpointStore(tmp_path / "checkpoints")
+        old = store.load("synthetic")["beta"]
+        store.append(
+            "synthetic", {**old, "dataplane": {"publishes": 0, "publish_s": 0.0}}
+        )
         run2 = orch.run(trajectory=False)
         assert calls == ["alpha", "beta", "gamma"]  # nothing recomputed
         assert all(u.cached for s in run2.studies for u in s.units)
+        assert run2.studies[0].units[1].result == {"value": "BETA"}
 
     def test_partial_checkpoints_resume_mid_matrix(self, tmp_path):
         calls: list[str] = []
@@ -404,7 +412,7 @@ class TestTrajectory:
         assert study["recomputed_units"] == 3
         assert study["n_windows"] == 30
         assert {"hits", "misses", "evictions"} <= set(study["cache"])
-        assert set(study["dataplane"]) == {"publishes", "publish_s"}
+        assert "dataplane" not in study
 
     def test_fully_cached_run_writes_no_trajectory(self, tmp_path):
         """A resume that recomputed nothing measured nothing: it must not

@@ -1,8 +1,12 @@
 """Tests for the parallel cohort runner and the experiment cache."""
 
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
+import repro.experiments.runner as runner_module
 from repro.core.versions import DetectorVersion
 from repro.experiments.cache import (
     EXPERIMENT_CACHE,
@@ -13,6 +17,7 @@ from repro.experiments.cache import (
 )
 from repro.experiments.pipeline import (
     ExperimentConfig,
+    cohort_record_specs,
     make_dataset,
     run_subject,
 )
@@ -21,6 +26,7 @@ from repro.experiments.runner import (
     CohortRunner,
     effective_workers,
 )
+from repro.signals.dataset import SyntheticFantasia
 
 
 @pytest.fixture(scope="module")
@@ -117,6 +123,92 @@ class TestCohortRunnerParallel:
             assert outcome.result.runner is None
 
 
+def _synthesis_only_in(monkeypatch, pid):
+    """Make record synthesis raise in every process but ``pid``; forked
+    workers inherit the patch."""
+    real = SyntheticFantasia.record
+
+    def record(self, *args, **kwargs):
+        if os.getpid() != pid:
+            raise AssertionError(f"worker {os.getpid()} synthesized a record")
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(SyntheticFantasia, "record", record)
+
+
+class TestForkInheritance:
+    """The parent realizes a run's records before its pool forks, so the
+    workers inherit them instead of synthesizing their own."""
+
+    def test_forked_workers_synthesize_nothing(self, config, monkeypatch):
+        EXPERIMENT_CACHE.clear()
+        _synthesis_only_in(monkeypatch, os.getpid())
+        with CohortRunner(config=config, jobs=2, with_device=False) as runner:
+            fanned = runner.run_version("reduced", subjects=[0, 1])
+        serial = CohortRunner(config=config, jobs=1, with_device=False)
+        base = serial.run_version("reduced", subjects=[0, 1])
+        assert [o.ok for o in fanned] == [True, True]
+        assert _reports(fanned) == _reports(base)
+        assert not multiprocessing.active_children()
+
+    def test_existing_pool_serves_new_subjects(self, config):
+        """A later run's new subjects are synthesized by the workers of
+        the pool that already exists, with the same results: the parent
+        realizes only what the pool was forked with."""
+        EXPERIMENT_CACHE.clear()
+        with CohortRunner(config=config, jobs=2, with_device=False) as runner:
+            runner.run_version("reduced", subjects=[0, 1])
+            pool = runner._pool
+            fanned = runner.run_version("reduced", subjects=[2, 3])
+            assert runner._pool is pool
+            forked_with = cohort_record_specs(config, runner.dataset, [0, 1])
+        assert EXPERIMENT_CACHE.stats()["misses"] == len(forked_with)
+        serial = CohortRunner(config=config, jobs=1, with_device=False)
+        assert _reports(fanned) == _reports(
+            serial.run_version("reduced", subjects=[2, 3])
+        )
+
+    def test_worker_crash_faults_as_broken_pool_then_next_run_succeeds(
+        self, config, monkeypatch, tmp_path
+    ):
+        sentinel = tmp_path / "crashed-once"
+        real = runner_module.run_subject
+
+        def crash_once(dataset, subject, version, cfg, with_device):
+            if subject is dataset.subjects[1] and not sentinel.exists():
+                sentinel.write_text("crashed")
+                os._exit(17)
+            return real(dataset, subject, version, cfg, with_device=with_device)
+
+        monkeypatch.setattr(runner_module, "run_subject", crash_once)
+        with CohortRunner(config=config, jobs=2, with_device=False) as runner:
+            crashed = runner.run_version("reduced", subjects=[0, 1])
+            again = runner.run_version("reduced", subjects=[0, 1])
+        assert sentinel.exists()
+        assert not crashed[1].ok
+        assert crashed[1].fault.kind == "broken-pool"
+        assert [o.ok for o in again] == [True, True]
+        assert not multiprocessing.active_children()
+
+
+class TestWorkerDatasetMemo:
+    def test_varying_configs_do_not_accumulate(self):
+        """Regression: the per-worker dataset memo used to keep one cohort
+        per config ever seen, growing without bound over sweeps."""
+        first = ExperimentConfig.quick()
+        second = ExperimentConfig.quick(seed=first.seed + 1)
+        runner_module._worker_dataset(first)
+        runner_module._worker_dataset(second)
+        assert list(runner_module._WORKER_DATASETS) == [
+            (second.n_subjects, second.seed, second.sample_rate)
+        ]
+
+    def test_same_config_reuses_the_memoized_dataset(self):
+        config = ExperimentConfig.quick()
+        dataset = runner_module._worker_dataset(config)
+        assert runner_module._worker_dataset(config) is dataset
+
+
 class TestExperimentCache:
     def test_get_or_create_hits(self):
         cache = ExperimentCache()
@@ -199,6 +291,33 @@ class TestExperimentCache:
         assert fresh is not first
         assert np.array_equal(fresh.svc.coef_, first.svc.coef_)
         assert fresh.svc.intercept_ == first.svc.intercept_
+
+
+class TestExperimentCachePut:
+    def test_put_uses_cost_override(self):
+        cache = ExperimentCache(max_bytes=None)
+        cache.put("k", np.zeros(1000), cost=1)
+        assert cache.stats()["resident_bytes"] == 1
+
+    def test_put_replaces_and_rebills(self):
+        cache = ExperimentCache(max_bytes=None)
+        cache.put("k", "a", cost=10)
+        cache.put("k", "b", cost=3)
+        assert cache.stats()["resident_bytes"] == 3
+        assert cache.get_or_create("k", lambda: "nope") == "b"
+
+    def test_put_refreshes_lru_recency(self):
+        cache = ExperimentCache(max_bytes=20)
+        cache.put("old", "x", cost=8)
+        cache.put("new", "y", cost=8)
+        cache.put("old", "x", cost=8)  # refresh: "new" is now the LRU entry
+        cache.put("third", "z", cost=8)
+        assert cache.get_or_create("old", lambda: "evicted") == "x"
+
+    def test_disabled_cache_ignores_put(self):
+        cache = ExperimentCache(enabled=False)
+        cache.put("k", "v")
+        assert cache.stats()["size"] == 0
 
 
 def _array_kb(fill: float) -> np.ndarray:

@@ -683,6 +683,47 @@ class TestLifecycle:
             asyncio.run(_drive(gateway, {"w": _deliveries(test_record)[:4]}))
         assert gateway._scorer is None
 
+    def test_shutdown_returns_after_the_batcher_died_on_a_full_queue(
+        self, trained_detectors, test_record
+    ):
+        """A raising ``on_verdict`` ends the batcher, then three more
+        windows fill the two-window queue: nothing will ever take the
+        stop marker off it.  ``shutdown()`` must still return, raising
+        the batcher's exception, with the scorer thread and the child
+        stopped."""
+        detector = trained_detectors[DetectorVersion.SIMPLIFIED]
+        backend = SupervisedScoringBackend(
+            {detector.version.value: detector}, **_FAST_WATCHDOG
+        )
+
+        def sink(verdict):
+            raise ValueError("sink is down")
+
+        gateway = IngestionGateway(
+            detector, backend=backend, queue_windows=2, on_verdict=sink
+        )
+        deliveries = _deliveries(test_record)
+        scorers = []
+
+        async def run():
+            gateway.start()
+            scorers.append(gateway._scorer)
+            for delivered in deliveries[:2]:
+                gateway.submit("w", delivered)
+            deadline = time.monotonic() + 10.0
+            while not gateway._batcher_task.done() and time.monotonic() < deadline:
+                await asyncio.sleep(0.01)
+            assert gateway._batcher_task.done()
+            for delivered in deliveries[2:8]:
+                gateway.submit("w", delivered)
+            assert gateway._queue.full()
+            with pytest.raises(ValueError, match="sink is down"):
+                await asyncio.wait_for(gateway.shutdown(), 3.0)
+
+        asyncio.run(run())
+        assert not scorers[0].is_alive()
+        assert not multiprocessing.active_children()
+
     def test_validation(self, trained_detectors):
         detector = trained_detectors[DetectorVersion.SIMPLIFIED]
         with pytest.raises(ValueError):
