@@ -122,12 +122,18 @@ def test_bench_fixed_point_classification(benchmark, data):
 
 
 def test_bench_peak_detection(benchmark, data):
+    """R peaks of the paper's Delta = 20 minutes of training ECG.
+
+    At this length a refractory pass that compares each candidate with
+    every peak kept so far costs far more than the detector's filters.
+    """
     from repro.signals.peaks import detect_r_peaks
 
+    ecg = data["dataset"].training_record(data["victim"]).ecg
     peaks = benchmark.pedantic(
-        lambda: detect_r_peaks(data["test"].ecg, 360.0), rounds=1, iterations=1
+        lambda: detect_r_peaks(ecg, 360.0), rounds=1, iterations=1
     )
-    assert peaks.size > 50
+    assert peaks.size > 1000
 
 
 def test_bench_occupancy_histogram(benchmark, data):

@@ -130,24 +130,6 @@ class ExperimentCache:
             self._store.move_to_end(key)
         return value
 
-    def put(self, key: Hashable, value: Any, cost: int | None = None) -> None:
-        """Insert (or refresh) an entry, optionally at an explicit cost.
-
-        ``cost`` overrides :func:`entry_cost` for values whose apparent
-        ``nbytes`` is not what they hold resident.  Re-putting an
-        existing key replaces its value and refreshes its LRU recency.
-        Disabled caches ignore puts.
-        """
-        if not self.enabled:
-            return
-        existing = self._store.pop(key, None)
-        if existing is not None:
-            self._resident_bytes -= existing[1]
-        billed = entry_cost(value) if cost is None else max(1, int(cost))
-        self._store[key] = (value, billed)
-        self._resident_bytes += billed
-        self._evict_over_budget()
-
     def _insert(self, key: Hashable, value: Any) -> None:
         self._store[key] = (value, cost := entry_cost(value))
         self._resident_bytes += cost

@@ -56,6 +56,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import os
+import selectors
 import struct
 import threading
 import time
@@ -483,6 +484,8 @@ class SupervisedScoringBackend:
         self._ctx = get_context("fork" if "fork" in get_all_start_methods() else "spawn")
         self._process = None
         self._conn: Connection | None = None
+        # Waits for the child's replies; registered once per child.
+        self._selector: selectors.BaseSelector | None = None
         self._started = False
         # The breaker state machine ("closed" | "open" | "half-open")
         # lives in the stats record's ``breaker_state``.
@@ -520,12 +523,18 @@ class SupervisedScoringBackend:
         )
         process.start()
         child_conn.close()
+        selector = selectors.DefaultSelector()
+        selector.register(parent_conn, selectors.EVENT_READ)
         self._process = process
         self._conn = parent_conn
+        self._selector = selector
 
     def _kill_child(self) -> None:
         process, self._process = self._process, None
         conn, self._conn = self._conn, None
+        selector, self._selector = self._selector, None
+        if selector is not None:
+            selector.close()
         if conn is not None:
             conn.close()
         if process is not None:
@@ -644,8 +653,9 @@ class SupervisedScoringBackend:
     def _request(self, key: str, windows: Sequence[SignalWindow]) -> np.ndarray:
         """One send/receive round trip, classifying every failure mode."""
         conn = self._conn
+        selector = self._selector
         process = self._process
-        if conn is None or process is None or not process.is_alive():
+        if conn is None or selector is None or process is None or not process.is_alive():
             raise ScorerFault("crash", "scorer child is not running")
         self.requests_sent += 1
         ordinal = self.requests_sent
@@ -667,7 +677,11 @@ class SupervisedScoringBackend:
                     "stall",
                     f"no heartbeat for {now - last_beat:.3f} s",
                 )
-            if not conn.poll(self.heartbeat_interval_s):
+            try:
+                ready = selector.select(self.heartbeat_interval_s)
+            except (OSError, ValueError):  # closed under us by close()
+                raise ScorerFault("crash", "pipe closed mid-batch") from None
+            if not ready:
                 if not process.is_alive():
                     raise ScorerFault("crash", "scorer child died mid-batch")
                 continue

@@ -16,7 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.signals.cardiac import BeatTrain
-from repro.signals.ecg import _add_motion_artifacts
+from repro.signals.ecg import (
+    _CHUNK_BEATS,
+    _add_motion_artifacts,
+    _add_rows,
+    _sample_times,
+)
 
 __all__ = ["ABPMorphology", "ABPSynthesizer"]
 
@@ -126,18 +131,15 @@ class ABPSynthesizer:
         if sample_rate <= 0:
             raise ValueError("sample_rate must be positive")
         n_samples = int(round(beats.duration * sample_rate))
-        t = np.arange(n_samples, dtype=np.float64) / sample_rate
         m = self.morphology
         signal = np.full(n_samples, m.diastolic, dtype=np.float64)
 
-        rr = self._per_beat_rr(beats)
-        for onset, beat_rr, is_ectopic in zip(beats.onsets, rr, beats.ectopic):
-            # A PVC ejects against an incompletely filled ventricle: the
-            # pulse is weak (sometimes barely palpable).
-            amplitude = 0.5 if is_ectopic else 1.0
-            self._render_pulse(
-                signal, t, onset, beat_rr, sample_rate, amplitude=amplitude
-            )
+        # A PVC ejects against an incompletely filled ventricle: the
+        # pulse is weak (sometimes barely palpable).
+        amplitude = np.where(beats.ectopic, 0.5, 1.0)
+        self._render_pulses(
+            signal, beats.onsets, self._per_beat_rr(beats), amplitude, sample_rate
+        )
 
         if rng is not None:
             if self.noise_std > 0:
@@ -160,37 +162,49 @@ class ABPSynthesizer:
         rr = beats.rr_intervals
         return np.concatenate([rr, rr[-1:]])
 
-    def _render_pulse(
+    def _render_pulses(
         self,
         signal: np.ndarray,
-        t: np.ndarray,
-        onset: float,
-        rr: float,
+        onsets: np.ndarray,
+        rr: np.ndarray,
+        amplitude: np.ndarray,
         sample_rate: float,
-        amplitude: float = 1.0,
     ) -> None:
-        """Add one pressure pulse (above diastolic baseline) in place."""
+        """Add every beat's pressure pulse (above diastolic) in place.
+
+        Each pulse covers 1.4 RR from its foot.  A chunk of beats is
+        evaluated at once over a (beats x longest slice) grid of sample
+        times; the rows are then added in beat order, since neighbouring
+        slices overlap.
+        """
         m = self.morphology
-        foot = onset + float(m.transit_at(onset))
+        foot = onsets + m.transit_at(onsets)
         peak = foot + m.upstroke_fraction * rr
         tau = m.decay_fraction * rr
         dicrotic_center = peak + m.dicrotic_fraction * rr
         dicrotic_width = 0.05 * rr
+        scale = amplitude * m.pulse_pressure
 
-        lo = max(0, int(foot * sample_rate))
-        hi = min(t.size, int((foot + 1.4 * rr) * sample_rate) + 1)
-        if lo >= hi:
-            return
-        window = t[lo:hi]
-        pulse = np.zeros(window.size, dtype=np.float64)
+        lo = np.maximum(0, (foot * sample_rate).astype(np.intp))
+        hi = np.minimum(
+            signal.size, ((foot + 1.4 * rr) * sample_rate).astype(np.intp) + 1
+        )
+        for start in range(0, onsets.size, _CHUNK_BEATS):
+            rows = slice(start, start + _CHUNK_BEATS)
+            window = _sample_times(lo[rows], hi[rows], sample_rate)
+            row_foot, row_peak = foot[rows, None], peak[rows, None]
+            pulse = np.zeros(window.shape, dtype=np.float64)
 
-        rising = (window >= foot) & (window < peak)
-        pulse[rising] = np.sin(
-            0.5 * np.pi * (window[rising] - foot) / (peak - foot)
-        )
-        falling = window >= peak
-        pulse[falling] = np.exp(-(window[falling] - peak) / tau)
-        pulse += m.dicrotic_amp * np.exp(
-            -0.5 * ((window - dicrotic_center) / dicrotic_width) ** 2
-        )
-        signal[lo:hi] += amplitude * m.pulse_pressure * pulse
+            # float64 sin is slow: evaluate it (and exp) only where kept.
+            rising = (window >= row_foot) & (window < row_peak)
+            phase = 0.5 * np.pi * (window - row_foot) / (row_peak - row_foot)
+            pulse[rising] = np.sin(phase[rising])
+            falling = window >= row_peak
+            decay = -(window - row_peak) / tau[rows, None]
+            pulse[falling] = np.exp(decay[falling])
+            pulse += m.dicrotic_amp * np.exp(
+                -0.5
+                * ((window - dicrotic_center[rows, None]) / dicrotic_width[rows, None])
+                ** 2
+            )
+            _add_rows(signal, lo[rows], hi[rows], scale[rows, None] * pulse)

@@ -132,7 +132,6 @@ class ECGSynthesizer:
         if sample_rate <= 0:
             raise ValueError("sample_rate must be positive")
         n_samples = int(round(beats.duration * sample_rate))
-        t = np.arange(n_samples, dtype=np.float64) / sample_rate
         signal = np.zeros(n_samples, dtype=np.float64)
 
         amplitudes = self.morphology.amplitudes()
@@ -145,22 +144,24 @@ class ECGSynthesizer:
             "S": amplitudes["S"] * 2.4,
             "T": -amplitudes["T"] * 1.3,
         }
-        onsets = beats.onsets
         # RR interval assigned to each beat: the interval *following* it,
         # falling back to the preceding one for the final beat.
         rr = self._per_beat_rr(beats)
-        for onset, beat_rr, is_ectopic in zip(onsets, rr, beats.ectopic):
-            self._render_beat(
-                signal,
-                t,
-                onset,
-                beat_rr,
-                ectopic_amplitudes if is_ectopic else amplitudes,
-                sample_rate,
-                width_multiplier=2.2 if is_ectopic else 1.0,
-            )
+        ectopic = beats.ectopic
+        self._render_beats(
+            signal,
+            beats.onsets,
+            rr,
+            {
+                wave: np.where(ectopic, ectopic_amplitudes[wave], amp)
+                for wave, amp in amplitudes.items()
+            },
+            self.morphology.width_scale * np.where(ectopic, 2.2, 1.0),
+            sample_rate,
+        )
 
         if rng is not None:
+            t = np.arange(n_samples, dtype=np.float64) / sample_rate
             phase = rng.uniform(0.0, 2.0 * np.pi)
             signal += self.wander_amp * np.sin(
                 2.0 * np.pi * self.wander_frequency * t + phase
@@ -184,27 +185,62 @@ class ECGSynthesizer:
         rr = beats.rr_intervals
         return np.concatenate([rr, rr[-1:]])
 
-    def _render_beat(
-        self,
+    @staticmethod
+    def _render_beats(
         signal: np.ndarray,
-        t: np.ndarray,
-        onset: float,
-        rr: float,
-        amplitudes: dict[str, float],
+        onsets: np.ndarray,
+        rr: np.ndarray,
+        amplitudes: dict[str, np.ndarray],
+        width_scale: np.ndarray,
         sample_rate: float,
-        width_multiplier: float = 1.0,
     ) -> None:
-        """Add one beat's P-QRS-T complex to ``signal`` in place."""
-        width_scale = self.morphology.width_scale * width_multiplier
-        # Render only a local slice (+-0.6 RR around the R peak) for speed.
-        lo = max(0, int((onset - 0.6 * rr) * sample_rate))
-        hi = min(t.size, int((onset + 0.7 * rr) * sample_rate) + 1)
-        if lo >= hi:
-            return
-        window = t[lo:hi]
-        local = np.zeros(window.size, dtype=np.float64)
-        for wave, amp in amplitudes.items():
-            center = onset + _WAVE_OFFSETS[wave] * rr
-            width = _WAVE_WIDTHS[wave] * rr * width_scale
-            local += amp * np.exp(-0.5 * ((window - center) / width) ** 2)
-        signal[lo:hi] += local
+        """Add every beat's P-QRS-T complex to ``signal`` in place.
+
+        Each beat covers a local slice (-0.6 to +0.7 RR around its R peak).
+        A chunk of beats is evaluated at once over a (beats x longest
+        slice) grid of sample times; the rows are then added in beat
+        order, since neighbouring slices overlap.
+        """
+        lo = np.maximum(0, ((onsets - 0.6 * rr) * sample_rate).astype(np.intp))
+        hi = np.minimum(
+            signal.size, ((onsets + 0.7 * rr) * sample_rate).astype(np.intp) + 1
+        )
+        for start in range(0, onsets.size, _CHUNK_BEATS):
+            rows = slice(start, start + _CHUNK_BEATS)
+            window = _sample_times(lo[rows], hi[rows], sample_rate)
+            onset, beat_rr = onsets[rows, None], rr[rows, None]
+            scale = width_scale[rows, None]
+            local = np.zeros(window.shape, dtype=np.float64)
+            for wave, amp in amplitudes.items():
+                center = onset + _WAVE_OFFSETS[wave] * beat_rr
+                width = _WAVE_WIDTHS[wave] * beat_rr * scale
+                local += amp[rows, None] * np.exp(
+                    -0.5 * ((window - center) / width) ** 2
+                )
+            _add_rows(signal, lo[rows], hi[rows], local)
+
+
+#: Beats evaluated per grid, which keeps each transient array under a
+#: MiB at 360 Hz.
+_CHUNK_BEATS = 128
+
+
+def _sample_times(lo: np.ndarray, hi: np.ndarray, sample_rate: float) -> np.ndarray:
+    """Sample times of each beat's slice, one row per beat.
+
+    Row ``i`` holds the times of samples ``lo[i], lo[i] + 1, ...`` out to
+    the longest slice of the chunk; entries past ``hi[i]`` are padding
+    that :func:`_add_rows` never reads.  A beat whose slice is empty
+    (``lo >= hi``) contributes nothing.
+    """
+    span = int(np.max(hi - lo))
+    return (lo[:, None] + np.arange(span)) / sample_rate
+
+
+def _add_rows(
+    signal: np.ndarray, lo: np.ndarray, hi: np.ndarray, rows: np.ndarray
+) -> None:
+    """``signal[lo[i]:hi[i]] += rows[i]``, in row order (slices overlap)."""
+    for start, stop, row in zip(lo.tolist(), hi.tolist(), rows):
+        if start < stop:
+            signal[start:stop] += row[: stop - start]

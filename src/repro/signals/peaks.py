@@ -6,9 +6,18 @@ indexes into the memory"), with peak detection treated as an upstream step.
 This module provides that upstream step: a Pan-Tompkins-style R-peak
 detector (derivative -> squaring -> moving-window integration -> adaptive
 threshold) and a local-maximum systolic-peak detector, both numpy-only.
+
+Both detectors thin their candidates with the same greedy refractory
+pass: best score first, a candidate survives if no kept peak lies within
+the minimum gap.  The kept peaks stay in a sorted list, so each check
+looks at the two ``bisect`` neighbours only and the pass is O(n log n)
+(a 20-minute record has ~14,000 candidates).  The device path
+(:mod:`repro.sift_app.device_peaks`) is a separate linear scan.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left
 
 import numpy as np
 
@@ -39,16 +48,22 @@ def _local_maxima(x: np.ndarray) -> np.ndarray:
 def _enforce_refractory(
     candidates: np.ndarray, scores: np.ndarray, min_gap: int
 ) -> np.ndarray:
-    """Greedily keep the highest-scoring candidates at least ``min_gap`` apart."""
-    keep: list[int] = []
+    """Greedily keep the highest-scoring candidates at least ``min_gap`` apart.
+
+    Candidates are visited best score first; one is kept iff it lies at
+    least ``min_gap`` from every peak kept so far.  The kept peaks stay
+    sorted, so only the nearest kept peak on each side -- the two
+    ``bisect`` neighbours -- can be closer than that.
+    """
+    kept: list[int] = []
     order = np.argsort(scores[candidates])[::-1]
-    taken = np.zeros(0, dtype=np.intp)
-    for rank in order:
-        idx = int(candidates[rank])
-        if taken.size == 0 or np.min(np.abs(taken - idx)) >= min_gap:
-            keep.append(idx)
-            taken = np.append(taken, idx)
-    return np.sort(np.asarray(keep, dtype=np.intp))
+    for idx in candidates[order].tolist():
+        pos = bisect_left(kept, idx)
+        if (pos == 0 or idx - kept[pos - 1] >= min_gap) and (
+            pos == len(kept) or kept[pos] - idx >= min_gap
+        ):
+            kept.insert(pos, idx)
+    return np.asarray(kept, dtype=np.intp)
 
 
 def detect_r_peaks(

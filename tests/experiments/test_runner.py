@@ -293,33 +293,6 @@ class TestExperimentCache:
         assert fresh.svc.intercept_ == first.svc.intercept_
 
 
-class TestExperimentCachePut:
-    def test_put_uses_cost_override(self):
-        cache = ExperimentCache(max_bytes=None)
-        cache.put("k", np.zeros(1000), cost=1)
-        assert cache.stats()["resident_bytes"] == 1
-
-    def test_put_replaces_and_rebills(self):
-        cache = ExperimentCache(max_bytes=None)
-        cache.put("k", "a", cost=10)
-        cache.put("k", "b", cost=3)
-        assert cache.stats()["resident_bytes"] == 3
-        assert cache.get_or_create("k", lambda: "nope") == "b"
-
-    def test_put_refreshes_lru_recency(self):
-        cache = ExperimentCache(max_bytes=20)
-        cache.put("old", "x", cost=8)
-        cache.put("new", "y", cost=8)
-        cache.put("old", "x", cost=8)  # refresh: "new" is now the LRU entry
-        cache.put("third", "z", cost=8)
-        assert cache.get_or_create("old", lambda: "evicted") == "x"
-
-    def test_disabled_cache_ignores_put(self):
-        cache = ExperimentCache(enabled=False)
-        cache.put("k", "v")
-        assert cache.stats()["size"] == 0
-
-
 def _array_kb(fill: float) -> np.ndarray:
     """A float64 array costing exactly 1024 bytes."""
     return np.full(128, fill)
@@ -396,8 +369,10 @@ class TestCacheEviction:
         """The budget must see through containers: two 1 MiB dict values
         under a 1.5 MiB budget cannot both stay resident."""
         cache = ExperimentCache(max_bytes=int(1.5 * 1024 * 1024))
-        cache.put("first", {"payload": np.zeros(1024 * 1024, dtype=np.uint8)})
-        cache.put("second", {"payload": np.zeros(1024 * 1024, dtype=np.uint8)})
+        for key in ("first", "second"):
+            cache.get_or_create(
+                key, lambda: {"payload": np.zeros(1024 * 1024, dtype=np.uint8)}
+            )
         stats = cache.stats()
         assert stats["evictions"] >= 1
         assert stats["resident_bytes"] <= cache.max_bytes

@@ -7,11 +7,13 @@ from hypothesis import strategies as st
 
 from repro.signals.dataset import SyntheticFantasia
 from repro.signals.peaks import (
+    _enforce_refractory,
     detect_r_peaks,
     detect_systolic_peaks,
     match_peaks,
     peak_indices_in_window,
 )
+from tests.signals import oracle
 
 FS = 360.0
 
@@ -144,3 +146,70 @@ class TestPeakIndicesInWindow:
     def test_rejects_inverted_range(self):
         with pytest.raises(ValueError):
             peak_indices_in_window(np.array([1]), 10, 5)
+
+
+@st.composite
+def refractory_cases(draw):
+    """Candidates on a short span, few distinct scores (many ties), any gap."""
+    span = draw(st.integers(1, 150))
+    positions = st.lists(
+        st.integers(0, span - 1), min_size=1, max_size=60, unique=True
+    )
+    candidates = np.array(sorted(draw(positions)), dtype=np.intp)
+    scores = np.zeros(span)
+    scores[candidates] = draw(
+        st.lists(
+            st.sampled_from([0.0, 1.0, 2.0]) | st.floats(-1e3, 1e3),
+            min_size=candidates.size,
+            max_size=candidates.size,
+        )
+    )
+    min_gap = draw(st.integers(1, span + 5))
+    return candidates, scores, min_gap
+
+
+class TestEnforceRefractory:
+    """The bisect selection equals the quadratic reference exactly."""
+
+    @staticmethod
+    def assert_equals_oracle(candidates, scores, min_gap):
+        got = _enforce_refractory(candidates, scores, min_gap)
+        want = oracle.enforce_refractory(candidates, scores, min_gap)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+    @settings(max_examples=400, deadline=None)
+    @given(refractory_cases())
+    def test_equals_oracle(self, case):
+        self.assert_equals_oracle(*case)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1000, 4000),
+        min_gap=st.sampled_from([1, 2, 45, 90, 144]),
+        levels=st.sampled_from([2, 5, 0]),
+    )
+    def test_equals_oracle_on_thousands_of_candidates(self, seed, n, min_gap, levels):
+        """``levels`` distinct scores (0: continuous) over ~n candidates."""
+        rng = np.random.default_rng(seed)
+        span = 4 * n
+        candidates = np.sort(rng.choice(span, size=n, replace=False)).astype(np.intp)
+        scores = rng.integers(0, levels, span) if levels else rng.random(span)
+        self.assert_equals_oracle(candidates, scores.astype(np.float64), min_gap)
+
+    def test_single_candidate(self):
+        self.assert_equals_oracle(np.array([7], dtype=np.intp), np.ones(10), 3)
+
+    def test_peaks_exactly_min_gap_apart_are_both_kept(self):
+        candidates = np.array([10, 20, 30], dtype=np.intp)
+        scores = np.zeros(31)
+        scores[candidates] = [1.0, 3.0, 2.0]
+        got = _enforce_refractory(candidates, scores, 10)
+        assert got.tolist() == [10, 20, 30]
+        assert _enforce_refractory(candidates, scores, 11).tolist() == [20]
+
+    def test_gap_wider_than_the_span_keeps_the_best_only(self):
+        candidates = np.array([1, 4, 8], dtype=np.intp)
+        scores = np.array([0, 1, 0, 0, 5, 0, 0, 0, 2], dtype=np.float64)
+        assert _enforce_refractory(candidates, scores, 50).tolist() == [4]
