@@ -3,9 +3,12 @@
 Unlike the table benches (one-shot experiment regenerations), these are
 statistical pytest-benchmark measurements of the individual stages: signal
 generation, portrait construction, feature extraction per version (both
-the reference and the device implementation), SVM training, and the two
-deployed classifier forms.
+the reference and the device implementation), SVM training, the two
+deployed classifier forms, peak detection and the SQI gate.
 """
+
+import timeit
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -144,3 +147,56 @@ def test_bench_occupancy_histogram(benchmark, data):
         lambda: math.histogram2d(x, y, 50), rounds=1, iterations=1
     )
     assert matrix.sum() == 1080
+
+
+#: Acceptance floor for the SQI kernel's win over the NumPy path (lowest
+#: of 10 runs on a 2-core x86 host: 2.79x).
+MIN_SQI_SPEEDUP = 2.0
+
+
+def test_bench_quality_gate(benchmark, data):
+    """The SQI gate on serving windows: compiled kernel against NumPy.
+
+    The windows are the 20 float32 windows of 1080 samples the gateway
+    assembles from the test record's packets, assessed in turn: a gate
+    never sees one window twice, and NumPy's partition runs markedly
+    faster on a window it has just partitioned.  Parity before speed:
+    both gates must give equal reports first.  The per-window time of
+    each side is the best of alternating blocks.
+    """
+    from repro.gateway import window_from_slot
+    from repro.native.sqi import load_kernel
+    from repro.signals import quality
+    from repro.wiot.channel import DeliveredPacket
+    from repro.wiot.sensor import BodySensor
+
+    if load_kernel() is None:
+        pytest.skip("SQI kernel unavailable on this host")
+    record = data["test"]
+    windows = [
+        window_from_slot(
+            {"ecg": DeliveredPacket(e, 0.0), "abp": DeliveredPacket(a, 0.0)}
+        )
+        for e, a in zip(
+            BodySensor("s-ecg", "ecg", record).packets(),
+            BodySensor("s-abp", "abp", record).packets(),
+        )
+    ]
+    assert {(w.ecg.dtype, w.n_samples) for w in windows} == {(np.dtype(np.float32), 1080)}
+    kernel_gate = quality.SignalQualityIndex()
+    with mock.patch.object(quality, "load_kernel", lambda: None):
+        numpy_gate = quality.SignalQualityIndex()
+    assert kernel_gate._kernel is not None and numpy_gate._kernel is None
+    reports = benchmark.pedantic(
+        lambda: [kernel_gate.assess(w) for w in windows], rounds=1, iterations=1
+    )
+    assert reports == [numpy_gate.assess(w) for w in windows]
+
+    def block(gate) -> float:
+        return timeit.timeit(lambda: [gate.assess(w) for w in windows], number=10)
+
+    kernel_s = numpy_s = float("inf")
+    for _ in range(7):
+        kernel_s = min(kernel_s, block(kernel_gate))
+        numpy_s = min(numpy_s, block(numpy_gate))
+    assert numpy_s / kernel_s >= MIN_SQI_SPEEDUP

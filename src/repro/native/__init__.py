@@ -4,7 +4,8 @@ The package behind ``SIFTDetector(platform="native")``: per-model C code
 generation (:mod:`~repro.native.codegen`), host compilation with a cached
 artifact (:mod:`~repro.native.build`), and the parity-checked scorer
 (:mod:`~repro.native.backend`).  :mod:`~repro.native.smo` runs the SMO
-loop of ``SVC.fit`` in C.  Everything degrades gracefully -- hosts
+loop of ``SVC.fit`` in C, and :mod:`~repro.native.sqi` the per-window
+statistics of the SQI gate.  Everything degrades gracefully -- hosts
 without a compiler (or, for the Original tier, without numpy's SVML
 ``atan2``) simply stay on the NumPy path.
 """

@@ -11,7 +11,9 @@ Both detectors thin their candidates with the same greedy refractory
 pass: best score first, a candidate survives if no kept peak lies within
 the minimum gap.  The kept peaks stay in a sorted list, so each check
 looks at the two ``bisect`` neighbours only and the pass is O(n log n)
-(a 20-minute record has ~14,000 candidates).  The device path
+(a 20-minute record has ~14,000 candidates).  Each kept cluster is then
+moved to the largest raw sample near it, all clusters in one ``argmax``
+over a clipped index grid (:func:`_refine`).  The device path
 (:mod:`repro.sift_app.device_peaks`) is a separate linear scan.
 """
 
@@ -66,6 +68,23 @@ def _enforce_refractory(
     return np.asarray(kept, dtype=np.intp)
 
 
+def _refine(signal: np.ndarray, clusters: np.ndarray, half: int) -> np.ndarray:
+    """Each cluster moved to the largest sample of ``signal`` near it.
+
+    Cluster ``c`` looks at ``signal[lo:hi]`` with ``lo = max(0, c - half)``
+    and ``hi = min(n, c + half + 1)`` and takes its first largest sample
+    (the first NaN, if any), as ``np.argmax`` does.  All clusters are
+    refined with one ``argmax`` over a ``(clusters, 2 * half + 1)`` grid of
+    indices clipped into the signal: a clipped index repeats the edge
+    sample before ``lo`` or after ``hi - 1``, so the first occurrence is
+    still the one inside the slice.  Returns the sorted unique peaks.
+    """
+    offsets = np.arange(-half, half + 1)
+    grid = np.clip(clusters[:, None] + offsets, 0, signal.size - 1)
+    best = signal[grid].argmax(axis=1)
+    return np.unique(grid[np.arange(grid.shape[0]), best])
+
+
 def detect_r_peaks(
     ecg: np.ndarray,
     sample_rate: float,
@@ -114,12 +133,7 @@ def detect_r_peaks(
     clusters = _enforce_refractory(candidates, energy, min_gap)
 
     # Refine each cluster to the true R location in the detrended signal.
-    half = max(1, int(0.06 * sample_rate))
-    refined = []
-    for idx in clusters:
-        lo, hi = max(0, idx - half), min(ecg.size, idx + half + 1)
-        refined.append(lo + int(np.argmax(detrended[lo:hi])))
-    return np.unique(np.asarray(refined, dtype=np.intp))
+    return _refine(detrended, clusters, max(1, int(0.06 * sample_rate)))
 
 
 def detect_systolic_peaks(
@@ -157,12 +171,7 @@ def detect_systolic_peaks(
     clusters = _enforce_refractory(candidates, smoothed, min_gap)
 
     # Refine to the unsmoothed maximum nearby.
-    half = max(1, int(0.03 * sample_rate))
-    refined = []
-    for idx in clusters:
-        lo, hi = max(0, idx - half), min(abp.size, idx + half + 1)
-        refined.append(lo + int(np.argmax(abp[lo:hi])))
-    return np.unique(np.asarray(refined, dtype=np.intp))
+    return _refine(abp, clusters, max(1, int(0.03 * sample_rate)))
 
 
 def match_peaks(

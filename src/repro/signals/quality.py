@@ -16,6 +16,13 @@ The index combines three cheap, libm-free checks per channel:
   activity is rhythmic);
 * **beat plausibility** -- the implied beat count against physiological
   bounds for the window length.
+
+The per-channel statistics behind the first two checks (min, max, the
+pinned-sample count, and the median and 98th percentile of the energy)
+come from one call into the compiled kernel of :mod:`repro.native.sqi`
+when the host can build it, and from NumPy otherwise; the two paths are
+bit-identical.  A window of fewer than 2 samples has no energy to rank
+and is never usable.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.native.sqi import STATS, energy_ranks, load_kernel
 from repro.signals.dataset import SignalWindow
 
 __all__ = ["QualityReport", "SignalQualityIndex", "assess_window"]
@@ -38,6 +46,15 @@ _MIN_BPM, _MAX_BPM = 25.0, 220.0
 #: ``1.0 + 1e-9`` but crashed on ``-1e-12`` -- a numerically noisy SQI
 #: component must never take down a live session.)
 _SCORE_EPS = 1e-9
+
+
+def _clamp01(x: float) -> float:
+    """``np.clip(x, 0.0, 1.0)`` on a Python float, bit for bit.
+
+    Python's ``max``/``min`` keep their first argument on a tie or a NaN,
+    as ``np.clip`` keeps ``x``: ``-0.0`` and NaN come back unchanged.
+    """
+    return min(max(x, 0.0), 1.0)
 
 
 @dataclass(frozen=True)
@@ -61,6 +78,12 @@ class QualityReport:
             if not -_SCORE_EPS <= value <= 1.0 + _SCORE_EPS:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
             object.__setattr__(self, name, min(1.0, max(0.0, value)))
+
+
+#: The report on a window of fewer than 2 samples: nothing to assess.
+_TOO_SHORT = QualityReport(
+    sqi=0.0, usable=False, clipping_score=0.0, burst_score=0.0, beat_score=0.0
+)
 
 
 class SignalQualityIndex:
@@ -93,15 +116,27 @@ class SignalQualityIndex:
         self.threshold = float(threshold)
         self.clipping_tolerance = float(clipping_tolerance)
         self.burst_ratio_limit = float(burst_ratio_limit)
+        # The first load in a process may compile: here, not in assess.
+        self._kernel = load_kernel()
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        del state["_kernel"]  # a loaded library does not pickle
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._kernel = load_kernel()
 
     # -- component checks ---------------------------------------------------
 
     def _channel_scores(self, stack: np.ndarray) -> list[tuple[float, float]]:
         """``(clipping, burst)`` for each row of a ``(channels, n)`` stack.
 
-        Bit-identical to scoring each channel alone through ``np.median``
-        and ``np.percentile`` (``tests/signals/oracle.py``), at a fraction
-        of the calls: one ``min``/``max``, one pinned-sample mask, one
+        The NumPy path, for windows the kernel does not take.  Bit-identical
+        to scoring each channel alone through ``np.median`` and
+        ``np.percentile`` (``tests/signals/oracle.py``), at a fraction of
+        the calls: one ``min``/``max``, one pinned-sample mask, one
         ``np.diff`` and one ``np.partition`` for every row at once.
         """
         n = stack.shape[1]
@@ -121,23 +156,14 @@ class SignalQualityIndex:
 
         energy = np.diff(stack, axis=1)
         energy *= energy
-        m = n - 1
-        half = m // 2
-        low_half = half if m % 2 else half - 1  # np.median's middle ranks
-        # np.percentile's linear method interpolates between the ranks
-        # below and above (m - 1) * 0.98.  For m == 1 it takes the one
-        # value, which is the same lerp between that value and itself.
-        position = (m - 1) * 0.98
-        below = math.floor(position)
-        above = min(below + 1, m - 1)
-        gamma = position - below
+        low_half, half, below, above, gamma = energy_ranks(n)
         # The last rank is partitioned too: NaN sorts last, so a NaN
         # there marks a row with a NaN.
         part = np.partition(
-            energy, sorted({low_half, half, below, above, m - 1}), axis=1
+            energy, sorted({low_half, half, below, above, n - 2}), axis=1
         )
         has_nan = np.isnan(part[:, -1]).tolist()
-        if m % 2:
+        if low_half == half:
             medians = part[:, half]
         else:
             medians = (part[:, low_half] + part[:, half]) / 2
@@ -150,21 +176,34 @@ class SignalQualityIndex:
             p98 = low_value + step * gamma
 
         return [
-            (
-                self._clipping_score(low, high, count / n),
-                0.0 if nan else self._burst_score(median, percentile),
-            )
-            for low, high, count, nan, median, percentile in zip(
+            self._scores(n, *stats)
+            for stats in zip(
                 lows, highs, pinned, has_nan, medians.tolist(), p98.tolist()
             )
         ]
+
+    def _scores(
+        self,
+        n: int,
+        low: float,
+        high: float,
+        pinned: float,
+        nan: float,
+        median: float,
+        p98: float,
+    ) -> tuple[float, float]:
+        """One channel's ``(clipping, burst)`` from its six statistics."""
+        return (
+            self._clipping_score(low, high, pinned / n),
+            0.0 if nan else self._burst_score(median, p98),
+        )
 
     def _clipping_score(self, low: float, high: float, pinned: float) -> float:
         if high <= low or not math.isfinite(high - low):
             return 0.0  # flatline, or an infinite sample: no usable range
         # A healthy oscillating signal touches its extremes rarely.
         excess = max(0.0, pinned - self.clipping_tolerance)
-        return float(np.clip(1.0 - excess / 0.25, 0.0, 1.0))
+        return _clamp01(1.0 - excess / 0.25)
 
     def _burst_score(self, median: float, p98: float) -> float:
         if median <= 0:
@@ -174,13 +213,8 @@ class SignalQualityIndex:
             return 0.0  # inf - inf in the statistics: unusable, like a NaN
         if ratio <= self.burst_ratio_limit:
             return 1.0
-        return float(
-            np.clip(
-                1.0
-                - (ratio - self.burst_ratio_limit) / (4 * self.burst_ratio_limit),
-                0.0,
-                1.0,
-            )
+        return _clamp01(
+            1.0 - (ratio - self.burst_ratio_limit) / (4 * self.burst_ratio_limit)
         )
 
     def _beat_score(self, window: SignalWindow) -> float:
@@ -193,7 +227,7 @@ class SignalQualityIndex:
             if count < lower:
                 score = min(score, count / max(lower, 1e-9))
             elif count > upper:
-                score = min(score, float(np.clip(2.0 - count / upper, 0.0, 1.0)))
+                score = min(score, _clamp01(2.0 - count / upper))
         return float(score)
 
     # -- public API -----------------------------------------------------------
@@ -203,10 +237,20 @@ class SignalQualityIndex:
 
         Using the minimum (not the mean) makes the gate conservative: one
         failed check is enough to withhold a clinical decision.  A window
-        with a NaN sample is never usable.
+        with a NaN sample, or with fewer than 2 samples, is never usable.
+
+        Makes one kernel call when both channels share a float dtype, are
+        C-contiguous and the kernel loaded; every other window takes the
+        NumPy path (:meth:`_channel_scores`).
         """
         ecg, abp = window.ecg, window.abp
-        if ecg.dtype == abp.dtype:
+        n = ecg.size
+        if n < 2:
+            return _TOO_SHORT
+        stats = None if self._kernel is None else self._kernel.stats(ecg, abp)
+        if stats is not None:
+            scores = [self._scores(n, *stats[:STATS]), self._scores(n, *stats[STATS:])]
+        elif ecg.dtype == abp.dtype:
             scores = self._channel_scores(np.stack((ecg, abp)))
         else:
             scores = self._channel_scores(ecg[None]) + self._channel_scores(abp[None])

@@ -29,7 +29,7 @@ from repro.gateway import (
 )
 from repro.signals.quality import SignalQualityIndex
 from repro.wiot.channel import DeliveredPacket
-from repro.wiot.sensor import BodySensor
+from repro.wiot.sensor import BodySensor, SensorPacket
 
 
 def _deliveries(record, flatline=()):
@@ -359,6 +359,42 @@ class TestNonFiniteSamples:
         stats = gateway.stats()
         assert stats.windows_assembled == 40
         assert stats.verdicts == 40
+        assert stats.verdicts + stats.windows_shed == stats.windows_assembled
+
+
+class TestShortWindows:
+    @pytest.mark.parametrize("n_samples", [0, 1])
+    def test_window_under_two_samples_is_an_abstain(
+        self, trained_detectors, n_samples
+    ):
+        """A window too short to have a first difference fails the SQI
+        gate instead of raising out of ``submit()``: it gets an abstain
+        verdict with sqi 0, and conservation closes."""
+        detector = trained_detectors[DetectorVersion.ORIGINAL]
+        halves = [
+            DeliveredPacket(
+                packet=SensorPacket(
+                    sensor_id=f"s-{channel}",
+                    channel=channel,
+                    sequence=0,
+                    start_time_s=0.0,
+                    samples=np.ones(n_samples),
+                    peak_indexes=np.empty(0, dtype=np.intp),
+                    sample_rate=360.0,
+                ),
+                arrival_time_s=0.0,
+            )
+            for channel in ("ecg", "abp")
+        ]
+        verdicts = []
+        gateway = IngestionGateway(
+            detector, quality_gate=SignalQualityIndex(), on_verdict=verdicts.append
+        )
+        asyncio.run(_drive(gateway, {"w": halves}))
+        assert [(v.abstained, v.sqi) for v in verdicts] == [(True, 0.0)]
+        stats = gateway.stats()
+        assert stats.windows_assembled == 1
+        assert stats.windows_abstained == 1
         assert stats.verdicts + stats.windows_shed == stats.windows_assembled
 
 

@@ -5,22 +5,26 @@ the plain, one-thing-at-a-time versions of three fast paths:
 
 * the SQI gate, one channel at a time (below);
 * the refractory selection of the peak detectors, checking each
-  candidate against every peak kept so far (:func:`enforce_refractory`);
+  candidate against every peak kept so far (:func:`enforce_refractory`),
+  and their refinement, one ``argmax`` per cluster (:func:`refine_peaks`);
 * ECG and ABP rendering, one beat per call (:func:`render_ecg`,
   :func:`render_abp`).
 
 SQI gate
 --------
-:meth:`repro.signals.quality.SignalQualityIndex.assess` scores both
-channels of a window at once, with one partition for the median and the
-98th percentile of the first-difference energy.  This module keeps the
-same checks written the plain way -- one channel at a time, through
+:meth:`repro.signals.quality.SignalQualityIndex.assess` gets a window's
+statistics from one call into a compiled kernel, or else scores both
+channels at once with one partition for the median and the 98th
+percentile of the first-difference energy.  This module keeps the same
+checks written the plain way -- one channel at a time, through
 ``np.median`` and ``np.percentile`` -- so the property suite has an
-independent reference to compare against bit-for-bit.
+independent reference to compare both paths against bit-for-bit.
 
-The one rule added on top of the plain formulas is the abstain rule: a
+Two rules are added on top of the plain formulas.  The abstain rule: a
 burst ratio that comes out NaN (a NaN sample, or ``inf - inf`` in the
-energy) scores 0, so the window is withheld instead of raising.
+energy) scores 0, so the window is withheld instead of raising.  And a
+window of fewer than 2 samples has no first difference to rank: every
+score is 0.
 """
 
 from __future__ import annotations
@@ -69,6 +73,10 @@ def burst_score(gate: SignalQualityIndex, signal: np.ndarray) -> float:
 
 def assess(gate: SignalQualityIndex, window: SignalWindow) -> QualityReport:
     """Score one window; the SQI is the minimum of the channel checks."""
+    if window.n_samples < 2:
+        return QualityReport(
+            sqi=0.0, usable=False, clipping_score=0.0, burst_score=0.0, beat_score=0.0
+        )
     clipping = min(clipping_score(gate, window.ecg), clipping_score(gate, window.abp))
     burst = min(burst_score(gate, window.ecg), burst_score(gate, window.abp))
     beats = gate._beat_score(window)
@@ -98,6 +106,18 @@ def enforce_refractory(
             keep.append(idx)
             taken = np.append(taken, idx)
     return np.sort(np.asarray(keep, dtype=np.intp))
+
+
+def refine_peaks(signal: np.ndarray, clusters: np.ndarray, half: int) -> np.ndarray:
+    """Move each cluster to the largest sample within ``half`` of it.
+
+    One ``np.argmax`` per cluster, over the slice clipped to the signal.
+    """
+    refined = []
+    for idx in clusters:
+        lo, hi = max(0, idx - half), min(signal.size, idx + half + 1)
+        refined.append(lo + int(np.argmax(signal[lo:hi])))
+    return np.unique(np.asarray(refined, dtype=np.intp))
 
 
 def render_ecg(

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.signals.dataset import SyntheticFantasia
 from repro.signals.peaks import (
     _enforce_refractory,
+    _refine,
     detect_r_peaks,
     detect_systolic_peaks,
     match_peaks,
@@ -213,3 +214,54 @@ class TestEnforceRefractory:
         candidates = np.array([1, 4, 8], dtype=np.intp)
         scores = np.array([0, 1, 0, 0, 5, 0, 0, 0, 2], dtype=np.float64)
         assert _enforce_refractory(candidates, scores, 50).tolist() == [4]
+
+
+@st.composite
+def refine_cases(draw):
+    """A short signal with few levels (ties), maybe NaN, and any clusters
+    -- near either edge too -- with any half-width."""
+    n = draw(st.integers(1, 80))
+    values = st.sampled_from([0.0, 1.0, 2.0, np.nan]) | st.floats(-1e3, 1e3)
+    signal = np.array(draw(st.lists(values, min_size=n, max_size=n)))
+    clusters = draw(st.lists(st.integers(0, n - 1), min_size=0, max_size=12))
+    half = draw(st.integers(1, 30))
+    return signal, np.array(sorted(set(clusters)), dtype=np.intp), half
+
+
+class TestRefine:
+    """The one-grid ``argmax`` equals one ``argmax`` per cluster exactly."""
+
+    @staticmethod
+    def assert_equals_oracle(signal, clusters, half):
+        got = _refine(signal, clusters, half)
+        want = oracle.refine_peaks(signal, clusters, half)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+    @settings(max_examples=400, deadline=None)
+    @given(refine_cases())
+    def test_equals_oracle(self, case):
+        self.assert_equals_oracle(*case)
+
+    def test_edge_copies_never_win_over_the_slice(self):
+        # The maximum sits on the first and last samples: the clipped
+        # copies before and after them must not move the peak.
+        signal = np.array([5.0, 1.0, 0.0, 1.0, 5.0])
+        self.assert_equals_oracle(signal, np.array([0, 4], dtype=np.intp), 3)
+        assert _refine(signal, np.array([0, 4], dtype=np.intp), 3).tolist() == [0, 4]
+
+    def test_first_nan_wins(self):
+        signal = np.array([1.0, np.nan, 3.0, np.nan, 2.0])
+        assert _refine(signal, np.array([2], dtype=np.intp), 2).tolist() == [1]
+
+    def test_detectors_on_a_training_record_equal_the_reference(self, dataset, victim):
+        record = dataset.training_record(victim)
+        r_peaks = detect_r_peaks(record.ecg, record.sample_rate)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("repro.signals.peaks._refine", oracle.refine_peaks)
+            reference = detect_r_peaks(record.ecg, record.sample_rate)
+            systolic = detect_systolic_peaks(record.abp, record.sample_rate)
+        assert np.array_equal(r_peaks, reference)
+        assert np.array_equal(
+            detect_systolic_peaks(record.abp, record.sample_rate), systolic
+        )

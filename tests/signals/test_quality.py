@@ -1,6 +1,9 @@
 """Tests for the signal-quality index."""
 
+import math
+import pickle
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +11,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.native.sqi import load_kernel
+from repro.signals import quality
 from repro.signals.dataset import SignalWindow, SyntheticFantasia
 from repro.signals.quality import QualityReport, SignalQualityIndex, assess_window
 from tests.signals import oracle
@@ -216,20 +221,49 @@ class TestGatingReducesFalsePositives:
         assert gated_fp <= all_fp
 
 
-# Values that stress the partition arithmetic: ties, overflow of the
+# Values that stress the selection arithmetic: ties, overflow of the
 # squared differences (in float32), infinities and NaN.
 _SPECIAL = (0.0, 1.0, -1.0, 2.5, 1e30, -1e30, np.inf, -np.inf, np.nan)
+
+#: Signal shapes drawn from a seed, for windows of any length.
+_SEEDED = ("noise", "quantized", "burst", "one_nan", "inf_pair", "huge", "flat")
+
+
+def _seeded_channel(kind: str, n: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    if kind == "quantized":  # few levels: ties among samples and energies
+        return rng.integers(-4, 5, n) * rng.choice([1e-3, 0.25, 1.0])
+    if kind == "flat":
+        return np.full(n, rng.choice(_SPECIAL))
+    if kind == "burst":  # a clean rhythm with a motion burst on top
+        x = np.sin(2 * np.pi * np.arange(n) / 90.0)
+        start = rng.integers(n)
+        end = min(n, start + max(1, n // 10))
+        x[start:end] += 50.0 * rng.standard_normal(end - start)
+        return x
+    x = rng.standard_normal(n)
+    if kind == "one_nan":
+        x[rng.integers(n)] = np.nan
+    elif kind == "inf_pair":
+        plus, minus = rng.choice(n, size=2, replace=False)
+        x[plus], x[minus] = np.inf, -np.inf
+    elif kind == "huge":  # float32 energy overflows to inf
+        spots = rng.choice(n, size=min(n, 3), replace=False)
+        x[spots] = rng.choice([1e30, -1e30], size=spots.size)
+    return x
 
 
 @st.composite
 def _channel(draw, dtype, n):
+    kinds = ["mixed", "finite", *_SEEDED] if n <= 64 else list(_SEEDED)
+    kind = draw(st.sampled_from(kinds))
+    if kind in _SEEDED:
+        seed = draw(st.integers(0, 2**32 - 1))
+        return _seeded_channel(kind, n, seed).astype(dtype)
     width = 32 if dtype == np.float32 else 64
     finite = st.floats(
         -1e6, 1e6, allow_nan=False, allow_infinity=False, width=width
     )
-    kind = draw(st.sampled_from(["mixed", "finite", "flat"]))
-    if kind == "flat":
-        return np.full(n, draw(st.sampled_from(_SPECIAL) | finite), dtype=dtype)
     elements = finite if kind == "finite" else st.sampled_from(_SPECIAL) | finite
     return draw(hnp.arrays(dtype, n, elements=elements))
 
@@ -237,7 +271,9 @@ def _channel(draw, dtype, n):
 @st.composite
 def _windows(draw):
     dtype = draw(st.sampled_from([np.float32, np.float64]))
-    n = draw(st.integers(2, 64) | st.sampled_from([2, 3, 1080]))
+    n = draw(
+        st.integers(2, 64) | st.integers(2, 2000) | st.sampled_from([2, 3, 1080])
+    )
     peaks = np.arange(0, n, max(1, n // draw(st.integers(1, 8))), dtype=np.intp)
     return SignalWindow(
         ecg=draw(_channel(dtype, n)),
@@ -248,12 +284,35 @@ def _windows(draw):
     )
 
 
-_GATES = st.builds(
-    SignalQualityIndex,
-    threshold=st.sampled_from([0.6, 1.0]),
-    clipping_tolerance=st.sampled_from([0.0, 0.02, 0.5]),
-    burst_ratio_limit=st.sampled_from([1.5, 400.0]),
+_GATE_PARAMS = st.fixed_dictionaries(
+    {
+        "threshold": st.sampled_from([0.6, 1.0]),
+        "clipping_tolerance": st.sampled_from([0.0, 0.02, 0.5]),
+        "burst_ratio_limit": st.sampled_from([1.5, 400.0]),
+    }
 )
+
+#: The two ways ``assess`` gets a window's statistics.
+_PATHS = ("kernel", "numpy")
+
+
+def _gate(path: str, **params) -> SignalQualityIndex:
+    """A gate on the compiled kernel, or one built as a host without a
+    compiler builds it (its loader finds no kernel)."""
+    if path == "numpy":
+        with mock.patch.object(quality, "load_kernel", lambda: None):
+            gate = SignalQualityIndex(**params)
+        assert gate._kernel is None
+        return gate
+    if load_kernel() is None:
+        pytest.skip("SQI kernel unavailable on this host")
+    gate = SignalQualityIndex(**params)
+    assert gate._kernel is not None
+    return gate
+
+
+def _is_negative_zero(x: float) -> bool:
+    return x == 0.0 and math.copysign(1.0, x) < 0
 
 
 def _inf_pair_window() -> SignalWindow:
@@ -266,23 +325,37 @@ def _inf_pair_window() -> SignalWindow:
     return replace(window, ecg=ecg)
 
 
+@pytest.mark.parametrize("path", _PATHS)
 class TestMatchesOracle:
-    """``assess`` scores both channels with one partition; the plain
-    per-channel ``np.median``/``np.percentile`` formulas are the
-    reference, compared exactly."""
+    """``assess`` gets a window's statistics from the kernel or from one
+    NumPy partition; the plain per-channel ``np.median``/``np.percentile``
+    formulas are the reference, compared exactly, on both paths."""
 
     @settings(max_examples=400, deadline=None)
-    @given(window=_windows(), gate=_GATES)
-    @example(window=_inf_pair_window(), gate=SignalQualityIndex())
-    def test_assess_equals_per_channel_oracle(self, window, gate):
-        with np.errstate(all="ignore"):
+    @given(window=_windows(), params=_GATE_PARAMS)
+    @example(window=_inf_pair_window(), params={})
+    def test_assess_equals_per_channel_oracle(self, path, window, params):
+        gate = _gate(path, **params)
+        if path == "kernel":  # the window does take the kernel
+            assert gate._kernel.stats(window.ecg, window.abp) is not None
+        clamped = []
+        clamp = quality._clamp01
+
+        def spy(x):
+            clamped.append(x)
+            return clamp(x)
+
+        with np.errstate(all="ignore"), mock.patch.object(quality, "_clamp01", spy):
             report = gate.assess(window)
             assert report == oracle.assess(gate, window)
+        # The clamps are plain min/max: they only ever see numbers for
+        # which that is np.clip bit for bit.
+        assert not any(math.isnan(x) or _is_negative_zero(x) for x in clamped)
         # A non-finite sample anywhere leaves no usable window.
         if not (np.isfinite(window.ecg).all() and np.isfinite(window.abp).all()):
             assert not report.usable
 
-    def test_pinned_thresholds_round_into_the_sample_dtype(self):
+    def test_pinned_thresholds_round_into_the_sample_dtype(self, path):
         """float32 samples are compared with the extreme thresholds
         rounded to float32, as the scalar comparison does: here the
         rounded lower threshold (0.07 up to the next float32) pins one
@@ -298,13 +371,13 @@ class TestMatchesOracle:
             systolic_peaks=np.arange(0, 100, 10),
             sample_rate=30.0,
         )
-        gate = SignalQualityIndex()
+        gate = _gate(path)
         report = gate.assess(window)
         assert report == oracle.assess(gate, window)
         assert report.clipping_score == pytest.approx(0.96)
 
-    def test_synthetic_windows_equal_oracle(self, labeled_stream):
-        gate = SignalQualityIndex()
+    def test_synthetic_windows_equal_oracle(self, path, labeled_stream):
+        gate = _gate(path)
         for window in labeled_stream.windows:
             as_float32 = replace(
                 window,
@@ -314,11 +387,71 @@ class TestMatchesOracle:
             for w in (window, as_float32):
                 assert gate.assess(w) == oracle.assess(gate, w)
 
-    def test_mixed_channel_dtypes_score_each_channel_alone(self, labeled_stream):
+    def test_mixed_channel_dtypes_score_each_channel_alone(self, path, labeled_stream):
         window = labeled_stream.windows[0]
         mixed = replace(window, ecg=window.ecg.astype(np.float32))
-        gate = SignalQualityIndex()
+        gate = _gate(path)
+        if gate._kernel is not None:  # the kernel takes one dtype only
+            assert gate._kernel.stats(mixed.ecg, mixed.abp) is None
         assert gate.assess(mixed) == oracle.assess(gate, mixed)
+
+    def test_non_contiguous_channels_take_the_numpy_path(self, path, labeled_stream):
+        window = labeled_stream.windows[0]
+        strided = replace(
+            window,
+            ecg=np.repeat(window.ecg, 2)[::2],
+            abp=np.repeat(window.abp, 2)[::2],
+        )
+        assert not strided.ecg.flags.c_contiguous
+        gate = _gate(path)
+        if gate._kernel is not None:
+            assert gate._kernel.stats(strided.ecg, strided.abp) is None
+        assert gate.assess(strided) == oracle.assess(gate, strided)
+        assert gate.assess(strided) == gate.assess(window)
+
+    @pytest.mark.parametrize("n_samples", [0, 1])
+    def test_window_under_two_samples_scores_zero(self, path, n_samples):
+        window = SignalWindow(
+            ecg=np.ones(n_samples, dtype=np.float32),
+            abp=np.ones(n_samples, dtype=np.float32),
+            r_peaks=np.empty(0, dtype=np.intp),
+            systolic_peaks=np.empty(0, dtype=np.intp),
+            sample_rate=360.0,
+        )
+        gate = _gate(path)
+        report = gate.assess(window)
+        assert report == oracle.assess(gate, window)
+        assert report.sqi == 0.0
+        assert not report.usable
+
+
+class TestClamp:
+    @pytest.mark.parametrize(
+        "x", [-np.inf, -2.0, -5e-324, -0.0, 0.0, 5e-324, 0.5, 1.0, 1.5, np.inf, np.nan]
+    )
+    def test_clamp_is_np_clip_bit_for_bit(self, x):
+        expected = float(np.clip(x, 0.0, 1.0))
+        assert np.float64(quality._clamp01(x)).tobytes() == np.float64(expected).tobytes()
+
+    def test_one_minus_never_gives_negative_zero(self):
+        for x in (0.0, 1.0, 0.25, 1.0 - 2**-53, 2**-1074, 1e300):
+            assert not _is_negative_zero(1.0 - x)
+
+
+class TestKernelLoading:
+    def test_gate_loads_the_kernel_when_built(self):
+        """The one-time build runs in ``__init__``, never in ``assess``."""
+        with mock.patch.object(quality, "load_kernel", return_value=None) as loader:
+            gate = SignalQualityIndex()
+            assert loader.call_count == 1
+            gate.assess(_inf_pair_window())
+            assert loader.call_count == 1
+
+    def test_gate_pickles_and_reloads_the_kernel(self):
+        gate = SignalQualityIndex(threshold=0.5)
+        clone = pickle.loads(pickle.dumps(gate))
+        assert clone.threshold == 0.5
+        assert clone._kernel is load_kernel()
 
 
 class TestNonFiniteSamples:
