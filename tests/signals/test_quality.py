@@ -292,22 +292,17 @@ _GATE_PARAMS = st.fixed_dictionaries(
     }
 )
 
-#: The two ways ``assess`` gets a window's statistics.
-_PATHS = ("kernel", "numpy")
-
-
 def _gate(path: str, **params) -> SignalQualityIndex:
-    """A gate on the compiled kernel, or one built as a host without a
-    compiler builds it (its loader finds no kernel)."""
+    """A gate as this host builds it (on the compiled kernel when it is
+    built), or, for ``"numpy"``, one built as a host without a compiler
+    builds it (its loader finds no kernel)."""
     if path == "numpy":
         with mock.patch.object(quality, "load_kernel", lambda: None):
             gate = SignalQualityIndex(**params)
         assert gate._kernel is None
         return gate
-    if load_kernel() is None:
-        pytest.skip("SQI kernel unavailable on this host")
     gate = SignalQualityIndex(**params)
-    assert gate._kernel is not None
+    assert gate._kernel is load_kernel()
     return gate
 
 
@@ -325,18 +320,24 @@ def _inf_pair_window() -> SignalWindow:
     return replace(window, ecg=ecg)
 
 
-@pytest.mark.parametrize("path", _PATHS)
 class TestMatchesOracle:
     """``assess`` gets a window's statistics from the kernel or from one
     NumPy partition; the plain per-channel ``np.median``/``np.percentile``
-    formulas are the reference, compared exactly, on both paths."""
+    formulas are the reference, compared exactly. This class runs the
+    gate as the host builds it (the kernel when it is built);
+    ``TestMatchesOracleOnNumpy`` runs the same tests on the NumPy path."""
+
+    path = "default"
 
     @settings(max_examples=400, deadline=None)
     @given(window=_windows(), params=_GATE_PARAMS)
     @example(window=_inf_pair_window(), params={})
-    def test_assess_equals_per_channel_oracle(self, path, window, params):
-        gate = _gate(path, **params)
-        if path == "kernel":  # the window does take the kernel
+    def test_assess_equals_per_channel_oracle(self, window, params):
+        self._check_against_oracle(window, params)
+
+    def _check_against_oracle(self, window, params):
+        gate = _gate(self.path, **params)
+        if gate._kernel is not None:  # the window does take the kernel
             assert gate._kernel.stats(window.ecg, window.abp) is not None
         clamped = []
         clamp = quality._clamp01
@@ -355,7 +356,7 @@ class TestMatchesOracle:
         if not (np.isfinite(window.ecg).all() and np.isfinite(window.abp).all()):
             assert not report.usable
 
-    def test_pinned_thresholds_round_into_the_sample_dtype(self, path):
+    def test_pinned_thresholds_round_into_the_sample_dtype(self):
         """float32 samples are compared with the extreme thresholds
         rounded to float32, as the scalar comparison does: here the
         rounded lower threshold (0.07 up to the next float32) pins one
@@ -371,13 +372,13 @@ class TestMatchesOracle:
             systolic_peaks=np.arange(0, 100, 10),
             sample_rate=30.0,
         )
-        gate = _gate(path)
+        gate = _gate(self.path)
         report = gate.assess(window)
         assert report == oracle.assess(gate, window)
         assert report.clipping_score == pytest.approx(0.96)
 
-    def test_synthetic_windows_equal_oracle(self, path, labeled_stream):
-        gate = _gate(path)
+    def test_synthetic_windows_equal_oracle(self, labeled_stream):
+        gate = _gate(self.path)
         for window in labeled_stream.windows:
             as_float32 = replace(
                 window,
@@ -387,15 +388,15 @@ class TestMatchesOracle:
             for w in (window, as_float32):
                 assert gate.assess(w) == oracle.assess(gate, w)
 
-    def test_mixed_channel_dtypes_score_each_channel_alone(self, path, labeled_stream):
+    def test_mixed_channel_dtypes_score_each_channel_alone(self, labeled_stream):
         window = labeled_stream.windows[0]
         mixed = replace(window, ecg=window.ecg.astype(np.float32))
-        gate = _gate(path)
+        gate = _gate(self.path)
         if gate._kernel is not None:  # the kernel takes one dtype only
             assert gate._kernel.stats(mixed.ecg, mixed.abp) is None
         assert gate.assess(mixed) == oracle.assess(gate, mixed)
 
-    def test_non_contiguous_channels_take_the_numpy_path(self, path, labeled_stream):
+    def test_non_contiguous_channels_take_the_numpy_path(self, labeled_stream):
         window = labeled_stream.windows[0]
         strided = replace(
             window,
@@ -403,14 +404,14 @@ class TestMatchesOracle:
             abp=np.repeat(window.abp, 2)[::2],
         )
         assert not strided.ecg.flags.c_contiguous
-        gate = _gate(path)
+        gate = _gate(self.path)
         if gate._kernel is not None:
             assert gate._kernel.stats(strided.ecg, strided.abp) is None
         assert gate.assess(strided) == oracle.assess(gate, strided)
         assert gate.assess(strided) == gate.assess(window)
 
     @pytest.mark.parametrize("n_samples", [0, 1])
-    def test_window_under_two_samples_scores_zero(self, path, n_samples):
+    def test_window_under_two_samples_scores_zero(self, n_samples):
         window = SignalWindow(
             ecg=np.ones(n_samples, dtype=np.float32),
             abp=np.ones(n_samples, dtype=np.float32),
@@ -418,11 +419,25 @@ class TestMatchesOracle:
             systolic_peaks=np.empty(0, dtype=np.intp),
             sample_rate=360.0,
         )
-        gate = _gate(path)
+        gate = _gate(self.path)
         report = gate.assess(window)
         assert report == oracle.assess(gate, window)
         assert report.sqi == 0.0
         assert not report.usable
+
+
+class TestMatchesOracleOnNumpy(TestMatchesOracle):
+    """The oracle parity tests on the NumPy fallback, forced by a loader
+    that finds no kernel."""
+
+    path = "numpy"
+
+    # Hypothesis runs one property test for one class only.
+    @settings(max_examples=400, deadline=None)
+    @given(window=_windows(), params=_GATE_PARAMS)
+    @example(window=_inf_pair_window(), params={})
+    def test_assess_equals_per_channel_oracle(self, window, params):
+        self._check_against_oracle(window, params)
 
 
 class TestClamp:
