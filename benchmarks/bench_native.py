@@ -1,8 +1,8 @@
 """Benchmarks: the native core vs NumPy, for scoring and for SVM training.
 
 Asserts on the orchestrated ``native`` study.  ``platform="native"``
-compiles the whole scoring hot path (normalize -> occupancy grid ->
-features -> decision value) to one C translation unit.  The contract is
+runs the whole scoring hot path (normalize -> occupancy grid ->
+features -> decision value) in one C kernel.  The contract is
 *bit parity at native speed*: the native scores must be bit-identical
 to the NumPy path on a long genuine stream, with the throughput win
 that justifies the backend (>= 2x windows/sec on every tier; measured

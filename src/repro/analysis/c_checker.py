@@ -20,8 +20,8 @@ Simplified/Reduced deployment contract:
 
 Two profiles share the rule set.  The default ``"device"`` profile is
 the MSP430 contract above.  The ``"native"`` profile covers the
-gateway-side generated-C hot path (:mod:`repro.native.codegen`), which
-runs on the host in ``double`` precision: CGEN001 there bans only
+gateway-side C kernels (``src/repro/native/score.c`` and ``smo.c``),
+which run on the host in ``double`` precision: CGEN001 there bans only
 ``float`` (a ``float`` token would silently round the bit-parity
 contract away) and CGEN002 allowlists ``sqrt`` (the one libm call the
 float64 reference semantics require); CGEN003/CGEN004 apply unchanged.
@@ -191,7 +191,7 @@ def check_c_source(
 
     ``profile`` selects the deployment contract: ``"device"`` (the
     MSP430 rules, the default) or ``"native"`` (the gateway-side
-    generated-C hot path; see the module docstring).
+    C hot path; see the module docstring).
     """
     if profile not in C_CHECK_PROFILES:
         raise ValueError(

@@ -97,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     demo.add_argument("--platform", default="numpy",
                       choices=("numpy", "native"),
                       help="scoring path: 'numpy' (default) or 'native' "
-                      "(generated-C hot path, bit-identical, falls back "
+                      "(C hot path, bit-identical, falls back "
                       "to numpy with a warning if no C compiler)")
 
     orchestrate = sub.add_parser(
@@ -182,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     gateway.add_argument("--platform", default="numpy",
                          choices=("numpy", "native"),
                          help="scoring path: 'numpy' (default) or 'native' "
-                         "(generated-C hot path; verdicts are "
+                         "(C hot path; verdicts are "
                          "bit-identical, only throughput changes)")
     gateway.add_argument("--seed", type=int, default=2017)
 
@@ -216,10 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
     export.add_argument("--skip-c-check", action="store_true",
                         help="write the generated C even if the codegen "
                         "contract checker rejects it")
-    export.add_argument("--native-c", action="store_true",
-                        help="also write the gateway-side generated-C hot "
-                        "path (<out>.native.c, checked against the "
-                        "'native' lint profile)")
 
     lint = sub.add_parser(
         "lint",
@@ -513,32 +509,6 @@ def _cmd_export(args) -> int:
         f"wrote {json_path} (model for {victim.subject_id}) and "
         f"{c_path} ({checked})"
     )
-    if args.native_c:
-        from repro.native import generate_hot_path_source
-
-        native_path = args.out.with_suffix(".native.c")
-        native_source = generate_hot_path_source(
-            detector.version,
-            detector.grid_n,
-            detector.svc.coef_,
-            float(detector.svc.intercept_),
-            detector.scaler.mean_,
-            detector.scaler.scale_,
-        )
-        native_findings = check_c_source(
-            native_source, path=str(native_path), profile="native"
-        )
-        if native_findings and not args.skip_c_check:
-            for finding in native_findings:
-                print(finding.render(), file=sys.stderr)
-            print(
-                "error: generated native C violates the native profile; "
-                f"{native_path} not written (--skip-c-check to force)",
-                file=sys.stderr,
-            )
-            return 1
-        native_path.write_text(native_source)
-        print(f"wrote {native_path} (gateway-side hot path, {checked})")
     return 0
 
 

@@ -35,7 +35,7 @@ if TYPE_CHECKING:
 __all__ = ["DEFAULT_CHUNK_SIZE", "PLATFORMS", "SIFTDetector"]
 
 #: Supported scoring platforms: the NumPy reference path, and the
-#: generated-C hot path (bit-identical, optional, falls back cleanly).
+#: C hot path (bit-identical, optional, falls back cleanly).
 PLATFORMS = ("numpy", "native")
 
 #: Windows scored per chunk by the bounded-memory stream entry points.
@@ -69,7 +69,7 @@ class SIFTDetector:
         Seed for the SMO solver's internal randomness.
     platform:
         ``"numpy"`` (the reference path) or ``"native"`` -- score streams
-        through the generated-C hot path (:mod:`repro.native`).  Native
+        through the compiled C hot path (:mod:`repro.native`).  Native
         scoring is bit-identical to the NumPy path and falls back to it
         (with a ``RuntimeWarning``) when the host cannot build or validate
         the extension.
@@ -148,8 +148,9 @@ class SIFTDetector:
         self.svc.fit(X, training_set.y)
         self.subject_id = subject_id
         self._fitted = True
-        # The native scorer bakes the model constants into generated C, so
-        # refitting invalidates it (and clears any stale failure reason).
+        # The native scorer holds copies of the model constants and was
+        # self-checked against them, so refitting invalidates it (and
+        # clears any stale failure reason).
         self._native_scorer = None
         self._native_error = None
         return self
@@ -160,7 +161,7 @@ class SIFTDetector:
 
     @property
     def native_active(self) -> bool:
-        """Whether scoring currently runs through the generated-C path."""
+        """Whether scoring currently runs through the native C path."""
         return self._native() is not None
 
     @property
@@ -204,9 +205,9 @@ class SIFTDetector:
     def __getstate__(self) -> dict:
         """Drop the compiled-library handle; it cannot cross processes.
 
-        A supervised scoring child (or any unpickling consumer) rebuilds
-        the native scorer lazily on first use, hitting the on-disk
-        artifact cache rather than recompiling.
+        An unpickling consumer rebuilds the native scorer lazily on first
+        use, over the kernel its process has loaded already or the
+        on-disk artifact cache's, rather than recompiling.
         """
         state = self.__dict__.copy()
         state["_native_scorer"] = None
@@ -247,7 +248,7 @@ class SIFTDetector:
         :meth:`iter_decision_values` instead.
 
         With ``platform="native"`` the same scores come from the
-        generated-C hot path -- the parity contract makes the two
+        C hot path -- the parity contract makes the two
         platforms interchangeable mid-stream.
         """
         self._require_fitted()

@@ -172,7 +172,7 @@ def format_native_speedup(tiers: dict[str, dict[str, Any]]) -> str:
     return format_table(
         ["tier", "numpy w/s", "native w/s", "speedup", "bit-identical"],
         rows,
-        title="Native scoring core: generated-C hot path vs NumPy",
+        title="Native scoring core: C hot path vs NumPy",
     )
 
 

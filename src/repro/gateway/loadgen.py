@@ -416,11 +416,11 @@ def run_gateway_load(
     and ``supervisor_knobs`` (extra backend constructor arguments) are
     the chaos harness's hooks and require ``supervised=True``.
 
-    ``platform="native"`` scores through the generated-C hot path, each
-    tier's extension built before the event loop starts (a compile on
-    the loop would stall every wearer); a supervised child rebuilds it
-    from the artifact cache.  Decision values are bit-identical to NumPy
-    either way, and a tier without a toolchain falls back to NumPy.
+    ``platform="native"`` scores through the C hot path, each
+    tier's scorer built before the event loop starts (a compile on
+    the loop would stall every wearer); a forked supervised child
+    inherits the loaded kernel.  Decision values are bit-identical to
+    NumPy either way, and a tier without a toolchain falls back to NumPy.
 
     ``sanitize_loop=True`` times every asyncio callback; any that holds
     the loop past ``stall_threshold_s`` lands in the report's

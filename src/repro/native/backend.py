@@ -1,15 +1,20 @@
 """The ``platform="native"`` scoring backend.
 
-A :class:`NativeScorer` wraps one fitted linear detector's model constants
-and scores windows through the generated C hot path
-(:mod:`repro.native.codegen` / :mod:`repro.native.build`).  It enforces
+``score.c`` is a fixed C kernel that scores windows for any fitted linear
+model: the tier, grid size, weights and standardizer statistics are
+arguments of its one entry point, so one library -- compiled once per
+host through the artifact cache of :mod:`repro.native.build`, loaded
+once per process by :func:`load_kernel` -- serves every wearer's models,
+and a forked scoring child inherits it already loaded.
+
+A :class:`NativeScorer` holds one fitted model's constants and enforces
 the parity contract at three levels:
 
-1. **Build-time self-check.**  Before the first real batch, deterministic
-   probe windows (including a flat-lined window and a peakless window) are
+1. **Self-check.**  Before the first real batch, deterministic probe
+   windows (including a flat-lined window and a peakless window) are
    scored both natively and through the NumPy reference pipeline; any bit
    difference marks the backend unusable and the caller falls back.
-2. **Eligibility gating.**  The C kernels assume finite samples and
+2. **Eligibility gating.**  The C kernel assumes finite samples and
    in-range peak indexes (NumPy propagates NaN through ``np.min`` and
    raises on bad indexes).  Windows that violate the preconditions are
    routed to the NumPy path window-by-window; batch-size invariance of the
@@ -22,6 +27,8 @@ the parity contract at three levels:
 from __future__ import annotations
 
 import ctypes
+import functools
+from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -31,21 +38,34 @@ from repro.core.portrait import stream_positions
 from repro.core.versions import DetectorVersion, make_extractor
 from repro.native.build import (
     BuildError,
-    LoadedScoringLib,
-    compile_flags,
     compile_hot_path,
     find_compiler,
+    svml_atan2_address,
     svml_atan2_supported,
 )
-from repro.native.codegen import generate_hot_path_source
 from repro.signals.dataset import SignalWindow
 
-__all__ = ["NativeScorer", "NativeUnavailableError", "native_status"]
+__all__ = [
+    "NativeScorer",
+    "NativeUnavailableError",
+    "ScoreKernel",
+    "load_kernel",
+    "native_status",
+]
+
+SOURCE_PATH = Path(__file__).with_name("score.c")
 
 _LONG = np.dtype(ctypes.c_long)
 
 #: Default physiological pairing lag, mirroring ``build_portrait_batch``.
 _MAX_LAG_S = 0.6
+
+#: ``score.c``'s tier codes.
+_TIER_CODES = {
+    DetectorVersion.ORIGINAL: 0,
+    DetectorVersion.SIMPLIFIED: 1,
+    DetectorVersion.REDUCED: 2,
+}
 
 
 class NativeUnavailableError(RuntimeError):
@@ -71,6 +91,67 @@ def native_status(version: DetectorVersion | str) -> tuple[bool, str]:
             "SVML-enabled numpy build)"
         )
     return True, "ok"
+
+
+class ScoreKernel:
+    """The compiled ``score.c``, bound with ctypes."""
+
+    def __init__(self, path: Path) -> None:
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError as exc:
+            raise BuildError(f"cannot load {path}: {exc}") from exc
+        ptr, n = ctypes.c_void_p, ctypes.c_long
+        self._score = lib.sift_score_windows
+        self._score.restype = n
+        self._score.argtypes = [
+            n, n, ptr, ptr, ptr, ctypes.c_double, ptr,
+            ptr, ptr, n, n, ptr, ptr, ptr, ptr, ptr, ptr,
+        ]
+        self._lib = lib
+
+    def score_windows(
+        self,
+        model: tuple,
+        ecg: np.ndarray,
+        abp: np.ndarray,
+        r_idx: np.ndarray,
+        r_off: np.ndarray,
+        s_idx: np.ndarray,
+        s_off: np.ndarray,
+        max_lag: np.ndarray,
+    ) -> np.ndarray:
+        """Score a uniform-length batch; arrays must be C-contiguous.
+
+        ``model`` holds the entry point's leading arguments: tier code,
+        grid size, the coef/mean/scale addresses, the intercept and the
+        atan2 address (``None`` but for the Original tier).
+        """
+        out = np.empty(ecg.shape[0], dtype=np.float64)
+        status = self._score(
+            *model,
+            ecg.ctypes.data, abp.ctypes.data, ecg.shape[0], ecg.shape[1],
+            r_idx.ctypes.data, r_off.ctypes.data,
+            s_idx.ctypes.data, s_off.ctypes.data,
+            max_lag.ctypes.data, out.ctypes.data,
+        )
+        if status != 0:
+            raise BuildError(f"sift_score_windows failed with status {status}")
+        return out
+
+
+@functools.cache
+def load_kernel() -> ScoreKernel:
+    """The compiled scoring kernel; raises :class:`BuildError` without one.
+
+    Built at most once per host (the artifact cache) and loaded at most
+    once per process; a failure is not cached, so a later call retries.
+    """
+    try:
+        source = SOURCE_PATH.read_text()
+    except OSError as exc:
+        raise BuildError(f"cannot read {SOURCE_PATH}: {exc}") from exc
+    return ScoreKernel(compile_hot_path(source, "score"))
 
 
 def _probe_windows(version: DetectorVersion, window_s: float) -> list[SignalWindow]:
@@ -121,7 +202,7 @@ def _reference_scores(
 
 
 class NativeScorer:
-    """Generated-C scoring for one fitted linear model.
+    """Native scoring for one fitted linear model.
 
     Parameters are the fitted model's constants; ``fallback`` is invoked
     with a list of windows whenever some of them are ineligible for the C
@@ -151,16 +232,27 @@ class NativeScorer:
         self.intercept = float(intercept)
         self.mean = np.ascontiguousarray(mean, dtype=np.float64).reshape(-1)
         self.scale = np.ascontiguousarray(scale, dtype=np.float64).reshape(-1)
+        # The kernel reads n_features of each; a shorter array that NumPy
+        # would broadcast must not reach it.
+        for name in ("coef", "mean", "scale"):
+            shape = getattr(self, name).shape
+            if shape != (version.n_features,):
+                raise ValueError(
+                    f"{name} has shape {shape}, expected "
+                    f"({version.n_features},) for the {version.value} version"
+                )
         self._fallback = fallback
-        source = generate_hot_path_source(
-            version, grid_n, self.coef, self.intercept, self.mean, self.scale
+        # sift_score_windows's model arguments; the arrays above keep the
+        # addresses alive, and native_status vouched for the atan2 symbol.
+        original = version is DetectorVersion.ORIGINAL
+        self._model = (
+            _TIER_CODES[version], self.grid_n,
+            self.coef.ctypes.data, self.mean.ctypes.data,
+            self.scale.ctypes.data, self.intercept,
+            svml_atan2_address() if original else None,
         )
-        self.source = source
         try:
-            self.artifact = compile_hot_path(
-                source, f"sift-{version.value}", compile_flags(version)
-            )
-            self._lib = LoadedScoringLib(self.artifact, version)
+            self._kernel = load_kernel()
         except BuildError as exc:
             raise NativeUnavailableError(str(exc)) from exc
         self._self_check(window_s)
@@ -185,7 +277,7 @@ class NativeScorer:
             native, reference
         ):
             raise NativeUnavailableError(
-                "native self-check failed: generated code does not "
+                "native self-check failed: the C kernel does not "
                 "bit-match the NumPy reference on probe windows "
                 f"(max diff {np.max(np.abs(native - reference)):.3e})"
             )
@@ -205,7 +297,9 @@ class NativeScorer:
             return False
         for peaks in (window.r_peaks, window.systolic_peaks):
             peaks = np.asarray(peaks)
-            if peaks.size and (peaks.min() < 0 or peaks.max() >= n):
+            if peaks.size > n or (
+                peaks.size and (peaks.min() < 0 or peaks.max() >= n)
+            ):
                 return False
         return True
 
@@ -249,20 +343,24 @@ class NativeScorer:
         common-case fast path -- when it fails, the caller re-checks
         window by window to isolate the offenders.
         """
-        ecg, abp, r_idx, _, s_idx, _, max_lag = packed
+        ecg, abp, r_idx, r_off, s_idx, s_off, max_lag = packed
         n_samples = ecg.shape[1]
         if n_samples < 1 or not bool(np.all(max_lag >= 0)):
             return False
         if not (np.isfinite(ecg).all() and np.isfinite(abp).all()):
             return False
-        for idx in (r_idx, s_idx):
+        for idx, off in ((r_idx, r_off), (s_idx, s_off)):
+            # No window lists more peaks than samples (the kernel's
+            # per-peak scratch); the total bounds them all in one test.
+            if idx.size > n_samples and np.diff(off).max() > n_samples:
+                return False
             if idx.size and (idx.min() < 0 or idx.max() >= n_samples):
                 return False
         return True
 
     def _score_uniform(self, windows: Sequence[SignalWindow]) -> np.ndarray:
         """Score equal-length, eligible windows through the C entry point."""
-        return self._lib.score_windows(*self._pack(windows))
+        return self._kernel.score_windows(self._model, *self._pack(windows))
 
     def _score_group(
         self,
@@ -273,10 +371,12 @@ class NativeScorer:
         """Score one equal-length group, isolating ineligible windows."""
         packed = self._pack(windows)
         if self._packed_eligible(packed):
-            out[indices] = self._lib.score_windows(*packed)
+            out[indices] = self._kernel.score_windows(self._model, *packed)
             return
-        ok_pos = [k for k, w in enumerate(windows) if self._eligible(w)]
-        bad_pos = [k for k in range(len(windows)) if k not in set(ok_pos)]
+        ok_pos: list[int] = []
+        bad_pos: list[int] = []
+        for k, window in enumerate(windows):
+            (ok_pos if self._eligible(window) else bad_pos).append(k)
         if bad_pos:
             if self._fallback is None:
                 raise NativeUnavailableError(

@@ -1,20 +1,21 @@
-"""Host-side build and loading of the generated scoring hot path.
+"""Host-side compilation of the native core's fixed C kernels.
+
+``score.c`` (the scoring hot path), ``smo.c`` (SVM training) and
+``sqi.c`` (the SQI gate's statistics) are each compiled here once per
+host and loaded once per process by their module's ``load_kernel``.
 
 The native backend is strictly optional: every capability it needs -- a C
 compiler, numpy's bundled SVML ``atan2`` for the Original tier -- is probed
 at runtime, and any missing piece downgrades the answer to "unavailable"
-(the detector then stays on the NumPy path).  Nothing here is a hard
+(the caller then stays on the NumPy path).  Nothing here is a hard
 dependency and nothing raises during import.
 
-Compiled artifacts are cached on disk, keyed by a digest of the generated
-source, the compiler command line and the numpy version (the parity
-contract is against a specific numpy's kernels).  A second process -- or a
-supervised scoring child rebuilding its detectors after a crash -- reuses
-the cached ``.so`` without recompiling; concurrent builders race benignly
-via an atomic rename.
-
-Loading uses the stdlib's ctypes only: pointer arguments are declared
-``c_void_p`` and receive each array's ``ndarray.ctypes.data`` address.
+Compiled artifacts are cached on disk, keyed by a digest of the source,
+the compiler command line and the numpy version (the parity contract is
+against a specific numpy's kernels).  A second process -- or a supervised
+scoring child rebuilding its detectors after a crash -- reuses the cached
+``.so`` without recompiling; concurrent builders race benignly via an
+atomic rename.
 """
 
 from __future__ import annotations
@@ -30,13 +31,9 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.versions import DetectorVersion
-
 __all__ = [
     "BuildError",
-    "LoadedScoringLib",
     "cache_dir",
-    "compile_flags",
     "compile_hot_path",
     "find_compiler",
     "svml_atan2_address",
@@ -67,15 +64,6 @@ def find_compiler() -> str | None:
         if found:
             return found
     return None
-
-
-def compile_flags(version: DetectorVersion) -> tuple[str, ...]:
-    """The compiler flags for one tier's translation unit."""
-    flags = _BASE_FLAGS
-    if version is DetectorVersion.ORIGINAL:
-        # immintrin's 512-bit intrinsics for the SVML atan2 call.
-        flags = flags + ("-mavx512f",)
-    return flags
 
 
 def cache_dir() -> Path:
@@ -169,51 +157,3 @@ def compile_hot_path(
             except OSError:
                 pass
     return artifact
-
-
-class LoadedScoringLib:
-    """A compiled scoring library, bound with ctypes."""
-
-    def __init__(self, path: Path, version: DetectorVersion) -> None:
-        self.path = Path(path)
-        self.version = version
-        try:
-            self._lib = ctypes.CDLL(str(self.path))
-        except OSError as exc:
-            raise BuildError(f"cannot load {self.path}: {exc}") from exc
-        ptr, n = ctypes.c_void_p, ctypes.c_long
-        self._score = self._lib.sift_score_windows
-        self._score.restype = n
-        self._score.argtypes = [ptr, ptr, n, n, ptr, ptr, ptr, ptr, ptr, ptr]
-        if version is DetectorVersion.ORIGINAL:
-            address = svml_atan2_address()
-            if address is None:
-                raise BuildError(
-                    "numpy does not export the SVML atan2 this host build needs"
-                )
-            set_atan2 = self._lib.sift_set_atan2
-            set_atan2.restype = None
-            set_atan2.argtypes = [ptr]
-            set_atan2(address)
-
-    def score_windows(
-        self,
-        ecg: np.ndarray,
-        abp: np.ndarray,
-        r_idx: np.ndarray,
-        r_off: np.ndarray,
-        s_idx: np.ndarray,
-        s_off: np.ndarray,
-        max_lag: np.ndarray,
-    ) -> np.ndarray:
-        """Score a uniform-length batch; arrays must be C-contiguous."""
-        out = np.empty(ecg.shape[0], dtype=np.float64)
-        status = self._score(
-            ecg.ctypes.data, abp.ctypes.data, ecg.shape[0], ecg.shape[1],
-            r_idx.ctypes.data, r_off.ctypes.data,
-            s_idx.ctypes.data, s_off.ctypes.data,
-            max_lag.ctypes.data, out.ctypes.data,
-        )
-        if status != 0:
-            raise BuildError(f"sift_score_windows failed with status {status}")
-        return out

@@ -17,7 +17,7 @@ makes :func:`load_kernel` return ``None`` and the gate stays on NumPy.
 
 The kernel does float32 arithmetic on float32 windows, which is what its
 parity needs and what the native C contract (``--c-profile native``)
-bans for the generated scorer, so ``sqi.c`` is not checked against it.
+bans for the scoring kernel, so ``sqi.c`` is not checked against it.
 """
 
 from __future__ import annotations

@@ -1,7 +1,11 @@
 """CGEN rules over C source, plus the to_c_source round-trip contract."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import repro.native
 
 from repro.amulet.restricted import LIBM_OPERATIONS
 from repro.analysis.c_checker import (
@@ -12,6 +16,9 @@ from repro.analysis.c_checker import (
 )
 from repro.core.versions import DetectorVersion
 from repro.ml.model_codegen import FixedPointLinearModel
+
+
+NATIVE_DIR = Path(repro.native.__file__).parent
 
 
 def codes(findings):
@@ -171,36 +178,16 @@ class TestNativeProfile:
         with pytest.raises(ValueError, match="profile"):
             check_c_source("int x;", profile="msp432")
 
-    @pytest.mark.parametrize(
-        "version", list(DetectorVersion), ids=lambda v: v.value
-    )
-    def test_generated_hot_path_is_clean(self, version):
-        from repro.native.codegen import generate_hot_path_source
-
-        n = version.n_features
-        source = generate_hot_path_source(
-            version,
-            50,
-            np.linspace(-1.0, 1.0, n),
-            0.25,
-            np.zeros(n),
-            np.ones(n),
-        )
+    def test_score_kernel_is_clean(self):
+        """The scoring kernel meets the native contract (``smo.c`` is
+        checked in ``tests/native/test_smo_parity.py``)."""
+        source = (NATIVE_DIR / "score.c").read_text()
         assert check_c_source(source, profile="native") == []
 
     def test_hot_path_fails_device_profile(self):
         """Sanity: the native C is *not* device C -- the device profile
         must reject it (doubles everywhere), so the two contracts cannot
         be confused."""
-        from repro.native.codegen import generate_hot_path_source
-
-        source = generate_hot_path_source(
-            DetectorVersion.REDUCED,
-            50,
-            np.linspace(-1.0, 1.0, 5),
-            0.25,
-            np.zeros(5),
-            np.ones(5),
-        )
+        source = (NATIVE_DIR / "score.c").read_text()
         findings = check_c_source(source)
         assert "CGEN001" in codes(findings)

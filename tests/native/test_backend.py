@@ -1,6 +1,7 @@
 """Behavioural tests of the native backend machinery itself: the
 capability probe, the numpy fallback when no toolchain exists, the
-artifact cache, and pickling across process boundaries."""
+artifact cache, the one kernel behind every model, and pickling across
+process boundaries."""
 
 from __future__ import annotations
 
@@ -19,12 +20,11 @@ from repro.core.detector import PLATFORMS
 from repro.core.versions import DetectorVersion
 from repro.native import (
     cache_dir,
-    compile_flags,
     compile_hot_path,
     find_compiler,
-    generate_hot_path_source,
     native_status,
 )
+from repro.native.backend import SOURCE_PATH, load_kernel
 
 
 class TestPlatformParameter:
@@ -88,21 +88,12 @@ class TestFallback:
 )
 class TestBuildCache:
     def test_artifact_is_cached(self):
-        version = DetectorVersion.REDUCED
-        source = generate_hot_path_source(
-            version,
-            50,
-            np.linspace(-1.0, 1.0, 5),
-            0.125,
-            np.zeros(5),
-            np.ones(5),
-        )
-        name, flags = f"sift-{version.value}", compile_flags(version)
-        first = compile_hot_path(source, name, flags)
+        source = SOURCE_PATH.read_text()
+        first = compile_hot_path(source, "score")
         assert first.exists()
-        assert first.name.startswith(f"{name}-")
+        assert first.name.startswith("score-")
         stamp = first.stat().st_mtime_ns
-        second = compile_hot_path(source, name, flags)
+        second = compile_hot_path(source, "score")
         assert second == first
         assert second.stat().st_mtime_ns == stamp  # no recompile
         assert first.parent == cache_dir()
@@ -129,12 +120,69 @@ class TestBuildCache:
         assert text.startswith("double probe")
         assert sorted(tmp_path.iterdir()) == [artifact]
 
-    def test_flags_pin_fp_contract(self):
-        """FMA contraction would silently break bit parity; every tier
-        must compile with it off."""
-        for version in DetectorVersion:
-            assert "-ffp-contract=off" in compile_flags(version)
-            assert "-O2" in compile_flags(version)
+    @staticmethod
+    def _spy_compiles(monkeypatch, tmp_path) -> list[list[str]]:
+        """A fresh cache and loader; returns the compiler command lines."""
+        monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
+        load_kernel.cache_clear()
+        real_run = subprocess.run
+        commands: list[list[str]] = []
+
+        def spy(cmd, **kwargs):
+            commands.append(cmd)
+            return real_run(cmd, **kwargs)
+
+        monkeypatch.setattr(subprocess, "run", spy)
+        return commands
+
+    def test_flags_pin_fp_contract(self, tmp_path, monkeypatch):
+        """FMA contraction would silently break bit parity, so score.c
+        compiles with it off; the AVX-512 code is confined to its own
+        target attribute, so no flag enables AVX-512 for every tier."""
+        commands = self._spy_compiles(monkeypatch, tmp_path)
+        try:
+            load_kernel()
+        finally:
+            load_kernel.cache_clear()
+        [cmd] = commands
+        assert "-ffp-contract=off" in cmd
+        assert "-O2" in cmd
+        assert not any(flag.startswith("-mavx") for flag in cmd)
+
+    def test_one_kernel_serves_every_model(
+        self, tmp_path, monkeypatch, trained_detectors, train_record,
+        train_donors, labeled_stream,
+    ):
+        """Two fits of one tier, grid sizes 2 and 17 and every tier the
+        host supports all score through one compiled library: the
+        compiler runs once, the library loads once, and every scorer
+        bit-matches its NumPy detector."""
+        references = [
+            SIFTDetector(version="simplified", C=0.25),
+            SIFTDetector(version="simplified", grid_n=2),
+            SIFTDetector(version="simplified", grid_n=17),
+        ]
+        for detector in references:
+            detector.fit(train_record, train_donors)
+        references += [
+            detector
+            for version, detector in trained_detectors.items()
+            if native_status(version)[0]
+        ]
+        commands = self._spy_compiles(monkeypatch, tmp_path)
+        try:
+            for reference in references:
+                native = copy.deepcopy(reference)
+                native.platform = "native"
+                assert native.native_active, native.native_error
+                assert np.array_equal(
+                    native.decision_values(labeled_stream),
+                    reference.decision_values(labeled_stream),
+                )
+            assert load_kernel.cache_info().misses == 1  # one load
+        finally:
+            load_kernel.cache_clear()
+        assert len(commands) == 1  # one compile
 
 
 class TestPickling:

@@ -1,4 +1,4 @@
-"""Bit-parity of the generated-C native scoring core against NumPy.
+"""Bit-parity of the native C scoring core against NumPy.
 
 The ``platform="native"`` contract is not "close": every decision value
 must be bit-identical to the NumPy reference path -- the same contract
@@ -161,7 +161,8 @@ def test_chunk_boundary_invariance(detector_pairs, labeled_stream):
 
 def test_non_default_grid_n(train_record, train_donors):
     """Parity holds for a non-default occupancy grid size (the grid
-    dimension is baked into the generated C as a constant)."""
+    dimension is an argument of the one compiled kernel, so every size
+    runs the same machine code)."""
     version = DetectorVersion.SIMPLIFIED
     available, reason = native_status(version)
     if not available:
@@ -197,3 +198,24 @@ def test_reduced_nan_windows_fall_back_bit_identically(detector_pairs):
     actual = native.decision_values(stream)
     assert np.array_equal(actual, expected, equal_nan=True)
     assert np.isnan(actual[1])
+
+
+def test_more_peaks_than_samples_fall_back(detector_pairs):
+    """A window listing more peaks than it has samples (repeated
+    indexes) would overrun the kernel's per-peak scratch; it goes to the
+    fallback, alone or among eligible windows of its length."""
+    good = np.linspace(0.0, 1.0, 16)
+    crowded = SignalWindow(
+        ecg=good,
+        abp=good[::-1].copy(),
+        r_peaks=np.zeros(4000, dtype=np.intp),
+        systolic_peaks=np.ones(4000, dtype=np.intp),
+        sample_rate=125.0,
+    )
+    stream = [_window(good, good + 1.0, [2, 9], [5]), crowded]
+    for reference, native in detector_pairs.values():
+        for windows in ([crowded], stream):
+            assert np.array_equal(
+                native.decision_values(windows),
+                reference.decision_values(windows),
+            )

@@ -3,7 +3,7 @@
 ``decision_value``, ``classify_window`` and a quality-gated
 ``StreamingDetector.process_window`` score a batch of one through
 ``decision_values``, so on a native detector they must reach the
-generated-C scorer -- and still equal the NumPy detector bit-for-bit.
+native C scorer -- and still equal the NumPy detector bit-for-bit.
 """
 
 from __future__ import annotations

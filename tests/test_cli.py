@@ -83,18 +83,6 @@ class TestNativeFlags:
         out = capsys.readouterr().out
         assert "scored on" in out
 
-    def test_export_native_c(self, tmp_path):
-        stem = tmp_path / "model"
-        assert main([
-            "export", "--version", "reduced", "--out", str(stem), "--native-c",
-        ]) == 0
-        native_c = (tmp_path / "model.native.c").read_text()
-        assert "sift_score_windows" in native_c
-        # The emitted hot path is clean under the native lint profile.
-        from repro.analysis.c_checker import check_c_source
-
-        assert check_c_source(native_c, profile="native") == []
-
 
 class TestBenchGate:
     def _fake_passes(self, monkeypatch, fail_at=None):

@@ -65,3 +65,16 @@ def test_a_stale_study_name_fails_the_check():
 def test_readme_cli_block_names_every_command():
     text = (ROOT / "README.md").read_text()
     assert documented_commands(text) == registered_commands()
+
+
+def test_a_stale_subcommand_fails_the_check():
+    text = (ROOT / "README.md").read_text()
+    planted = re.sub(
+        r"^(repro\.cli\s+python -m repro \{)",
+        r"\1no-such-command,",
+        text,
+        count=1,
+        flags=re.M,
+    )
+    assert "no-such-command" in documented_commands(planted)
+    assert documented_commands(planted) != registered_commands()
