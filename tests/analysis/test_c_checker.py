@@ -178,11 +178,20 @@ class TestNativeProfile:
         with pytest.raises(ValueError, match="profile"):
             check_c_source("int x;", profile="msp432")
 
-    def test_score_kernel_is_clean(self):
-        """The scoring kernel meets the native contract (``smo.c`` is
-        checked in ``tests/native/test_smo_parity.py``)."""
+    @pytest.mark.parametrize(
+        "version", list(DetectorVersion), ids=lambda v: v.value
+    )
+    def test_generated_hot_path_is_clean(self, version):
+        """Every tier is scored by the one ``score.c`` kernel: it meets the
+        native contract and defines the tier code the backend passes for
+        this version (``smo.c`` is checked in
+        ``tests/native/test_smo_parity.py``)."""
+        from repro.native.backend import _TIER_CODES
+
         source = (NATIVE_DIR / "score.c").read_text()
         assert check_c_source(source, profile="native") == []
+        define = f"#define SIFT_{version.name} {_TIER_CODES[version]}"
+        assert define in source.splitlines()
 
     def test_hot_path_fails_device_profile(self):
         """Sanity: the native C is *not* device C -- the device profile
